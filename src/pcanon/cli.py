@@ -320,18 +320,17 @@ def _emit(args, doc: dict, pretty: str) -> str:
 
 def _pcf_of(args, m: Matrix) -> PCanonicalForm:
     try:
-        form = pcf_build(m, args.tol)
+        return pcf_build(m, args.tol)
     except NonSplitField:
         if not (args.numeric and m.field.exact and m.field.char == 0):
             raise
-        form = pcf_build(m.to_field(CC), args.tol)
-    if getattr(args, "gamma", False):
-        form = pcf_to_gamma(form)
-    return form
+        return pcf_build(m.to_field(CC), args.tol)
 
 
 def _cmd_pcf(args) -> str:
     form = _pcf_of(args, parse_matrix(args.input, args))
+    if args.gamma:
+        form = pcf_to_gamma(form)
     return render_closed_form(form, "json" if args.json else "pretty")
 
 
@@ -453,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="matrix power A^k through the closed form")
     p.add_argument("input", metavar="INPUT")
     p.add_argument("k", type=int)
-    p.add_argument("--gamma", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("expm", parents=[field_p, out_p, tol_p],

@@ -1,19 +1,20 @@
 """Closed-form matrix exponentials and logarithms via spectral projections.
 
-e^(tA) is assembled exactly from the spectral resolution: a polynomial
-part sum_i (A^i pi_0 / i!) t^i from the nilpotent block plus, per nonzero
-eigenvalue, e^(lambda t) times a polynomial with matrix coefficients
-((A - lambda I)^i pi / i!). Logarithms go the other way: a branch choice
-per eigenvalue (principal or explicit winding integers) fixes z_j =
-log|lambda_j| + i(Arg lambda_j + 2 pi k_j), and the log matrix is
-sum z_j pi_j plus the alternating series in the nilpotent parts, which
-terminates. Both directions also exist at the level of closed forms for
-the full power sequence. All arithmetic here is on complex doubles; exact
-inputs are converted once at the boundary.
+Every closed form weights the chains (A - lambda_j I)^i pi_j of
+pcf._chains (Higham, Functions of Matrices, ch. 1): by lambda^(-i) for
+the power sequence, by 1/i! for e^(tA), which is a polynomial in t times
+e^(lambda t) per eigenvalue, and by (-1)^(i-1) / (i lambda^i) for log A,
+a terminating series added to sum_j z_j pi_j. A branch choice per
+eigenvalue (principal or explicit winding integers) fixes z_j =
+log|lambda_j| + i(Arg lambda_j + 2 pi k_j). Both directions also exist at
+the level of closed forms for the full power sequence. All arithmetic
+here is on complex doubles; exact inputs are converted once at the
+boundary.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,18 @@ from .errors import (
     ZeroLogClash,
 )
 from .linalg import Matrix, spectral_data
-from .pcf import Basis, PCanonicalForm, RealPCF, RealTerm, pcf_to_gamma
+from .pcf import (
+    Basis,
+    PCanonicalForm,
+    RealPCF,
+    RealTerm,
+    _chains,
+    _merge_conjugates,
+    _real_matrix,
+    _trim,
+    pcf_to_gamma,
+    realpcf_to_gamma,
+)
 from .scalar import CC, CLUSTER_TOL
 
 
@@ -107,50 +119,34 @@ def _to_cc(a: Matrix) -> Matrix:
     return a.to_field(CC)
 
 
+def _exp_weights(chain) -> tuple:
+    return tuple((i, c * complex(1 / math.factorial(i))) for i, c in enumerate(chain))
+
+
 def expm_closed(a: Matrix, tol: float = 1e-8) -> ClosedFormExp:
     """Exact-form matrix exponential from the spectral resolution."""
     a = _to_cc(a)
-    sd = spectral_data(a, tol)
-    poly_part = []
-    cur = sd.zero_projection
-    for i in range(sd.t0):
-        poly_part.append((i, cur * complex(1 / math.factorial(i))))
-        if i + 1 < sd.t0:
-            cur = a * cur
-    ident = Matrix.identity(CC, a.n)
-    exp_terms = []
-    for comp in sd.components:
-        shift = a - ident * comp.value
-        cur = comp.projection
-        coeffs = []
-        for i in range(comp.index):
-            coeffs.append((i, cur * complex(1 / math.factorial(i))))
-            if i + 1 < comp.index:
-                cur = shift * cur
-        exp_terms.append((comp.value, tuple(coeffs)))
-    return ClosedFormExp(order=a.n, polynomial_part=tuple(poly_part),
-                         exponential_terms=tuple(exp_terms))
+    nil, chains = _chains(a, spectral_data(a, tol))
+    return ClosedFormExp(order=a.n, polynomial_part=_exp_weights(nil),
+                         exponential_terms=tuple((lam, _exp_weights(chain))
+                                                 for lam, chain in chains))
+
+
+def _t_sum(order: int, coeffs, t) -> Matrix:
+    """sum_i M_i t^i over the (i, M_i) pairs."""
+    acc = Matrix.zeros(CC, order)
+    for i, m in coeffs:
+        acc = acc + m * t ** i
+    return acc
 
 
 def closedform_eval(form: ClosedFormExp, t) -> Matrix:
     """Evaluate e^(tA) at a real or complex time."""
     t = complex(t)
-    out = Matrix.zeros(CC, form.order)
-    for i, m in form.polynomial_part:
-        out = out + m * t ** i
+    out = _t_sum(form.order, form.polynomial_part, t)
     for lam, coeffs in form.exponential_terms:
-        acc = Matrix.zeros(CC, form.order)
-        for i, m in coeffs:
-            acc = acc + m * t ** i
-        out = out + acc * cmath.exp(lam * t)
+        out = out + _t_sum(form.order, coeffs, t) * cmath.exp(lam * t)
     return out
-
-
-def _real_part_matrix(m: Matrix, tol: float, scale: float, what: str) -> Matrix:
-    worst = max((abs(e.imag) for row in m.rows for e in row), default=0.0)
-    if worst > tol * scale:
-        raise NotReal(f"{what} has imaginary residue {worst:.3g}")
-    return Matrix(CC, [[complex(e.real, 0.0) for e in row] for row in m.rows])
 
 
 def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
@@ -158,45 +154,18 @@ def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
     exponential terms merge into growth/oscillation spirals."""
     a = _to_cc(a)
     scale = max(1.0, a.maxnorm())
-    if max(abs(e.imag) for row in a.rows for e in row) > 1e-12 * scale:
-        raise NotReal("source matrix has nonreal entries")
-    form = expm_closed(a, tol)
-    poly_part = tuple((i, _real_part_matrix(m, tol, scale, f"t^{i} coefficient"))
+    form = expm_closed(_real_matrix(a, 1e-12, scale, NotReal, "source matrix"), tol)
+    poly_part = tuple((i, _real_matrix(m, tol, scale, NotReal, f"t^{i} coefficient"))
                       for i, m in form.polynomial_part)
-    real_terms: list[RealExpTerm] = []
-    spiral_terms: list[SpiralExpTerm] = []
-    pending = dict(enumerate(form.exponential_terms))
-    while pending:
-        idx = min(pending)
-        lam, coeffs = pending.pop(idx)
-        lam_scale = max(1.0, abs(lam))
-        if abs(lam.imag) <= tol * lam_scale:
-            real_terms.append(RealExpTerm(
-                value=lam.real,
-                coeffs=tuple((i, _real_part_matrix(m, tol, scale,
-                                                   f"coefficient of e^({lam.real:g}t)"))
-                             for i, m in coeffs)))
-            continue
-        partner = None
-        for jdx, (mu, _mc) in pending.items():
-            if abs(mu - lam.conjugate()) <= tol * lam_scale:
-                partner = jdx
-                break
-        if partner is None:
-            raise NotReal(f"eigenvalue {lam!r} has no conjugate partner")
-        mu, mcoeffs = pending.pop(partner)
-        if len(mcoeffs) != len(coeffs):
-            raise NotReal(f"conjugate eigenvalues {lam!r}, {mu!r} differ in index")
-        top = coeffs if lam.imag > 0 else mcoeffs
-        val = lam if lam.imag > 0 else mu
-        cos_cs = tuple((i, Matrix(CC, [[complex(2 * e.real, 0.0) for e in row]
-                                       for row in m.rows])) for i, m in top)
-        sin_cs = tuple((i, Matrix(CC, [[complex(-2 * e.imag, 0.0) for e in row]
-                                       for row in m.rows])) for i, m in top)
-        spiral_terms.append(SpiralExpTerm(growth=val.real, frequency=val.imag,
-                                          cos_coeffs=cos_cs, sin_coeffs=sin_cs))
-    real_terms.sort(key=lambda trm: trm.value)
-    spiral_terms.sort(key=lambda trm: (trm.growth, trm.frequency))
+    reals, pairs = _merge_conjugates(
+        [(lam, tuple(m for _, m in coeffs)) for lam, coeffs in form.exponential_terms],
+        tol, scale, NotReal)
+    real_terms = sorted((RealExpTerm(v, tuple(enumerate(cs))) for v, cs in reals),
+                        key=lambda trm: trm.value)
+    spiral_terms = sorted((SpiralExpTerm(mu.real, mu.imag, tuple(enumerate(cos)),
+                                         tuple(enumerate(sin)))
+                           for mu, cos, sin in pairs),
+                          key=lambda trm: (trm.growth, trm.frequency))
     return RealClosedForm(order=form.order, polynomial_part=poly_part,
                           terms=(*real_terms, *spiral_terms))
 
@@ -204,24 +173,18 @@ def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
 def realclosedform_eval(form: RealClosedForm, t: float) -> Matrix:
     """Evaluate a real closed form at real time (entries stay real)."""
     t = float(t)
-    out = Matrix.zeros(CC, form.order)
-    for i, m in form.polynomial_part:
-        out = out + m * complex(t ** i)
+    out = _t_sum(form.order, form.polynomial_part, t)
     for term in form.terms:
         if isinstance(term, RealExpTerm):
-            w = math.exp(term.value * t)
-            acc = Matrix.zeros(CC, form.order)
-            for i, m in term.coeffs:
-                acc = acc + m * complex(t ** i)
-            out = out + acc * complex(w)
+            w = complex(math.exp(term.value * t))
+            out = out + _t_sum(form.order, term.coeffs, t) * w
         else:
             g = math.exp(term.growth * t)
             cosf = complex(g * math.cos(term.frequency * t))
             sinf = complex(g * math.sin(term.frequency * t))
-            acc = Matrix.zeros(CC, form.order)
-            for (i, mc), (_i, ms) in zip(term.cos_coeffs, term.sin_coeffs):
-                acc = acc + (mc * cosf + ms * sinf) * complex(t ** i)
-            out = out + acc
+            spiral = [(i, mc * cosf + ms * sinf)
+                      for (i, mc), (_, ms) in zip(term.cos_coeffs, term.sin_coeffs)]
+            out = out + _t_sum(form.order, spiral, t)
     return out
 
 
@@ -257,21 +220,49 @@ def logm(a: Matrix, branch: LogBranchSpec = LogBranchSpec.principal(),
     sd = spectral_data(a, tol)
     if sd.t0 > 0:
         raise SingularMatrix("singular matrices have no logarithm")
-    values = [c.value for c in sd.components]
-    zs = _branch_logs(values, branch, tol)
+    zs = _branch_logs([c.value for c in sd.components], branch, tol)
     out = Matrix.zeros(CC, a.n)
-    ident = Matrix.identity(CC, a.n)
-    for comp, z in zip(sd.components, zs):
-        out = out + comp.projection * z
-        shift = a - ident * comp.value
-        cur = comp.projection
-        lam_inv = 1.0 / comp.value
+    _, chains = _chains(a, sd)
+    for (lam, chain), z in zip(chains, zs):
+        out = out + chain[0] * z
+        lam_inv = 1.0 / lam
         factor = 1.0 + 0j
-        for i in range(1, comp.index):
-            cur = shift * cur
+        for i in range(1, len(chain)):
             factor = factor * lam_inv
-            out = out + cur * (factor * ((-1) ** (i - 1) / i))
+            out = out + chain[i] * (factor * ((-1) ** (i - 1) / i))
     return out
+
+
+def _log_form(order: int, pairs) -> PCanonicalForm:
+    """Closed form of the powers of log A from the power-basis terms of A.
+
+    pairs lists (z, coefficients), z the chosen log of the eigenvalue the
+    coefficients belong to. Each coefficient of lambda^k k^i becomes i!
+    z^(-i) times a binomial-basis coefficient at z; z = 0 (eigenvalue
+    exactly 1, principal branch) routes to the finitely supported slots
+    with the same i! weight. Raises ZeroLogClash when two logs coincide.
+    """
+    for (zi, _), (zj, _) in itertools.combinations(pairs, 2):
+        if abs(zi - zj) <= CLUSTER_TOL * max(1.0, abs(zi), abs(zj)):
+            raise ZeroLogClash(
+                f"branch maps two eigenvalues to the same logarithm {zi!r}")
+    nil: list = []
+    geo: list = []
+    for z, coeffs in pairs:
+        zinv = 1.0 / z if z else 1.0   # z = 0 keeps the bare i! weight
+        new = []
+        factor = 1.0 + 0j
+        for i, c in enumerate(coeffs):
+            new.append(c * (factor * math.factorial(i)))
+            factor = factor * zinv
+        if z:
+            geo.append((z, tuple(_trim(new))))
+        else:
+            nil.extend(enumerate(new))
+    nil.sort(key=lambda t: t[0])
+    geo.sort(key=lambda t: (t[0].real, t[0].imag))
+    return PCanonicalForm(field=CC, order=order, basis=Basis.LAMBDA,
+                          nilpotent_terms=tuple(nil), geometric_terms=tuple(geo))
 
 
 def log_pcf(form: PCanonicalForm, branch: LogBranchSpec = LogBranchSpec.principal(),
@@ -290,34 +281,9 @@ def log_pcf(form: PCanonicalForm, branch: LogBranchSpec = LogBranchSpec.principa
         raise SingularMatrix("singular matrices have no logarithm")
     if form.basis is Basis.LAMBDA:
         form = pcf_to_gamma(form)
-    values = [lam for lam, _ in form.geometric_terms]
-    zs = _branch_logs(values, branch, tol)
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if abs(zs[i] - zs[j]) <= CLUSTER_TOL * max(1.0, abs(zs[i]), abs(zs[j])):
-                raise ZeroLogClash(
-                    f"branch maps eigenvalues {values[i]!r} and {values[j]!r} "
-                    f"to the same logarithm {zs[i]!r}")
-    nil: list = []
-    geo: list = []
-    for (lam, coeffs), z in zip(form.geometric_terms, zs):
-        if z == 0:
-            for i, c in enumerate(coeffs):
-                nil.append((i, c * complex(math.factorial(i))))
-        else:
-            zinv = 1.0 / z
-            new = []
-            factor = 1.0 + 0j
-            for i, c in enumerate(coeffs):
-                new.append(c * (factor * math.factorial(i)))
-                factor = factor * zinv
-            while new and new[-1].is_zero:
-                new.pop()
-            geo.append((z, tuple(new)))
-    nil.sort(key=lambda t: t[0])
-    geo.sort(key=lambda t: (t[0].real, t[0].imag))
-    return PCanonicalForm(field=CC, order=form.order, basis=Basis.LAMBDA,
-                          nilpotent_terms=tuple(nil), geometric_terms=tuple(geo))
+    zs = _branch_logs([lam for lam, _ in form.geometric_terms], branch, tol)
+    return _log_form(form.order, [(z, coeffs) for z, (_, coeffs)
+                                  in zip(zs, form.geometric_terms)])
 
 
 def logm_real_pcf(form: RealPCF, branch: LogBranchSpec = LogBranchSpec.principal(),
@@ -334,58 +300,18 @@ def logm_real_pcf(form: RealPCF, branch: LogBranchSpec = LogBranchSpec.principal
     if form.nilpotent_terms:
         raise SingularMatrix("singular matrices have no logarithm")
     if form.basis is Basis.LAMBDA:
-        from .pcf import realpcf_to_gamma
         form = realpcf_to_gamma(form)
-    if branch.is_principal:
-        ks = [0] * len(form.terms)
-        for term in form.terms:
-            if isinstance(term, RealTerm) and term.value < 0:
-                raise PrincipalUndefined(
-                    f"eigenvalue {term.value} lies on the closed negative real axis")
-    else:
-        ks = list(branch.ks)
-        if len(ks) != len(form.terms):
-            raise PcanonError(
-                f"branch list has {len(ks)} entries for {len(form.terms)} terms")
+    values = [complex(t.value) if isinstance(t, RealTerm)
+              else cmath.rect(t.modulus, t.angle) for t in form.terms]
     pairs: list[tuple[complex, tuple]] = []
-    for term, k in zip(form.terms, ks):
+    for term, w in zip(form.terms, _branch_logs(values, branch, tol)):
         if isinstance(term, RealTerm):
-            lam = complex(term.value)
-            z = complex(math.log(abs(lam)),
-                        math.atan2(lam.imag, lam.real) + 2 * math.pi * k)
-            pairs.append((z, term.coeffs))
+            pairs.append((w, term.coeffs))
         else:
-            w = complex(math.log(term.modulus),
-                        term.angle + 2 * math.pi * k)
             up = tuple((cc * complex(0.5) + sc * complex(0, -0.5))
                        for cc, sc in zip(term.cos_coeffs, term.sin_coeffs))
             down = tuple(Matrix(CC, [[e.conjugate() for e in row] for row in m.rows])
                          for m in up)
             pairs.append((w, up))
             pairs.append((w.conjugate(), down))
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            zi, zj = pairs[i][0], pairs[j][0]
-            if abs(zi - zj) <= CLUSTER_TOL * max(1.0, abs(zi), abs(zj)):
-                raise ZeroLogClash(
-                    f"branch maps two spectrum points to the same logarithm {zi!r}")
-    nil: list = []
-    geo: list = []
-    for z, coeffs in pairs:
-        if z == 0:
-            for i, c in enumerate(coeffs):
-                nil.append((i, c * complex(math.factorial(i))))
-        else:
-            zinv = 1.0 / z
-            new = []
-            factor = 1.0 + 0j
-            for i, c in enumerate(coeffs):
-                new.append(c * (factor * math.factorial(i)))
-                factor = factor * zinv
-            while new and new[-1].is_zero:
-                new.pop()
-            geo.append((z, tuple(new)))
-    nil.sort(key=lambda t: t[0])
-    geo.sort(key=lambda t: (t[0].real, t[0].imag))
-    return PCanonicalForm(field=CC, order=form.order, basis=Basis.LAMBDA,
-                          nilpotent_terms=tuple(nil), geometric_terms=tuple(geo))
+    return _log_form(form.order, pairs)

@@ -3,21 +3,24 @@
 The power sequence k -> A^k of a matrix whose minimal polynomial splits
 decomposes uniquely as a finitely supported part (one matrix per power
 below the index of the eigenvalue zero) plus, per nonzero eigenvalue, a
-polynomial-times-geometric part. Two scalar bases are supported for the
-polynomial factor: binomial coefficients binom(k, i) (any field) and pure
-powers k^i (characteristic zero only), with exact Stirling conversions
-between them. Complex forms of real matrices can be rewritten over the
-reals with r^k cos(k theta) / r^k sin(k theta) spirals.
+polynomial-times-geometric part. Its coefficients, like those of e^(tA)
+and log A in matfun, are weights times one set of chains, A^i pi_0 and
+(A - lambda I)^i pi, built once by _chains. Two scalar bases are
+supported for the polynomial factor: binomial coefficients binom(k, i)
+(any field) and pure powers k^i (characteristic zero only), with one
+exact Stirling conversion between them. Complex forms of real matrices
+can be rewritten over the reals with r^k cos(k theta) / r^k sin(k theta)
+spirals by the conjugate-pair merger that e^(tA) shares.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .errors import CharPositive, NotConjugateSymmetric, PcanonError
-from .linalg import Matrix, spectral_data
+from .linalg import Matrix, SpectralData, spectral_data
 from .scalar import CC, Field, Poly, stirling_first, stirling_second
 
 
@@ -88,6 +91,30 @@ def _power_factor(field: Field, k: int, i: int):
     return field.from_int(k ** i if i else 1)
 
 
+def _trim(coeffs: list) -> list:
+    """Drop trailing zero matrices, in place."""
+    while coeffs and coeffs[-1].is_zero:
+        coeffs.pop()
+    return coeffs
+
+
+def _chain(step: Matrix, start: Matrix, length: int) -> list:
+    out = [start][:length]
+    while len(out) < length:
+        out.append(step * out[-1])
+    return out
+
+
+def _chains(a: Matrix, sd: SpectralData) -> tuple[list, list]:
+    """The chains every closed form is weighted from: A^i pi_0 for i below
+    the index of zero, and per nonzero eigenvalue (lambda, [(A - lambda
+    I)^i pi for i below its index])."""
+    ident = Matrix.identity(a.field, a.n)
+    return (_chain(a, sd.zero_projection, sd.t0),
+            [(c.value, _chain(a - ident * c.value, c.projection, c.index))
+             for c in sd.components])
+
+
 def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
     """Closed form of the power sequence from the spectral projections.
 
@@ -96,55 +123,78 @@ def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
     i < t. Raises NonSplitField when the spectrum does not live in the
     coefficient field.
     """
-    sd = spectral_data(a, tol)
     f = a.field
-    nil = []
-    cur = sd.zero_projection
-    for i in range(sd.t0):
-        nil.append((i, cur))
-        if i + 1 < sd.t0:
-            cur = a * cur
-    ident = Matrix.identity(f, a.n)
+    nil, chains = _chains(a, spectral_data(a, tol))
     geo = []
-    for comp in sd.components:
-        lam = comp.value
-        shift = a - ident * lam
+    for lam, chain in chains:
         inv = f.one / lam
-        coeffs = []
-        cur = comp.projection
-        factor = f.one
-        for i in range(comp.index):
-            coeffs.append(cur * factor if i else cur)
-            if i + 1 < comp.index:
-                cur = shift * cur
-                factor = factor * inv
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
+        coeffs, factor = [], f.one
+        for i, c in enumerate(chain):
+            coeffs.append(c * factor if i else c)
+            factor = factor * inv
+        _trim(coeffs)
         if coeffs:
             geo.append((lam, tuple(coeffs)))
     return PCanonicalForm(field=f, order=a.n, basis=Basis.LAMBDA,
-                          nilpotent_terms=tuple(nil), geometric_terms=tuple(geo))
+                          nilpotent_terms=tuple(enumerate(nil)),
+                          geometric_terms=tuple(geo))
+
+
+def _delta_part(form, field: Field, k: int) -> Matrix:
+    """The finitely supported part of a closed form at k."""
+    if k < 0:
+        raise ValueError("power index must be nonnegative")
+    out = Matrix.zeros(field, form.order)
+    for i, v in form.nilpotent_terms:
+        if i == k:
+            out = out + v
+    return out
+
+
+def _basis_sum(form, field: Field, coeffs, k: int) -> Matrix:
+    """sum_i C_i binom(k, i), or sum_i C_i k^i in the power basis."""
+    basis_factor = _binom_factor if form.basis is Basis.LAMBDA else _power_factor
+    acc = Matrix.zeros(field, form.order)
+    for i, c in enumerate(coeffs):
+        w = basis_factor(field, k, i)
+        if not field.is_zero(w):
+            acc = acc + c * w
+    return acc
 
 
 def pcf_eval(form: PCanonicalForm, k: int) -> Matrix:
     """The k-th power of the underlying matrix, evaluated from the form."""
-    if k < 0:
-        raise ValueError("power index must be nonnegative")
     f = form.field
-    out = Matrix.zeros(f, form.order)
-    for i, v in form.nilpotent_terms:
-        if i == k:
-            out = out + v
-    basis_factor = _binom_factor if form.basis is Basis.LAMBDA else _power_factor
+    out = _delta_part(form, f, k)
     for lam, coeffs in form.geometric_terms:
-        geom = lam ** k
-        acc = Matrix.zeros(f, form.order)
-        for i, c in enumerate(coeffs):
-            w = basis_factor(f, k, i)
-            if not f.is_zero(w):
-                acc = acc + c * w
-        out = out + acc * geom
+        out = out + _basis_sum(form, f, coeffs, k) * lam ** k
     return out
+
+
+def _rebase(coeffs, to_gamma: bool) -> list:
+    """Stirling change of basis of one coefficient list, untrimmed: the
+    identities of pcf_to_gamma (to_gamma) and pcf_to_lambda."""
+    t = len(coeffs)
+    new = []
+    for m in range(t):
+        acc = Matrix.zeros(coeffs[0].field, coeffs[0].n)
+        for i in range(m, t):
+            w = (Fraction(stirling_first(i, m), math.factorial(i)) if to_gamma
+                 else Fraction(stirling_second(i, m) * math.factorial(m)))
+            if w:
+                acc = acc + coeffs[i] * acc.field.from_fraction(w)
+        new.append(acc)
+    return new
+
+
+def _rebase_pcf(form: PCanonicalForm, basis: Basis) -> PCanonicalForm:
+    if form.field.char != 0:
+        raise CharPositive("basis conversion needs characteristic zero")
+    if form.basis is basis:
+        return form
+    geo = tuple((lam, tuple(_trim(_rebase(coeffs, basis is Basis.GAMMA))))
+                for lam, coeffs in form.geometric_terms)
+    return replace(form, basis=basis, geometric_terms=geo)
 
 
 def pcf_to_gamma(form: PCanonicalForm) -> PCanonicalForm:
@@ -154,52 +204,12 @@ def pcf_to_gamma(form: PCanonicalForm) -> PCanonicalForm:
     numbers of the first kind; characteristic zero only. Idempotent on
     forms already in the power basis.
     """
-    if form.field.char != 0:
-        raise CharPositive("power basis needs characteristic zero")
-    if form.basis is Basis.GAMMA:
-        return form
-    geo = []
-    for lam, coeffs in form.geometric_terms:
-        t = len(coeffs)
-        new = []
-        for m in range(t):
-            acc = Matrix.zeros(form.field, form.order)
-            for i in range(m, t):
-                w = Fraction(stirling_first(i, m), math.factorial(i))
-                if w:
-                    acc = acc + coeffs[i] * form.field.from_fraction(w)
-            new.append(acc)
-        while new and new[-1].is_zero:
-            new.pop()
-        geo.append((lam, tuple(new)))
-    return PCanonicalForm(field=form.field, order=form.order, basis=Basis.GAMMA,
-                          nilpotent_terms=form.nilpotent_terms,
-                          geometric_terms=tuple(geo))
+    return _rebase_pcf(form, Basis.GAMMA)
 
 
 def pcf_to_lambda(form: PCanonicalForm) -> PCanonicalForm:
     """Inverse of pcf_to_gamma: k^m = sum_i S(m, i) i! binom(k, i)."""
-    if form.field.char != 0:
-        raise CharPositive("basis conversion needs characteristic zero")
-    if form.basis is Basis.LAMBDA:
-        return form
-    geo = []
-    for lam, coeffs in form.geometric_terms:
-        t = len(coeffs)
-        new = []
-        for i in range(t):
-            acc = Matrix.zeros(form.field, form.order)
-            for m in range(i, t):
-                w = stirling_second(m, i) * math.factorial(i)
-                if w:
-                    acc = acc + coeffs[m] * form.field.from_int(w)
-            new.append(acc)
-        while new and new[-1].is_zero:
-            new.pop()
-        geo.append((lam, tuple(new)))
-    return PCanonicalForm(field=form.field, order=form.order, basis=Basis.LAMBDA,
-                          nilpotent_terms=form.nilpotent_terms,
-                          geometric_terms=tuple(geo))
+    return _rebase_pcf(form, Basis.LAMBDA)
 
 
 def pcf_minpoly(form: PCanonicalForm) -> Poly:
@@ -212,12 +222,54 @@ def pcf_minpoly(form: PCanonicalForm) -> Poly:
     return p
 
 
-def _real_matrix(m: Matrix, tol: float, scale: float) -> Matrix:
+def _real_matrix(m: Matrix, tol: float, scale: float, error: type,
+                 what: str = "coefficient") -> Matrix:
+    """Real part of m; raises error when an imaginary part exceeds tol * scale."""
     worst = max((abs(e.imag) for row in m.rows for e in row), default=0.0)
     if worst > tol * scale:
-        raise NotConjugateSymmetric(
-            f"imaginary residue {worst:.3g} exceeds tolerance")
+        raise error(f"{what} has imaginary residue {worst:.3g}")
     return Matrix(CC, [[complex(e.real, 0.0) for e in row] for row in m.rows])
+
+
+def _merge_conjugates(terms, tol: float, scale: float, error: type):
+    """Split the (eigenvalue, coefficient matrices) terms of a real source.
+
+    Returns the real terms as (value, real coefficients) and the merged
+    conjugate pairs as (mu with Im mu > 0, 2 Re C, -2 Im C), where C are
+    the coefficients of mu and conj(C) those of conj(mu), both in input
+    order. Raises error when the eigenvalues or the coefficients fail to
+    pair up at tol.
+    """
+    reals, pairs = [], []
+    pending = dict(enumerate(terms))
+    while pending:
+        lam, coeffs = pending.pop(min(pending))
+        lam_scale = max(1.0, abs(lam))
+        if abs(lam.imag) <= tol * lam_scale:
+            reals.append((lam.real, tuple(_real_matrix(c, tol, scale, error)
+                                          for c in coeffs)))
+            continue
+        partner = next((j for j, (mu, _) in pending.items()
+                        if abs(mu - lam.conjugate()) <= tol * lam_scale), None)
+        if partner is None:
+            raise error(f"eigenvalue {lam!r} has no conjugate partner")
+        mu, mcoeffs = pending.pop(partner)
+        if len(mcoeffs) != len(coeffs):
+            raise error(f"conjugate eigenvalues {lam!r}, {mu!r} have different indices")
+        if lam.imag < 0:
+            lam, coeffs, mcoeffs = mu, mcoeffs, coeffs
+        for c, mc in zip(coeffs, mcoeffs):
+            diff = max(abs(x - y.conjugate())
+                       for rx, ry in zip(c.rows, mc.rows) for x, y in zip(rx, ry))
+            if diff > tol * scale:
+                raise error(f"coefficients of {lam!r} are not conjugate "
+                            f"(residue {diff:.3g})")
+        cos = tuple(Matrix(CC, [[complex(2 * e.real, 0.0) for e in row]
+                                for row in c.rows]) for c in coeffs)
+        sin = tuple(Matrix(CC, [[complex(-2 * e.imag, 0.0) for e in row]
+                                for row in c.rows]) for c in coeffs)
+        pairs.append((lam, cos, sin))
+    return reals, pairs
 
 
 def pcf_realify(form: PCanonicalForm, tol: float = 1e-8) -> RealPCF:
@@ -231,144 +283,58 @@ def pcf_realify(form: PCanonicalForm, tol: float = 1e-8) -> RealPCF:
     """
     if form.field != CC:
         raise PcanonError("realification applies to complex-double forms")
-    scale = 1.0
-    for _, v in form.nilpotent_terms:
-        scale = max(scale, v.maxnorm())
-    for _, coeffs in form.geometric_terms:
-        for c in coeffs:
-            scale = max(scale, c.maxnorm())
-    nil = tuple((i, _real_matrix(v, tol, scale)) for i, v in form.nilpotent_terms)
-
-    real_terms: list[RealTerm] = []
-    spiral_terms: list[SpiralTerm] = []
-    pending = {idx: (lam, coeffs) for idx, (lam, coeffs)
-               in enumerate(form.geometric_terms)}
-    while pending:
-        idx, (lam, coeffs) = min(pending.items())
-        del pending[idx]
-        lam_scale = max(1.0, abs(lam))
-        if abs(lam.imag) <= tol * lam_scale:
-            real_terms.append(RealTerm(
-                value=lam.real,
-                coeffs=tuple(_real_matrix(c, tol, scale) for c in coeffs)))
-            continue
-        partner = None
-        for jdx, (mu, _mc) in pending.items():
-            if abs(mu - lam.conjugate()) <= tol * lam_scale:
-                partner = jdx
-                break
-        if partner is None:
-            raise NotConjugateSymmetric(
-                f"eigenvalue {lam!r} has no conjugate partner")
-        mu, mcoeffs = pending.pop(partner)
-        if len(mcoeffs) != len(coeffs):
-            raise NotConjugateSymmetric(
-                f"conjugate eigenvalues {lam!r}, {mu!r} have different indices")
-        top, bot = (coeffs, mcoeffs) if lam.imag > 0 else (mcoeffs, coeffs)
-        val = lam if lam.imag > 0 else mu
-        for ct, cb in zip(top, bot):
-            diff = max(abs(a - b.conjugate())
-                       for ra, rb in zip(ct.rows, cb.rows) for a, b in zip(ra, rb))
-            if diff > tol * max(1.0, scale):
-                raise NotConjugateSymmetric(
-                    f"coefficients of {val!r} are not conjugate (residue {diff:.3g})")
-        cos_cs = tuple(Matrix(CC, [[complex(2 * e.real, 0.0) for e in row]
-                                   for row in c.rows]) for c in top)
-        sin_cs = tuple(Matrix(CC, [[complex(-2 * e.imag, 0.0) for e in row]
-                                   for row in c.rows]) for c in top)
-        spiral_terms.append(SpiralTerm(modulus=abs(val),
-                                       angle=math.atan2(val.imag, val.real),
-                                       cos_coeffs=cos_cs, sin_coeffs=sin_cs))
-    real_terms.sort(key=lambda t: t.value)
-    spiral_terms.sort(key=lambda t: (t.modulus, t.angle))
+    mats = [v for _, v in form.nilpotent_terms]
+    mats += [c for _, coeffs in form.geometric_terms for c in coeffs]
+    scale = max([1.0, *(m.maxnorm() for m in mats)])
+    nil = tuple((i, _real_matrix(v, tol, scale, NotConjugateSymmetric))
+                for i, v in form.nilpotent_terms)
+    reals, pairs = _merge_conjugates(form.geometric_terms, tol, scale,
+                                     NotConjugateSymmetric)
+    real_terms = sorted((RealTerm(v, cs) for v, cs in reals), key=lambda t: t.value)
+    spiral_terms = sorted((SpiralTerm(abs(mu), math.atan2(mu.imag, mu.real), cos, sin)
+                           for mu, cos, sin in pairs),
+                          key=lambda t: (t.modulus, t.angle))
     return RealPCF(order=form.order, basis=form.basis,
                    nilpotent_terms=nil, terms=(*real_terms, *spiral_terms))
 
 
 def realpcf_eval(form: RealPCF, k: int) -> Matrix:
     """Evaluate a real closed form at integer k (entries stay real)."""
-    if k < 0:
-        raise ValueError("power index must be nonnegative")
-    out = Matrix.zeros(CC, form.order)
-    for i, v in form.nilpotent_terms:
-        if i == k:
-            out = out + v
-    basis_factor = _binom_factor if form.basis is Basis.LAMBDA else _power_factor
+    out = _delta_part(form, CC, k)
     for term in form.terms:
         if isinstance(term, RealTerm):
             geom = complex(term.value ** k, 0.0)
-            acc = Matrix.zeros(CC, form.order)
-            for i, c in enumerate(term.coeffs):
-                w = basis_factor(CC, k, i)
-                if w != 0:
-                    acc = acc + c * w
-            out = out + acc * geom
+            out = out + _basis_sum(form, CC, term.coeffs, k) * geom
         else:
             rk = term.modulus ** k
             cosf = complex(rk * math.cos(k * term.angle), 0.0)
             sinf = complex(rk * math.sin(k * term.angle), 0.0)
-            acc = Matrix.zeros(CC, form.order)
-            for i, (cc, sc) in enumerate(zip(term.cos_coeffs, term.sin_coeffs)):
-                w = basis_factor(CC, k, i)
-                if w != 0:
-                    acc = acc + (cc * cosf + sc * sinf) * w
-            out = out + acc
+            spiral = [cc * cosf + sc * sinf
+                      for cc, sc in zip(term.cos_coeffs, term.sin_coeffs)]
+            out = out + _basis_sum(form, CC, spiral, k)
     return out
 
 
-def _convert_coeff_list(order: int, coeffs, to_gamma: bool) -> tuple:
-    t = len(coeffs)
-    new = []
-    for m in range(t):
-        acc = Matrix.zeros(CC, order)
-        if to_gamma:
-            for i in range(m, t):
-                w = stirling_first(i, m) / math.factorial(i)
-                if w:
-                    acc = acc + coeffs[i] * complex(w)
-        else:
-            for j in range(m, t):
-                w = stirling_second(j, m) * math.factorial(m)
-                if w:
-                    acc = acc + coeffs[j] * complex(w)
-        new.append(acc)
-    return tuple(new)
+def _rebase_real(form: RealPCF, basis: Basis) -> RealPCF:
+    if form.basis is basis:
+        return form
+
+    def conv(coeffs):
+        return tuple(_rebase(coeffs, basis is Basis.GAMMA))
+
+    terms = tuple(RealTerm(t.value, conv(t.coeffs)) if isinstance(t, RealTerm)
+                  else SpiralTerm(t.modulus, t.angle, conv(t.cos_coeffs),
+                                  conv(t.sin_coeffs))
+                  for t in form.terms)
+    return replace(form, basis=basis, terms=terms)
 
 
 def realpcf_to_gamma(form: RealPCF) -> RealPCF:
     """Power-basis rewrite of a real closed form (same Stirling identity,
     applied to cos and sin coefficient lists independently)."""
-    if form.basis is Basis.GAMMA:
-        return form
-    terms = []
-    for term in form.terms:
-        if isinstance(term, RealTerm):
-            terms.append(RealTerm(
-                value=term.value,
-                coeffs=_convert_coeff_list(form.order, term.coeffs, True)))
-        else:
-            terms.append(SpiralTerm(
-                modulus=term.modulus, angle=term.angle,
-                cos_coeffs=_convert_coeff_list(form.order, term.cos_coeffs, True),
-                sin_coeffs=_convert_coeff_list(form.order, term.sin_coeffs, True)))
-    return RealPCF(order=form.order, basis=Basis.GAMMA,
-                   nilpotent_terms=form.nilpotent_terms, terms=tuple(terms))
+    return _rebase_real(form, Basis.GAMMA)
 
 
 def realpcf_to_lambda(form: RealPCF) -> RealPCF:
     """Inverse of realpcf_to_gamma."""
-    if form.basis is Basis.LAMBDA:
-        return form
-    terms = []
-    for term in form.terms:
-        if isinstance(term, RealTerm):
-            terms.append(RealTerm(
-                value=term.value,
-                coeffs=_convert_coeff_list(form.order, term.coeffs, False)))
-        else:
-            terms.append(SpiralTerm(
-                modulus=term.modulus, angle=term.angle,
-                cos_coeffs=_convert_coeff_list(form.order, term.cos_coeffs, False),
-                sin_coeffs=_convert_coeff_list(form.order, term.sin_coeffs, False)))
-    return RealPCF(order=form.order, basis=Basis.LAMBDA,
-                   nilpotent_terms=form.nilpotent_terms, terms=tuple(terms))
+    return _rebase_real(form, Basis.LAMBDA)

@@ -201,6 +201,13 @@ def test_gamma_flag_changes_basis_not_values(capsys):
         assert top == want
 
 
+def test_power_has_no_gamma_flag(capsys):
+    # a basis change cannot alter A^k, so `power` does not offer one
+    code, out, err = run_cli(capsys, "power", SEMICIRCULANT, "3", "--gamma")
+    assert code == 2 and out == ""
+    assert "--gamma" in err
+
+
 # -- other subcommands ----------------------------------------------------------
 
 

@@ -124,6 +124,38 @@ def test_derivative_at_zero_is_the_matrix(mixed_spectrum_4x4):
     assert errs[2] < errs[1] * 0.2
 
 
+def _random_complex(seed: int, n: int) -> Matrix:
+    rng = random.Random(seed)
+    return Matrix(CC, [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+                       for _ in range(n)])
+
+
+def test_exponential_is_deduced_from_canonical_form(
+        semicirculant_4x4, mixed_spectrum_4x4, jordan5_at_3, spiral_3x3):
+    # e^(tA) from the P-canonical form of A: M_i = V_i / i! and
+    # M_(j,i) = lambda_j^i C_(j,i) / i!, zero beyond the trimmed list
+    def close(got, want):
+        return max_diff(got, want) <= 1e-12 * max(1.0, want.maxnorm())
+
+    for a in (semicirculant_4x4, mixed_spectrum_4x4, jordan5_at_3, spiral_3x3,
+              _random_complex(5, 4), _random_complex(6, 5)):
+        e = expm_closed(a)
+        form = pcf_build(a.to_field(CC))
+        assert [i for i, _ in e.polynomial_part] == [i for i, _ in form.nilpotent_terms]
+        for (_, m), (i, v) in zip(e.polynomial_part, form.nilpotent_terms):
+            assert close(m, v * (1 / math.factorial(i)))
+        assert len(e.exponential_terms) == len(form.geometric_terms)
+        for (lam, ms), (mu, cs) in zip(e.exponential_terms, form.geometric_terms):
+            assert lam == mu
+            assert [i for i, _ in ms] == list(range(len(ms)))
+            assert len(ms) >= len(cs)
+            for i, m in ms:
+                if i < len(cs):
+                    assert close(m, cs[i] * (lam ** i / math.factorial(i)))
+                else:
+                    assert m.maxnorm() <= 1e-12 * max(1.0, ms[0][1].maxnorm())
+
+
 def test_exp_needs_complex_embedding():
     f5 = GF(5)
     with pytest.raises(NumericFieldUnsupported):

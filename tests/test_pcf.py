@@ -15,6 +15,7 @@ from pcanon.errors import CharPositive, NonSplitField, NotConjugateSymmetric
 from pcanon.linalg import Matrix, minpoly
 from pcanon.pcf import (
     Basis,
+    PCanonicalForm,
     pcf_build,
     pcf_eval,
     pcf_minpoly,
@@ -164,6 +165,29 @@ def test_realify_rejects_unpaired_spectrum():
     a = Matrix.diagonal(CC, [complex(0, 1), complex(2)])
     with pytest.raises(NotConjugateSymmetric):
         pcf_realify(pcf_build(a))
+
+
+def _rotation_form():
+    return pcf_build(Matrix(CC, [[0.0, -1.0], [1.0, 0.0]]))
+
+
+def test_realify_rejects_pair_with_different_indices():
+    form = _rotation_form()
+    (lam, (c,)), (mu, (d,)) = form.geometric_terms
+    bent = PCanonicalForm(CC, 2, Basis.LAMBDA, (),
+                          ((lam, (c, Matrix.identity(CC, 2))), (mu, (d,))))
+    with pytest.raises(NotConjugateSymmetric):
+        pcf_realify(bent)
+
+
+def test_realify_rejects_pair_with_unconjugate_coefficients():
+    form = _rotation_form()
+    (lam, (c,)), (mu, _) = form.geometric_terms
+    assert max(abs(e.imag) for row in c.rows for e in row) > 0.1
+    # the partner carries C itself instead of conj(C)
+    bent = PCanonicalForm(CC, 2, Basis.LAMBDA, (), ((lam, (c,)), (mu, (c,))))
+    with pytest.raises(NotConjugateSymmetric):
+        pcf_realify(bent)
 
 
 def test_real_basis_conversions_roundtrip(spiral_3x3):
