@@ -25,7 +25,7 @@ from .linalg import Matrix
 from .lrs import LinRecSeq, lrs_eval, lrs_prefix
 from .matfun import ClosedFormExp, LogBranchSpec, expm_closed, logm
 from .pcf import Basis, PCanonicalForm, pcf_build, pcf_eval, pcf_to_gamma
-from .scalar import CC, GF, QQ, Field, Poly, PrimeField
+from .scalar import CC, GF, QQ, Field, Poly, PrimeField, format_complex
 from .wedge import WedgeContext, wedge_fold
 
 # ---------------------------------------------------------------------------
@@ -239,8 +239,6 @@ def _pcf_pretty(f: PCanonicalForm) -> str:
 
 
 def _exp_header(lam: complex, i: int) -> str:
-    from .scalar import format_complex
-
     tpow = "" if i == 0 else (" * t" if i == 1 else f" * t^{i}")
     if lam == 0:
         return ("1" if i == 0 else ("t" if i == 1 else f"t^{i}"))
@@ -269,13 +267,6 @@ def render_closed_form(obj, mode: str = "pretty") -> str:
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
-def _doc_field(doc: dict) -> Field:
-    class _NoArgs:
-        pass
-
-    return _resolve_field(doc, _NoArgs())
-
-
 def _matrix_from_rows(field: Field, rows) -> Matrix:
     if not isinstance(rows, list):
         raise ParseError("matrix rows must be an array")
@@ -289,7 +280,7 @@ def parse_closed_form(text: str):
         raise ParseError("closed-form document must be an object")
     kind = doc.get("type")
     if kind == "pcf":
-        field = _doc_field(doc)
+        field = _resolve_field(doc, None)
         basis = {v: k for k, v in _BASIS_NAME.items()}.get(doc.get("basis"))
         if basis is None:
             raise ParseError(f"unknown basis {doc.get('basis')!r}")
@@ -475,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", metavar="INPUT", nargs="+")
     p.set_defaults(handler=_cmd_kron_minpoly)
 
-    p = sub.add_parser("lrs-product", parents=[field_p, out_p, tol_p],
+    p = sub.add_parser("lrs-product", parents=[field_p, out_p],
                        help="closure polynomial for termwise products of "
                             "linear recurrence sequences")
     p.add_argument("inputs", metavar="POLY", nargs="+",

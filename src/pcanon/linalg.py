@@ -6,14 +6,21 @@ or by eigenvalue clustering with rank stabilisation (complex doubles),
 and the spectral projections: the unique family of commuting idempotents
 that resolves the identity and block-diagonalises the matrix by
 generalised eigenspace.
+
+Row reduction has two implementations, one per row storage. Rows of field
+elements go through `_row_reduce`, a Gauss-Jordan elimination used by
+`Matrix.inverse` and the Hankel solve in `lrs`. Rows of plain integers,
+over Q or F_p, go through the Krylov echelon `_eliminate`, used by the
+minimal polynomial and by `_rank_int` for the wedge oracle. `_eliminate`
+stays separate: it is fraction-free, carries a tracking polynomial and
+does no back substitution, so folding it into `_row_reduce` would make
+the shared code branch on its caller.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     EmptyInput,
@@ -172,23 +179,10 @@ class Matrix:
         f, n = self.field, self.n
         aug = [list(row) + [f.one if i == j else f.zero for j in range(n)]
                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            if f.exact:
-                piv = next((r for r in range(col, n) if not f.is_zero(aug[r][col])), None)
-            else:
-                piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
-                if aug[piv][col] == 0:
-                    piv = None
-            if piv is None:
-                raise SingularMatrix("matrix is not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = f.one / aug[col][col]
-            aug[col] = [inv * e for e in aug[col]]
-            for r in range(n):
-                if r != col and not f.is_zero(aug[r][col]):
-                    c = aug[r][col]
-                    aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
-        return Matrix(f, [row[n:] for row in aug])
+        rows, pivots = _row_reduce(aug, n, f)
+        if len(pivots) < n:
+            raise SingularMatrix("matrix is not invertible")
+        return Matrix(f, [row[n:] for row in rows])
 
     # -- display ------------------------------------------------------
     def format(self) -> str:
@@ -201,6 +195,41 @@ class Matrix:
         body = "; ".join(" ".join(self.field.format(e) for e in row)
                          for row in self.rows)
         return f"Matrix[{self.field}]({body})"
+
+
+def _row_reduce(rows, ncols: int, field: Field, eps: float = 0.0):
+    """Gauss-Jordan elimination of field rows on their first ncols columns.
+
+    Returns (rows, pivots): the reduced copy of the rows, whose row i has a
+    leading one in column pivots[i] and zeros above and below it, and the
+    pivot columns in increasing order. Exact fields pivot on the first
+    nonzero entry. Over C the entry of largest modulus is the pivot, and a
+    column whose largest entry is <= eps gets none.
+    """
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if field.exact:
+            piv = next((i for i in range(r, len(work))
+                        if not field.is_zero(work[i][c])), None)
+        else:
+            piv = max(range(r, len(work)), key=lambda i: abs(work[i][c]),
+                      default=None)
+            if piv is not None and abs(work[piv][c]) <= eps:
+                piv = None
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = field.one / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not field.is_zero(work[i][c]):
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work, pivots
 
 
 def _dot(field: Field, xs, ys):
@@ -346,6 +375,18 @@ def _insert_row(rows: list, entry) -> None:
     rows.insert(at, entry)
 
 
+def _rank_int(rows: list[list[int]], mod: int | None) -> int:
+    """Rank of an integer matrix over Q (mod None) or over F_mod."""
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        vec = list(row) if mod is None else [x % mod for x in row]
+        _eliminate(vec, None, echelon, mod)
+        piv = _first_nonzero(vec)
+        if piv is not None:
+            _insert_row(echelon, (piv, vec))
+    return len(echelon)
+
+
 def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
     """Minimal polynomial of an integer matrix, exact over Z (mod None,
     result over Q with integer coefficients) or over F_mod.
@@ -429,6 +470,8 @@ def _minpoly_exact(a: Matrix) -> Poly:
 # ---------------------------------------------------------------------
 
 def _numeric_rank(m: Matrix, tol: float, scale: float) -> int:
+    import numpy as np
+
     arr = np.array([[complex(e) for e in row] for row in m.rows], dtype=complex)
     if not arr.any():
         return 0

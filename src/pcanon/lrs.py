@@ -19,6 +19,7 @@ from .errors import (
     MixedFields,
     NonMonic,
 )
+from .linalg import _row_reduce
 from .scalar import CC, QQ, GF, Field, FpElement, Poly
 
 
@@ -122,61 +123,21 @@ def _infer_field(values) -> Field:
     return QQ
 
 
-def _solve_exact(rows, ncols: int, field: Field):
-    """Solve an augmented system over an exact field; None if inconsistent.
-    Free variables are set to zero."""
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work))
-                    if not field.is_zero(work[i][c])), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.one / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(work)):
-        if not field.is_zero(work[i][ncols]):
+def _solve(rows, ncols: int, field: Field):
+    """Solve an augmented system (last column the right-hand side); None
+    if inconsistent. Free variables are set to zero. Over C, pivots and
+    residuals at or below 1e-8 times the largest entry count as zero."""
+    eps = 0.0
+    if not field.exact:
+        eps = 1e-8 * max(1.0, max(abs(x) for row in rows for x in row))
+    work, pivots = _row_reduce(rows, ncols, field, eps)
+    for row in work[len(pivots):]:
+        rhs = row[ncols]
+        if (not field.is_zero(rhs)) if field.exact else abs(rhs) > eps:
             return None
     sol = [field.zero] * ncols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = work[row_idx][ncols]
-    return sol
-
-
-def _solve_numeric(rows, ncols: int, tol: float = 1e-8):
-    """Least-squares-free float solve with residual consistency check."""
-    work = [[complex(x) for x in r] for r in rows]
-    scale = max(1.0, max(abs(x) for row in work for x in row))
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = max(range(r, len(work)), key=lambda i: abs(work[i][c]),
-                  default=None)
-        if piv is None or abs(work[piv][c]) <= tol * scale:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1.0 / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(work)):
-        if abs(work[i][ncols]) > tol * scale:
-            return None
-    sol = [0j] * ncols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = work[row_idx][ncols]
+    for row, c in zip(work, pivots):
+        sol[c] = row[ncols]
     return sol
 
 
@@ -200,10 +161,7 @@ def lrs_min_annihilator(prefix, field: Field | None = None) -> Poly:
         rows = []
         for n in range(len(values) - d):
             rows.append(values[n:n + d] + [-values[n + d]])
-        if field.exact:
-            sol = _solve_exact(rows, d, field)
-        else:
-            sol = _solve_numeric(rows, d)
+        sol = _solve(rows, d, field)
         if sol is not None:
             return Poly(field, list(sol) + [field.one])
     raise InsufficientData(

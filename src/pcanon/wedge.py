@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
 from .errors import HorizonTooSmall, PcanonError
+from .linalg import _rank_int
 from .scalar import is_prime
 
 
@@ -81,58 +80,6 @@ def wedge_fold(orders, ctx: WedgeContext = WedgeContext(0)) -> int:
     return reduce(lambda a, b: wedge(a, b, ctx), items)
 
 
-def _rank_exact_int(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix by fraction-free elimination."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][c]
-        for i in range(r + 1, len(work)):
-            if work[i][c]:
-                b = work[i][c]
-                merged = [lead * x - b * y for x, y in zip(work[i], work[r])]
-                g = 0
-                for x in merged:
-                    g = math.gcd(g, x)
-                work[i] = [x // g for x in merged] if g > 1 else merged
-        r += 1
-    return r
-
-
-def _rank_mod_p(arr: np.ndarray, p: int) -> int:
-    """Rank over F_p; entries must already be reduced mod p."""
-    a = arr.astype(np.int64) % p
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        r += 1
-    return r
-
-
 def wedge_oracle_dim(s: int, t: int, ctx: WedgeContext = WedgeContext(0),
                      horizon: int = 32) -> int:
     """Independent recomputation of wedge(s, t) as a matrix rank.
@@ -149,12 +96,6 @@ def wedge_oracle_dim(s: int, t: int, ctx: WedgeContext = WedgeContext(0),
             f"horizon {horizon} < s + t + 2 = {s + t + 2}")
     if s == 0 or t == 0:
         return 0
-    p = ctx.characteristic
-    rows = []
-    for a in range(s):
-        for b in range(t):
-            row = [math.comb(k, a) * math.comb(k, b) for k in range(horizon)]
-            rows.append([x % p for x in row] if p else row)
-    if p == 0:
-        return _rank_exact_int(rows)
-    return _rank_mod_p(np.array(rows, dtype=np.int64), p)
+    rows = [[math.comb(k, a) * math.comb(k, b) for k in range(horizon)]
+            for a in range(s) for b in range(t)]
+    return _rank_int(rows, ctx.characteristic or None)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -208,6 +210,14 @@ def test_power_has_no_gamma_flag(capsys):
     assert "--gamma" in err
 
 
+def test_lrs_product_has_no_tol_flag(capsys):
+    # the closure polynomial is exact, so no tolerance applies to it
+    code, out, err = run_cli(capsys, "lrs-product", FIB_POLY, FIB_POLY,
+                             "--tol", "1e-3")
+    assert code == 2 and out == ""
+    assert "--tol" in err
+
+
 # -- other subcommands ----------------------------------------------------------
 
 
@@ -266,3 +276,13 @@ def test_console_script_installed():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only complex-field ranks, so exact work starts without it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pcanon; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False")

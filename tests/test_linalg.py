@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -50,24 +50,24 @@ def _sq_matrix(n):
 _m3 = _sq_matrix(3)
 
 
-def _det_fraction(m: Matrix) -> Fraction:
-    """Independent determinant: fraction Gaussian elimination."""
-    n = m.n
+def _det(m: Matrix):
+    """Independent determinant: Gaussian elimination in the matrix's field."""
+    f, n = m.field, m.n
     rows = [list(r) for r in m.rows]
-    det = Fraction(1)
+    det = f.one
     for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        piv = next((r for r in range(c, n) if not f.is_zero(rows[r][c])), None)
         if piv is None:
-            return Fraction(0)
+            return f.zero
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             det = -det
         det *= rows[c][c]
-        inv = 1 / rows[c][c]
+        inv = f.one / rows[c][c]
         for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+            g = rows[r][c] * inv
+            if not f.is_zero(g):
+                rows[r] = [x - g * y for x, y in zip(rows[r], rows[c])]
     return det
 
 
@@ -102,12 +102,20 @@ def test_ring_axioms(a, b, c):
 
 
 @given(_m3)
+@example(Matrix(GF(5), [[1, 2], [3, 1]]))  # det 5: invertible over Z, not mod 5
+@example(Matrix(GF(5), [[2, 1], [4, 4]]))
+@example(Matrix(CC, [[0, 2], [1j, 3]]))  # zero (0,0) entry: pivot from below
+@example(Matrix(CC, [[1, 2j], [2, 4j]]))  # singular: row 2 is twice row 1
 def test_inverse_exact(a):
-    if _det_fraction(a) == 0:
+    if a.field.is_zero(_det(a)):
         with pytest.raises(SingularMatrix):
             a.inverse()
         return
-    ident = Matrix.identity(QQ, a.n)
+    ident = Matrix.identity(a.field, a.n)
+    if not a.field.exact:
+        assert max_diff(a * a.inverse(), ident) < 1e-12
+        assert max_diff(a.inverse() * a, ident) < 1e-12
+        return
     assert a * a.inverse() == ident
     assert a.inverse() * a == ident
     assert a ** -2 == a.inverse() * a.inverse()
@@ -181,7 +189,7 @@ def test_char_poly_evaluates_to_shifted_determinant(a, x):
     # p(x) = det(xI - A), checked against an independent elimination.
     p = char_poly(a)
     shifted = Matrix.diagonal(QQ, [x] * a.n) - a
-    assert p.evaluate(x) == _det_fraction(shifted)
+    assert p.evaluate(x) == _det(shifted)
 
 
 def test_char_poly_prime_field():
@@ -315,4 +323,4 @@ def test_numeric_nilpotent_index():
 def test_unimodular_builder_has_unit_determinant():
     for seed in range(6):
         m = unimodular(random.Random(seed), 4)
-        assert _det_fraction(m) in (1, -1)
+        assert _det(m) in (1, -1)

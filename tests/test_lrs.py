@@ -110,6 +110,8 @@ def test_min_annihilator_needs_data():
     # annihilator of the squared sequence has degree 3
     with pytest.raises(InsufficientData):
         lrs_min_annihilator([0, 1, 1, 4, 9, 25])
+    with pytest.raises(InsufficientData):
+        lrs_min_annihilator([0, 1, 1, 4, 9, 25], CC)
     assert lrs_min_annihilator([1, 2, 4, 8, 16, 32, 64]) == Poly(QQ, [-2, 1])
 
 
