@@ -7,6 +7,12 @@ and the spectral projections: the unique family of commuting idempotents
 that resolves the identity and block-diagonalises the matrix by
 generalised eigenspace.
 
+Products run on lifted rows: `_lift` turns entries into plain numbers
+(integers over one common denominator over Q, residues over F_p, the
+entries themselves over C) and `_drop` turns results back; only these two
+know the field. `spectral_projections` builds one power table A^0 ...
+A^(d-1) per call and combines every projection from it.
+
 Row reduction has two implementations, one per row storage. Rows of field
 elements go through `_row_reduce`, a Gauss-Jordan elimination used by
 `Matrix.inverse` and the Hankel solve in `lrs`. Rows of plain integers,
@@ -19,8 +25,10 @@ the shared code branch on its caller.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     EmptyInput,
@@ -35,6 +43,7 @@ from .scalar import (
     GF,
     QQ,
     Field,
+    FpElement,
     Poly,
     PrimeField,
     RationalField,
@@ -143,12 +152,8 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            n = self.n
-            cols = list(zip(*other.rows))
-            out = []
-            for ra in self.rows:
-                out.append([_dot(self.field, ra, col) for col in cols])
-            return Matrix(self.field, out)
+            return Matrix(self.field,
+                          _product(self.field, self.rows, other.rows))
         c = self.field.coerce(other)
         return Matrix(self.field, [[c * e for e in row] for row in self.rows])
 
@@ -179,7 +184,10 @@ class Matrix:
         f, n = self.field, self.n
         aug = [list(row) + [f.one if i == j else f.zero for j in range(n)]
                for i, row in enumerate(self.rows)]
-        rows, pivots = _row_reduce(aug, n, f)
+        # over C a pivot below n * machine epsilon * the largest entry is
+        # rounding noise, the rank tolerance numpy's matrix_rank uses
+        eps = 0.0 if f.exact else n * sys.float_info.epsilon * self.maxnorm()
+        rows, pivots = _row_reduce(aug, n, f, eps)
         if len(pivots) < n:
             raise SingularMatrix("matrix is not invertible")
         return Matrix(f, [row[n:] for row in rows])
@@ -232,11 +240,34 @@ def _row_reduce(rows, ncols: int, field: Field, eps: float = 0.0):
     return work, pivots
 
 
-def _dot(field: Field, xs, ys):
-    acc = field.zero
-    for a, b in zip(xs, ys):
-        acc = acc + a * b
-    return acc
+def _lift(field: Field, rows):
+    """(plain rows, denominator): integers over one common denominator over
+    Q, residues over F_p, the entries themselves over C."""
+    if isinstance(field, RationalField):
+        den = math.lcm(*(e.denominator for row in rows for e in row))
+        return [[e.numerator * (den // e.denominator) for e in row]
+                for row in rows], den
+    if isinstance(field, PrimeField):
+        return [[e.res for e in row] for row in rows], 1
+    return rows, 1
+
+
+def _drop(field: Field, rows, den: int):
+    """Field rows from plain rows over den; the inverse of `_lift`."""
+    if isinstance(field, RationalField):
+        return [[Fraction(x, den) for x in row] for row in rows]
+    if isinstance(field, PrimeField):
+        return [[FpElement(x, field.char) for x in row] for row in rows]
+    return rows
+
+
+def _product(field: Field, xs, ys):
+    """Product of two rectangular blocks of field rows, on lifted rows."""
+    xs, dx = _lift(field, xs)
+    ys, dy = _lift(field, ys)
+    cols = list(zip(*ys))
+    return _drop(field, [[sum(map(mul, r, c)) for c in cols] for r in xs],
+                 dx * dy)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -300,9 +331,10 @@ def char_poly(a: Matrix) -> Poly:
         q = [f.one, -corner]
         w = colv
         for k in range(r - 1):
-            q.append(-_dot(f, rowv, w))
+            q.append(-sum(map(mul, rowv, w), f.zero))
             if k < r - 2:
-                w = [_dot(f, a.rows[i][:r - 1], w) for i in range(r - 1)]
+                w = [sum(map(mul, a.rows[i][:r - 1], w), f.zero)
+                     for i in range(r - 1)]
         cn = []
         for i in range(r + 1):
             s = f.zero
@@ -448,15 +480,11 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
 
 def _minpoly_exact(a: Matrix) -> Poly:
     f = a.field
-    if isinstance(f, PrimeField):
-        return _int_minpoly([[e.res for e in row] for row in a.rows], f.char)
-    if not isinstance(f, RationalField):
+    if not f.exact:
         raise MixedFields(f"exact minimal polynomial over {f} is not supported")
-    den = 1
-    for row in a.rows:
-        for e in row:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-    scaled = [[int(e * den) for e in row] for row in a.rows]
+    scaled, den = _lift(f, a.rows)
+    if isinstance(f, PrimeField):
+        return _int_minpoly(scaled, f.char)
     mb = _int_minpoly(scaled, None)
     if den == 1:
         return mb
@@ -574,20 +602,29 @@ def spectral_projections(a: Matrix, pairs) -> list[Matrix]:
 
     Each projection is a polynomial in the matrix, produced by partial
     fractions: invert the complementary factor as a power series around
-    the eigenvalue, truncate at the exponent, and evaluate at the matrix.
+    the eigenvalue, truncate at the exponent, and reduce modulo the
+    minimal polynomial. The powers A^0 ... A^(d-1) are computed once and
+    every projection is combined from them, the last one included:
+    taking it as I minus the others loses accuracy over C.
     """
-    f = a.field
+    f, n = a.field, a.n
     pairs = [(f.coerce(mu), t) for mu, t in pairs]
     mp = Poly.one(f)
     for mu, t in pairs:
         mp = mp * Poly(f, (-mu, 1)) ** t
-    out = []
+    d = mp.degree
+    powers = [Matrix.identity(f, n), a][:d]
+    while len(powers) < d:
+        powers.append(powers[-1] * a)
+    coeffs = []
     for mu, t in pairs:
         cofactor = mp // Poly(f, (-mu, 1)) ** t
         inv = series_inverse(cofactor.shifted(mu), t).shifted(-mu)
         reduced = (inv * cofactor) % mp
-        out.append(matrix_poly(reduced, a))
-    return out
+        coeffs.append([reduced.coeff(i) for i in range(d)])
+    table = [[e for row in p.rows for e in row] for p in powers]
+    return [Matrix(f, [flat[i:i + n] for i in range(0, n * n, n)])
+            for flat in _product(f, coeffs, table)]
 
 
 def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:

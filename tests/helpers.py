@@ -38,6 +38,21 @@ def expm_series(a: Matrix, t=1.0, terms: int = 40) -> Matrix:
     return acc
 
 
+def naive_matmul(xs, ys):
+    """Product of two blocks of rows by the schoolbook triple loop, in
+    whatever number type the entries have."""
+    out = []
+    for row in xs:
+        out_row = []
+        for j in range(len(ys[0])):
+            acc = 0
+            for k, x in enumerate(row):
+                acc = acc + x * ys[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
 def binom_span_bruteforce(s: int, t: int, p: int) -> int:
     """Largest i + j + 1 with binom(i+j, i) nonzero in characteristic p,
     over i < s, j < t — a direct scan, no carries argument."""
@@ -78,6 +93,14 @@ def jordan_assembly(field, blocks) -> Matrix:
                 rows[at + r][at + c] = b.rows[r][c]
         at += size
     return Matrix(field, rows)
+
+
+def conjugated_jordan(rng, field, blocks) -> Matrix:
+    """S J S^-1 over field for a random unimodular S; the inverse is taken
+    over Q, so the conjugation adds no rounding of its own over C."""
+    s = unimodular(rng, sum(size for size, _ in blocks))
+    return (s.to_field(field) * jordan_assembly(field, blocks)
+            * s.inverse().to_field(field))
 
 
 def rational_spectrum_matrix(rng, values, max_block: int = 3,

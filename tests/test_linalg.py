@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from helpers import (
     blocks_minpoly_exponents,
+    conjugated_jordan,
     jordan_assembly,
     max_diff,
+    naive_matmul,
     rational_spectrum_matrix,
     unimodular,
 )
@@ -35,7 +37,7 @@ from pcanon.linalg import (
     spectral_data,
     spectral_projections,
 )
-from pcanon.scalar import CC, GF, QQ, Poly
+from pcanon.scalar import CC, GF, QQ, Poly, series_inverse
 
 # -- strategies ---------------------------------------------------------------
 
@@ -119,6 +121,54 @@ def test_inverse_exact(a):
     assert a * a.inverse() == ident
     assert a.inverse() * a == ident
     assert a ** -2 == a.inverse() * a.inverse()
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.1, 0.3], [1, 3]],
+    [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]],
+])
+def test_inverse_refuses_numerically_singular_complex(rows):
+    a = Matrix(CC, rows)
+    for call in (a.inverse, lambda: a ** -1, lambda: a ** -2):
+        with pytest.raises(SingularMatrix):
+            call()
+
+
+def test_inverse_tolerance_is_relative_to_the_entries():
+    ident = Matrix.identity(CC, 3)
+    tiny = ident * 1e-9
+    assert max_diff(tiny.inverse() * tiny, ident) < 1e-12
+    assert max_diff(tiny ** -1 * tiny, ident) < 1e-12
+
+
+def test_product_matches_schoolbook_over_q():
+    rng = random.Random(41)
+    big = 10 ** 30
+    dens = (1, 2, 3, 7, 12, 10 ** 18 + 9, big + 1)
+
+    def dense(n):
+        return Matrix(QQ, [[Fraction(rng.randint(-big, big), rng.choice(dens))
+                            for _ in range(n)] for _ in range(n)])
+
+    cases = [(dense(n), dense(n)) for n in (1, 3, 5)]
+    cases.append((Matrix.zeros(QQ, 4), dense(4)))
+    cases.append((dense(4), Matrix.zeros(QQ, 4)))
+    cases.append((Matrix(QQ, [[Fraction(-7, 10 ** 20)]]),
+                  Matrix(QQ, [[Fraction(10 ** 20, 3)]])))
+    for a, b in cases:
+        assert a * b == Matrix(QQ, naive_matmul(a.rows, b.rows))
+
+
+@pytest.mark.parametrize("p", [2, 65537])
+def test_product_matches_integer_matmul_mod_p(p):
+    rng = random.Random(p)
+    for n in (1, 4, 7):
+        xs = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        ys = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        for left in (xs, [[0] * n for _ in range(n)]):
+            got = Matrix(GF(p), left) * Matrix(GF(p), ys)
+            want = [[x % p for x in row] for row in naive_matmul(left, ys)]
+            assert [[e.res for e in row] for row in got.rows] == want
 
 
 def test_power_binary_and_identity():
@@ -291,6 +341,76 @@ def test_spectral_projections_from_pairs():
     pi1, pi2 = spectral_projections(a, [(Fraction(1), 1), (Fraction(2), 1)])
     assert pi1 == Matrix.diagonal(QQ, [1, 0, 0])
     assert pi2 == Matrix.diagonal(QQ, [0, 1, 1])
+
+
+def _horner_projections(a: Matrix, pairs) -> list[Matrix]:
+    """Oracle: each projection's partial-fraction polynomial evaluated at
+    the matrix on its own, by Horner's rule."""
+    f = a.field
+    mp = Poly.one(f)
+    for mu, t in pairs:
+        mp = mp * Poly(f, (-mu, 1)) ** t
+    out = []
+    for mu, t in pairs:
+        cofactor = mp // Poly(f, (-mu, 1)) ** t
+        inv = series_inverse(cofactor.shifted(mu), t).shifted(-mu)
+        out.append(matrix_poly((inv * cofactor) % mp, a))
+    return out
+
+
+def _seeded_resolutions(field, values, seed, count=6):
+    rng = random.Random(seed)
+    for _ in range(count):
+        blocks = [(rng.randint(1, 3), field.coerce(rng.choice(values)))
+                  for _ in range(rng.randint(1, 4))]
+        a = conjugated_jordan(rng, field, blocks)
+        pairs = list(blocks_minpoly_exponents(blocks).items())
+        yield a, pairs, spectral_projections(a, pairs)
+
+
+@pytest.mark.parametrize("field, values", [
+    (QQ, (0, 1, -2, 3, Fraction(1, 2))),
+    (GF(2), (0, 1)),
+    (GF(3), (0, 1, 2)),
+    (GF(101), (0, 1, 5, 50, 100)),
+], ids=str)
+def test_projections_match_horner_oracle(field, values):
+    for a, pairs, projs in _seeded_resolutions(field, values, field.char + 7):
+        assert projs == _horner_projections(a, pairs)
+        total = Matrix.zeros(field, a.n)
+        for p in projs:
+            total = total + p
+        assert total == Matrix.identity(field, a.n)
+
+
+def test_projections_match_horner_oracle_complex():
+    values = (0, 2, -1, 1 + 2j, 0.5j)
+    for a, pairs, projs in _seeded_resolutions(CC, values, 11):
+        for got, want in zip(projs, _horner_projections(a, pairs)):
+            assert max_diff(got, want) < 1e-10
+        total = Matrix.zeros(CC, a.n)
+        for p in projs:
+            total = total + p
+        assert max_diff(total, Matrix.identity(CC, a.n)) < 1e-10
+
+
+def test_spectral_projections_share_one_power_table(monkeypatch):
+    blocks = [(2, Fraction(1)), (1, Fraction(2)), (2, Fraction(-1)),
+              (1, Fraction(3)), (1, Fraction(0))]
+    a = conjugated_jordan(random.Random(5), QQ, blocks)
+    pairs = list(blocks_minpoly_exponents(blocks).items())
+    degree = sum(t for _, t in pairs)
+    calls = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    spectral_projections(a, pairs)
+    assert len(pairs) >= 4
+    assert len(calls) <= degree - 1
 
 
 def test_spectral_data_raises_when_spectrum_is_not_rational():
