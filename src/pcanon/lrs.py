@@ -1,11 +1,12 @@
 """Linear recurrence (C-finite) sequences over exact or complex fields.
 
-A sequence is a monic characteristic polynomial of degree d plus its
+A sequence is a monic characteristic polynomial P of degree d plus its
 first d terms; everything later is forced by the recurrence. The module
-evaluates terms, forms termwise products carrying an explicit annihilator
-(verified on a window, so a wrong annihilator fails fast), and recovers
-the minimal annihilator of a raw prefix from exact Hankel-style linear
-systems — the independent minimality oracle for the product closure.
+evaluates a term from X^n mod P (repeated squaring in F[X]/(P)), forms
+termwise products carrying an explicit annihilator (verified on a window,
+so a wrong annihilator fails fast), and recovers the minimal annihilator
+of a raw prefix from exact Hankel-style linear systems — the independent
+minimality oracle for the product closure.
 """
 from __future__ import annotations
 
@@ -65,10 +66,22 @@ def lrs_prefix(seq: LinRecSeq, count: int) -> list:
 
 
 def lrs_eval(seq: LinRecSeq, n: int):
-    """The n-th term."""
+    """The n-th term, sum_i r_i a_i with r = X^n mod char, by repeated
+    squaring in F[X]/(char): O(d^2 log n) field operations, O(d) memory."""
     if n < 0:
         raise ValueError("term index must be nonnegative")
-    return lrs_prefix(seq, n + 1)[n]
+    p = seq.char
+    if n < p.degree:
+        return seq.initial[n]
+    x = Poly.x(seq.field)
+    r = Poly.one(seq.field)
+    for bit in bin(n)[2:]:
+        r = r * r
+        if bit == "1":
+            r = r * x
+        if r.degree >= p.degree:
+            r = r % p
+    return sum((c * a for c, a in zip(r.coeffs, seq.initial)), seq.field.zero)
 
 
 def lrs_mul(factors, p: Poly) -> LinRecSeq:

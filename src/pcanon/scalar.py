@@ -759,10 +759,13 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
     """Split linear factors off a nonzero monic polynomial.
 
     Over Q: squarefree reduction, then rational-root extraction; whatever
-    has no rational root stays in the remainder. Over F_p: exhaustive root
-    scan (p capped at ROOT_SCAN_PRIME_LIMIT). Over C: Durand-Kerner on the
-    squarefree part, root clustering at relative tolerance tol, then
-    multiplicity recovery by repeated deflation.
+    has no rational root stays in the remainder. Over F_p: Horner on plain
+    residues of the whole polynomial at every x mod p (p capped at
+    ROOT_SCAN_PRIME_LIMIT); the squarefree part would lose a root whose
+    multiplicity is a multiple of p. Both take multiplicities by repeated
+    division. Over C: Durand-Kerner on the squarefree part, root
+    clustering at relative tolerance tol, then multiplicity recovery by
+    repeated deflation.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -788,13 +791,19 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
         roots.append((f.zero, zero_mult))
 
     if work.degree >= 1:
-        sf = (work // poly_gcd(work, work.derivative())).monic() \
-            if not work.derivative().is_zero else work
         if isinstance(f, RationalField):
-            candidates = _rational_roots(sf)
+            candidates = _rational_roots(
+                (work // poly_gcd(work, work.derivative())).monic())
         else:
-            candidates = [FpElement(x, f.char) for x in range(f.char)
-                          if f.is_zero(sf.evaluate(x))]
+            char = f.char
+            top_down = [c.res for c in reversed(work.coeffs)]
+            candidates = []
+            for x in range(char):
+                acc = 0
+                for c in top_down:
+                    acc = (acc * x + c) % char
+                if not acc:
+                    candidates.append(x)
         for r in candidates:
             lin = Poly(f, (-f.coerce(r), 1))
             mult = 0

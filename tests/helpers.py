@@ -65,6 +65,17 @@ def binom_span_bruteforce(s: int, t: int, p: int) -> int:
     return best
 
 
+def fibonacci(n: int) -> int:
+    """F(n) by fast doubling: F(2k) = F(k)(2F(k+1) - F(k)) and
+    F(2k+1) = F(k)^2 + F(k+1)^2, one bit of n at a time."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
+
+
 def _shear(n: int, i: int, j: int, c: int) -> Matrix:
     rows = [[Fraction(int(r == s)) for s in range(n)] for r in range(n)]
     rows[i][j] = Fraction(c)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+import cmath
+import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+from helpers import fibonacci
 
 from pcanon.errors import (
     AnnihilatorMismatch,
@@ -41,25 +45,52 @@ def test_prefix_and_eval_agree():
     assert lrs_eval(seq, 30) == 832040
 
 
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
-       st.data())
-def test_eval_matches_unrolled_recurrence(lower, data):
-    # companion-power route vs direct window unrolling
-    p = Poly(QQ, lower + [1])
-    if p.degree < 1:
-        return
-    initials = tuple(
-        data.draw(st.integers(-4, 4)) for _ in range(p.degree))
-    seq = LinRecSeq(p, initials)
-    prefix = lrs_prefix(seq, 12)
-    window = [Fraction(x) for x in initials]
+_FIELDS = (QQ, GF(2), GF(3), GF(65537))
+
+
+@given(st.sampled_from(_FIELDS),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+       st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+@example(QQ, [0], [3, 0, 0, 0])            # d = 1, P = X
+@example(GF(2), [0, 1, 1], [1, 0, 1, 0])   # X divides P
+@example(GF(3), [0, 0, 2, 1], [1, 2, 0, 1])
+@example(GF(65537), [-2], [5, 0, 0, 0])    # d = 1, geometric
+@example(QQ, [0, 0, 0, -1], [1, -2, 3, 4])
+def test_eval_matches_unrolled_recurrence(field, lower, initials):
+    # X^n mod P route and prefix unrolling vs a direct window oracle
+    p = Poly(field, lower + [1])
     d = p.degree
-    for n in range(d, 12):
-        nxt = -sum(p.coeff(i) * window[i] for i in range(d))
+    seq = LinRecSeq(p, tuple(initials[:d]))
+    prefix = lrs_prefix(seq, 201)
+    window = [field.coerce(x) for x in initials[:d]]
+    for n in range(d, 201):
+        nxt = -sum((p.coeff(i) * window[i] for i in range(d)), field.zero)
         window = window[1:] + [nxt]
         assert prefix[n] == nxt
-    for n in (0, 3, 11):
-        assert lrs_eval(seq, n) == prefix[n]
+    for n in sorted({0, d - 1, d, d + 1, 37, 200}):
+        assert lrs_eval(seq, n) == prefix[n], n
+
+
+def test_eval_over_complex_matches_prefix():
+    rng = random.Random(7)
+    for _ in range(20):
+        roots = [cmath.rect(rng.uniform(0.3, 1.0), rng.uniform(-math.pi, math.pi))
+                 for _ in range(rng.randint(1, 5))]
+        p = Poly.from_roots(CC, roots)
+        seq = LinRecSeq(p, tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                 for _ in range(p.degree)))
+        prefix = lrs_prefix(seq, 600)
+        for n in (p.degree, 37, 200, 599):
+            want = prefix[n]
+            assert abs(lrs_eval(seq, n) - want) <= 1e-9 * max(1.0, abs(want)), n
+
+
+def test_eval_never_unrolls(monkeypatch):
+    def unrolled(*_):
+        raise AssertionError("lrs_eval unrolled the recurrence")
+
+    monkeypatch.setattr("pcanon.lrs.lrs_prefix", unrolled)
+    assert lrs_eval(_fib(), 10**6) == fibonacci(10**6)
 
 
 def test_validation():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import spiral_3x3_powers
-from helpers import max_diff, rational_spectrum_matrix
+from helpers import jordan_assembly, max_diff, rational_spectrum_matrix
 from pcanon.errors import CharPositive, NonSplitField, NotConjugateSymmetric
 from pcanon.linalg import Matrix, minpoly
 from pcanon.pcf import (
@@ -110,6 +110,15 @@ def test_prime_field_powers():
     for k in range(12):
         assert pcf_eval(form, k) == power
         power = power * a
+
+
+def test_prime_field_block_of_size_p():
+    # (X - 1)(X - 2)^3 over F_3: the eigenvalue 2 has multiplicity p
+    f3 = GF(3)
+    a = jordan_assembly(f3, [(1, f3.coerce(1)), (3, f3.coerce(2))])
+    form = pcf_build(a)
+    for k in range(11):
+        assert pcf_eval(form, k) == a ** k, k
 
 
 def test_minpoly_recovered_from_form():

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pcanon.errors import (
@@ -210,6 +210,35 @@ def test_factor_prime_field_by_residue_scan():
     assert sorted(r.res for r, _ in f.roots) == [2, 3]
     q = Poly(f5, [f5.from_int(1), f5.from_int(1), f5.from_int(1)])  # X^2+X+1
     assert poly_factor(q).remainder == q
+
+
+def _residue_roots(factored):
+    return [(r.res, m) for r, m in factored.roots]
+
+
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), st.dictionaries(
+        st.integers(0, p - 1), st.integers(1, 2 * p), min_size=1, max_size=4))))
+# (X - 2)^3 has zero derivative over F_3, so it is missing from the
+# squarefree part of (X - 1)(X - 2)^3; likewise (X - 2)^5 over F_5
+@example((3, {1: 1, 2: 3}))
+@example((5, {1: 1, 2: 5, 3: 1}))
+@example((5, {1: 1, 2: 10, 3: 1}))
+def test_factor_prime_field_recovers_root_multiset(case):
+    p, mults = case
+    roots = [r for r, m in mults.items() for _ in range(m)]
+    got = poly_factor(Poly.from_roots(GF(p), roots))
+    assert _residue_roots(got) == sorted(mults.items())
+    assert got.remainder == Poly.one(GF(p))
+
+
+@pytest.mark.parametrize("mult", [2, 4])
+def test_factor_prime_field_multiplicity_p_beside_irreducible(mult):
+    f2 = GF(2)
+    quad = Poly(f2, [1, 1, 1])  # X^2 + X + 1, irreducible, keeps f' != 0
+    got = poly_factor(Poly.from_roots(f2, [0] + [1] * mult) * quad)
+    assert _residue_roots(got) == [(0, 1), (1, mult)]
+    assert got.remainder == quad
 
 
 def test_factor_requires_monic_nonzero():
