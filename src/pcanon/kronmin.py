@@ -1,9 +1,10 @@
 """Minimal polynomials of Kronecker products, computed two ways.
 
 The symbolic route works purely on eigenvalue data: each factor is
-reduced to its spectrum-with-indices, all tuples of nonzero eigenvalues
-are grouped by product, and each class contributes (X - product) raised
-to the largest iterated wedge of the indices; a separate rule gives the
+reduced to its spectrum-with-indices, and the nonzero eigenvalues are
+folded in one factor at a time into a table from product value to the
+largest iterated wedge of the indices; each class contributes
+(X - product) raised to that exponent, and a separate rule gives the
 exponent of X from the zero eigenvalues. The direct route builds the
 Kronecker product matrix and takes its minimal polynomial outright; it
 is the oracle the symbolic route is tested against, and the fallback
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .linalg import Matrix, companion, kron, minpoly
 from .scalar import CLUSTER_TOL, Field, Poly, poly_factor
-from .wedge import WedgeContext, wedge_fold
+from .wedge import WedgeContext, wedge
 
 #: Kronecker orders past this are rejected rather than ground through
 DIRECT_ORDER_LIMIT = 4096
@@ -97,56 +98,37 @@ class ProductClassTable:
         return p
 
 
-def product_class_table(specs, ctx: WedgeContext) -> ProductClassTable:
-    """Enumerate all tuples of nonzero eigenvalues across the factors,
-    group by product (exact equality, or relative clustering tolerance on
-    complex doubles), and keep the max folded wedge per class."""
-    f = specs[0].field
-    acc = [(f.one, [])]
-    for spec in specs:
-        nxt = []
-        for prod, idxs in acc:
-            for value, index in spec.nonzero:
-                nxt.append((prod * value, idxs + [index]))
-        acc = nxt
-    groups: list[tuple[object, int]] = []
+def _merge_classes(items, f: Field) -> list:
+    """(value, exponent) pairs with equal values merged, keeping the larger
+    exponent: exact equality, or relative clustering tolerance on complex
+    doubles, where a class takes the mean of its members."""
     if f.exact:
         table: dict = {}
-        for prod, idxs in acc:
-            w = wedge_fold(idxs, ctx)
-            if w > table.get(prod, 0):
-                table[prod] = w
-        groups = sorted(table.items(), key=lambda t: f.sort_key(t[0]))
-    else:
-        items = [(prod, wedge_fold(idxs, ctx)) for prod, idxs in acc]
-        used = [False] * len(items)
-        for i, (prod, w) in enumerate(items):
-            if used[i]:
-                continue
-            members = [(prod, w)]
-            used[i] = True
-            for j in range(i + 1, len(items)):
-                if used[j]:
-                    continue
-                q = items[j][0]
-                if abs(q - prod) <= CLUSTER_TOL * max(1.0, abs(q), abs(prod)):
-                    members.append(items[j])
-                    used[j] = True
-            mean = sum(m[0] for m in members) / len(members)
-            groups.append((mean, max(m[1] for m in members)))
-        groups.sort(key=lambda t: f.sort_key(t[0]))
-    return ProductClassTable(field=f, entries=tuple(groups))
+        for value, e in items:
+            if e > table.get(value, 0):
+                table[value] = e
+        return list(table.items())
+    groups = []
+    while items:
+        v0 = items[0][0]
+        near = [abs(v - v0) <= CLUSTER_TOL * max(1.0, abs(v), abs(v0)) for v, _ in items]
+        members = [m for m, c in zip(items, near) if c]
+        items = [m for m, c in zip(items, near) if not c]
+        groups.append((sum(v for v, _ in members) / len(members),
+                       max(e for _, e in members)))
+    return groups
 
 
-def kron_minpoly_symbolic(specs, ctx: WedgeContext | None = None) -> Poly:
-    """Minimal polynomial of a Kronecker product from factor spectra alone.
+def product_class_table(specs, ctx: WedgeContext | None = None) -> ProductClassTable:
+    """Products of nonzero eigenvalues across the factors, grouped by value,
+    with the largest left-folded wedge of the indices per class.
 
-    X^rho times the product-class polynomial, where rho is: the smallest
-    zero index among pure-nilpotent factors if any factor is nilpotent
-    (such a factor annihilates the whole product); otherwise 0 when no
-    factor is singular; otherwise the largest zero index across factors
-    (a singular factor's zero block, paired with any nonzero eigenvalue
-    elsewhere, keeps its full nilpotency order).
+    Folds one factor at a time: each class (value, e) of the factors so
+    far meets each (eigenvalue, index) of the next as (value * eigenvalue,
+    wedge(e, index)), and equal products merge. wedge is monotone in each
+    argument, so this keeps the maximum over every tuple of eigenvalues
+    while each step costs classes x spectrum size. ctx defaults to the
+    field's characteristic and must match it.
     """
     specs = list(specs)
     if not specs:
@@ -160,14 +142,30 @@ def kron_minpoly_symbolic(specs, ctx: WedgeContext | None = None) -> Poly:
     elif ctx.characteristic != f.char:
         raise PcanonError(
             f"wedge characteristic {ctx.characteristic} does not match field {f}")
+    acc = _merge_classes(specs[0].nonzero, f)
+    for spec in specs[1:]:
+        acc = _merge_classes([(value * v, wedge(e, index, ctx))
+                              for value, e in acc for v, index in spec.nonzero], f)
+    acc.sort(key=lambda t: f.sort_key(t[0]))
+    return ProductClassTable(field=f, entries=tuple(acc))
+
+
+def kron_minpoly_symbolic(specs, ctx: WedgeContext | None = None) -> Poly:
+    """Minimal polynomial of a Kronecker product from factor spectra alone.
+
+    X^rho times the product-class polynomial, where rho is: the smallest
+    zero index among pure-nilpotent factors if any factor is nilpotent
+    (such a factor annihilates the whole product, and leaves the class
+    table empty); otherwise 0 when no factor is singular; otherwise the
+    largest zero index across factors (a singular factor's zero block,
+    paired with any nonzero eigenvalue elsewhere, keeps its full
+    nilpotency order).
+    """
+    specs = list(specs)
+    table = product_class_table(specs, ctx)
     nilpotent = [s.zero_index for s in specs if s.is_nilpotent]
-    if nilpotent:
-        rho = min(nilpotent)
-        upsilon = Poly.one(f)
-    else:
-        rho = max((s.zero_index for s in specs), default=0)
-        upsilon = product_class_table(specs, ctx).poly()
-    return Poly.x(f) ** rho * upsilon
+    rho = min(nilpotent) if nilpotent else max(s.zero_index for s in specs)
+    return Poly.x(table.field) ** rho * table.poly()
 
 
 def kron_minpoly_direct(mats) -> Poly:

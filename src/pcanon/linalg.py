@@ -14,13 +14,13 @@ know the field. `spectral_projections` builds one power table A^0 ...
 A^(d-1) per call and combines every projection from it.
 
 Row reduction has two implementations, one per row storage. Rows of field
-elements go through `_row_reduce`, a Gauss-Jordan elimination used by
-`Matrix.inverse` and the Hankel solve in `lrs`. Rows of plain integers,
-over Q or F_p, go through the Krylov echelon `_eliminate`, used by the
-minimal polynomial and by `_rank_int` for the wedge oracle. `_eliminate`
-stays separate: it is fraction-free, carries a tracking polynomial and
-does no back substitution, so folding it into `_row_reduce` would make
-the shared code branch on its caller.
+elements go through `_row_reduce`, the Gauss-Jordan elimination behind
+`Matrix.inverse`. Rows of plain integers, over Q or F_p, go through the
+Krylov echelon `_eliminate`, used by the minimal polynomial and by
+`_rank_int` for the wedge oracle. `_eliminate` stays separate: it is
+fraction-free, carries a tracking polynomial and does no back
+substitution, so folding it into `_row_reduce` would make the shared
+code branch on its caller.
 """
 from __future__ import annotations
 

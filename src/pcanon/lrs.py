@@ -5,8 +5,8 @@ first d terms; everything later is forced by the recurrence. The module
 evaluates a term from X^n mod P (repeated squaring in F[X]/(P)), forms
 termwise products carrying an explicit annihilator (verified on a window,
 so a wrong annihilator fails fast), and recovers the minimal annihilator
-of a raw prefix from exact Hankel-style linear systems — the independent
-minimality oracle for the product closure.
+of a raw prefix by Berlekamp-Massey — the independent minimality oracle
+for the product closure.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .errors import (
     MixedFields,
     NonMonic,
 )
-from .linalg import _row_reduce
 from .scalar import CC, QQ, GF, Field, FpElement, Poly
 
 
@@ -136,31 +135,17 @@ def _infer_field(values) -> Field:
     return QQ
 
 
-def _solve(rows, ncols: int, field: Field):
-    """Solve an augmented system (last column the right-hand side); None
-    if inconsistent. Free variables are set to zero. Over C, pivots and
-    residuals at or below 1e-8 times the largest entry count as zero."""
-    eps = 0.0
-    if not field.exact:
-        eps = 1e-8 * max(1.0, max(abs(x) for row in rows for x in row))
-    work, pivots = _row_reduce(rows, ncols, field, eps)
-    for row in work[len(pivots):]:
-        rhs = row[ncols]
-        if (not field.is_zero(rhs)) if field.exact else abs(rhs) > eps:
-            return None
-    sol = [field.zero] * ncols
-    for row, c in zip(work, pivots):
-        sol[c] = row[ncols]
-    return sol
-
-
 def lrs_min_annihilator(prefix, field: Field | None = None) -> Poly:
     """Minimal monic polynomial annihilating every window of the prefix.
 
-    Tries degrees d = 1, 2, ... up to len(prefix)//2 - 1; for each d the
-    full linear system a_(n+d) = -sum c_i a_(n+i) over all available
-    windows is solved exactly, and the smallest consistent d wins.
-    Raises InsufficientData when no degree in range works.
+    Berlekamp-Massey (Massey, IEEE Trans. IT 1969): one pass over the N
+    terms keeps the shortest recurrence that fits the terms read so far,
+    in O(N*L) field operations for a recurrence of length L (on plain
+    residues over F_p). Lengths past N//2 - 1 raise InsufficientData,
+    since only 2L < N makes the answer unique; an all-zero prefix gives
+    X. Over C a discrepancy counts as zero when it is at most 1e-8 times
+    the largest of 1 and the terms summed into it, so the small early
+    terms of a fast-growing sequence still count.
     """
     values = list(prefix)
     if field is None:
@@ -170,12 +155,31 @@ def lrs_min_annihilator(prefix, field: Field | None = None) -> Poly:
     if dmax < 1:
         raise InsufficientData(
             f"prefix of length {len(values)} supports no candidate degree")
-    for d in range(1, dmax + 1):
-        rows = []
-        for n in range(len(values) - d):
-            rows.append(values[n:n + d] + [-values[n + d]])
-        sol = _solve(rows, d, field)
-        if sol is not None:
-            return Poly(field, list(sol) + [field.one])
-    raise InsufficientData(
-        f"no annihilator of degree <= {dmax} fits a prefix of length {len(values)}")
+    p = field.char
+    seq = [v.res for v in values] if p else values
+    # c: connection polynomial (ascending, c[0] = 1) of the current
+    # recurrence; b: the one before the last length change, whose
+    # discrepancy was last, shift terms ago
+    c, b, length, last, shift = [1], [1], 0, 1, 1
+    for k, a in enumerate(seq):
+        terms = [a] + [ci * seq[k - i] for i, ci in enumerate(c[1:], 1)]
+        d = sum(terms) % p if p else sum(terms)
+        if (d == 0) if field.exact else abs(d) <= 1e-8 * max(1.0, *map(abs, terms)):
+            shift += 1
+            continue
+        coef = d * pow(last, -1, p) % p if p else d / last
+        new = c + [0] * (len(b) + shift - len(c))
+        for i, bi in enumerate(b, shift):
+            new[i] = (new[i] - coef * bi) % p if p else new[i] - coef * bi
+        if 2 * length <= k:
+            b, length, last, shift = c, k + 1 - length, d, 1
+        else:
+            shift += 1
+        c = new
+    if length > dmax:
+        raise InsufficientData(
+            f"no annihilator of degree <= {dmax} fits a prefix of length {len(values)}")
+    if length == 0:
+        return Poly.x(field)
+    c += [0] * (length + 1 - len(c))
+    return Poly(field, [field.coerce(x) for x in reversed(c)])

@@ -3,8 +3,9 @@
 The sequences Lambda_i(k) = binom(k, i) for i < s span an s-dimensional
 space closed under the shift; multiplying two such spaces termwise yields
 another, whose dimension depends only on s, t, and the characteristic.
-wedge computes that dimension combinatorially (no-carry base-p addition,
-per Kummer's criterion for binom(i+j, i) mod p); wedge_oracle_dim
+wedge computes that dimension from the base-p digits of s - 1 and t - 1
+(by Kummer's criterion binom(i+j, i) is nonzero mod p exactly when adding
+i and j carries nowhere), in O(log_p max(s, t)) steps; wedge_oracle_dim
 recomputes it independently as the rank of an explicit value matrix.
 """
 from __future__ import annotations
@@ -30,21 +31,16 @@ class WedgeContext:
             raise PcanonError(f"characteristic must be 0 or prime, got {c}")
 
 
-def _no_carry(i: int, j: int, p: int) -> bool:
-    while i or j:
-        if i % p + j % p >= p:
-            return False
-        i //= p
-        j //= p
-    return True
-
-
 def wedge(s: int, t: int, ctx: WedgeContext = WedgeContext(0)) -> int:
     """Dimension of the termwise product of binomial spaces of dims s, t.
 
     Zero absorbs: s or t zero gives 0. In characteristic 0 the answer is
     s + t - 1; in characteristic p it is the largest i + j + 1 over i < s,
-    j < t whose base-p addition carries nowhere.
+    j < t whose base-p addition carries nowhere. Walking the digits of
+    a = s - 1 and b = t - 1 upwards, a digit with a_k + b_k < p reads
+    a_k + b_k, and one with a_k + b_k >= p makes it and every digit below
+    read p - 1 (there one of i, j drops below its bound, so it can top
+    up every lower digit of i + j to p - 1).
     """
     if s < 0 or t < 0:
         raise ValueError("wedge arguments must be nonnegative")
@@ -53,12 +49,12 @@ def wedge(s: int, t: int, ctx: WedgeContext = WedgeContext(0)) -> int:
     p = ctx.characteristic
     if p == 0:
         return s + t - 1
-    best = 0
-    for i in range(s):
-        for j in range(t):
-            if i + j + 1 > best and _no_carry(i, j, p):
-                best = i + j + 1
-    return best
+    a, b, unit, best = s - 1, t - 1, 1, 0
+    while a or b:
+        digit = a % p + b % p
+        best = unit * p - 1 if digit >= p else best + digit * unit
+        a, b, unit = a // p, b // p, unit * p
+    return best + 1
 
 
 def wedge_lambda(t: int, s: int, lambda_is_zero: bool) -> int:

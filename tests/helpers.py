@@ -2,9 +2,11 @@
 
 Everything here is deliberately independent of the code under test:
 the exponential oracle is plain scaling-and-squaring on a truncated
-series, the wedge oracle is a direct scan of binomial coefficients, and
-the random matrices are Jordan assemblies conjugated by unimodular
-integer matrices so every expected invariant is known by construction.
+series, the wedge oracle is a direct scan of binomial coefficients, the
+annihilator oracle solves one Hankel system per candidate degree, the
+class-table oracle enumerates every tuple of eigenvalues, and the random
+matrices are Jordan assemblies conjugated by unimodular integer matrices
+so every expected invariant is known by construction.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from pcanon.kronmin import ProductClassTable
 from pcanon.linalg import Matrix
-from pcanon.scalar import CC, QQ
+from pcanon.scalar import CC, CLUSTER_TOL, QQ, Poly
+from pcanon.wedge import wedge_fold
 
 
 def max_diff(a: Matrix, b: Matrix) -> float:
@@ -63,6 +67,76 @@ def binom_span_bruteforce(s: int, t: int, p: int) -> int:
             if (c % p if p else c) != 0:
                 best = max(best, i + j + 1)
     return best
+
+
+def min_annihilator_hankel(prefix, field):
+    """Minimal monic annihilator of a prefix over Q or F_p, or None.
+
+    For d = 1, 2, ... up to len(prefix)//2 - 1, solves the system
+    a_(n+d) = -sum_i c_i a_(n+i) over every window by Gauss-Jordan on
+    Fractions or residues mod p, and returns the first consistent d
+    (free unknowns zero); None when no degree in range fits.
+    """
+    p = field.char
+    vals = [field.coerce(v) for v in prefix]
+    vals = [v.res for v in vals] if p else [Fraction(v) for v in vals]
+
+    def norm(x):
+        return x % p if p else x
+
+    for d in range(1, len(vals) // 2):
+        rows = [[norm(x) for x in vals[n:n + d] + [-vals[n + d]]]
+                for n in range(len(vals) - d)]
+        pivots = []
+        for c in range(d):
+            r = len(pivots)
+            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+            rows[r] = [norm(x * inv) for x in rows[r]]
+            for i, row in enumerate(rows):
+                if i != r and row[c] != 0:
+                    rows[i] = [norm(a - row[c] * b) for a, b in zip(row, rows[r])]
+            pivots.append(c)
+        if any(row[d] != 0 for row in rows[len(pivots):]):
+            continue
+        sol = [0] * d
+        for row, c in zip(rows, pivots):
+            sol[c] = row[d]
+        return Poly(field, [field.coerce(x) for x in sol] + [field.one])
+    return None
+
+
+def class_table_enumerated(specs, ctx) -> ProductClassTable:
+    """Product class table by enumerating every tuple of nonzero
+    eigenvalues, grouped by product (exact equality, or greedy clustering
+    at CLUSTER_TOL around the first unassigned product over C), with the
+    largest wedge_fold of the tuple's indices per class."""
+    f = specs[0].field
+    acc = [(f.one, [])]
+    for spec in specs:
+        acc = [(prod * value, idxs + [index])
+               for prod, idxs in acc for value, index in spec.nonzero]
+    items = [(prod, wedge_fold(idxs, ctx)) for prod, idxs in acc]
+    groups = []
+    used = [False] * len(items)
+    for i, (prod, w) in enumerate(items):
+        if used[i]:
+            continue
+        members = []
+        for j in range(i, len(items)):
+            q = items[j][0]
+            same = (q == prod if f.exact else
+                    abs(q - prod) <= CLUSTER_TOL * max(1.0, abs(q), abs(prod)))
+            if not used[j] and same:
+                members.append(items[j])
+                used[j] = True
+        mean = members[0][0] if f.exact else sum(m[0] for m in members) / len(members)
+        groups.append((mean, max(m[1] for m in members)))
+    groups.sort(key=lambda t: f.sort_key(t[0]))
+    return ProductClassTable(field=f, entries=tuple(groups))
 
 
 def fibonacci(n: int) -> int:

@@ -43,6 +43,13 @@ def test_wedge_positive_characteristic(capsys):
     assert (code, out.strip()) == (0, "4")
 
 
+def test_wedge_huge_orders_return(capsys):
+    # 10^24 pairs for a scan; the digit rule reads 40 binary digits
+    code, out, _ = run_cli(capsys, "wedge", "1000000000000", "1000000000000",
+                           "--char", "2")
+    assert (code, out.strip()) == (0, "1099511627776")
+
+
 def test_lrs_product_example(capsys):
     code, out, err = run_cli(capsys, "lrs-product", FIB_POLY, FIB_POLY,
                              "--char", "0")

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
-from helpers import jordan_assembly
+from helpers import class_table_enumerated, jordan_assembly
 from pcanon.errors import (
     EmptyInput,
     MixedFields,
     NonMonic,
     NonSplitField,
     OrderTooLarge,
+    PcanonError,
 )
 from pcanon.kronmin import (
     EigSpec,
@@ -24,9 +27,11 @@ from pcanon.kronmin import (
     kron_minpoly_direct,
     kron_minpoly_symbolic,
     lrs_product_poly,
+    product_class_table,
 )
 from pcanon.linalg import Matrix, companion, kron, minpoly
 from pcanon.scalar import CC, GF, QQ, Poly
+from pcanon.wedge import WedgeContext
 
 
 def _jordan(field, size, lam):
@@ -139,6 +144,55 @@ def test_symbolic_guards():
     b = EigSpec(f5, 0, ((f5.one, 1),))
     with pytest.raises(MixedFields):
         kron_minpoly_symbolic([a, b])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), CC], ids=["Q", "F5", "C"])
+def test_class_table_fold_matches_enumeration(field):
+    rng = random.Random(11)
+    if field is CC:
+        # sixth roots of unity times 3^j: distinct tuples collide only up
+        # to rounding, so the clustering has classes to merge
+        pool = [cmath.rect(r, k * math.pi / 3) for r in (1 / 3, 1, 3) for k in range(6)]
+    elif field is QQ:
+        pool = [Fraction(v) for v in (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3))]
+    else:
+        pool = [field.coerce(v) for v in range(1, 5)]
+    ctx = WedgeContext(field.char)
+    for _ in range(25):
+        specs = [EigSpec(field, 0, tuple((v, rng.randint(1, 6))
+                                         for v in rng.sample(pool, rng.randint(1, 4))))
+                 for _ in range(rng.randint(1, 4))]
+        got = product_class_table(specs, ctx).entries
+        want = class_table_enumerated(specs, ctx).entries
+        assert [e for _, e in got] == [e for _, e in want]
+        if field.exact:
+            assert got == want
+        else:
+            assert all(abs(u - v) <= 1e-12 * max(1.0, abs(v))
+                       for (u, _), (v, _) in zip(got, want))
+
+
+def test_class_table_refuses_empty_input():
+    with pytest.raises(EmptyInput):
+        product_class_table([], WedgeContext(0))
+
+
+def test_class_table_refuses_mixed_fields():
+    f5 = GF(5)
+    with pytest.raises(MixedFields):
+        product_class_table([EigSpec(QQ, 0, ((Fraction(1), 1),)),
+                             EigSpec(f5, 0, ((f5.one, 1),))], WedgeContext(0))
+
+
+def test_class_table_refuses_a_foreign_characteristic():
+    # over F_5 the Kronecker square of a block with minimal polynomial
+    # (X - 2)^5 has index wedge(5, 5) = 5; the characteristic-0 wedge
+    # would give 9
+    f5 = GF(5)
+    spec = EigSpec(f5, 0, ((f5.coerce(2), 5),))
+    with pytest.raises(PcanonError):
+        product_class_table([spec, spec], WedgeContext(0))
+    assert product_class_table([spec, spec], WedgeContext(5)).entries == ((f5.coerce(4), 5),)
 
 
 def test_direct_order_cap():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import fibonacci
+from helpers import fibonacci, min_annihilator_hankel
 
 from pcanon.errors import (
     AnnihilatorMismatch,
@@ -163,11 +163,39 @@ def test_min_annihilator_prime_field():
     assert d <= 2
 
 
+@given(st.sampled_from((QQ, GF(2), GF(3), GF(101))),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+       st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+       st.integers(0, 20))
+@example(QQ, [0], [0] * 6, 12)                   # all-zero prefix: X
+@example(GF(3), [0, 1], [1, 1, 0, 0, 0, 0], 11)  # X divides P = X^2 + X
+@example(GF(101), [2, -1, 3], [1, 0, 4, 0, 0, 0], 9)  # odd length
+@example(QQ, [1, -2, -2], [0, 1, 1, 0, 0, 0], 6)  # L = dmax + 1 refuses
+@example(GF(2), [1, 1, 0, 0], [1, 0, 0, 0, 0, 0], 9)  # L = dmax + 1 refuses
+def test_min_annihilator_matches_hankel_oracle(field, lower, initials, count):
+    # Berlekamp-Massey against one Hankel solve per candidate degree
+    p = Poly(field, lower + [1])
+    prefix = lrs_prefix(LinRecSeq(p, tuple(initials[:p.degree])), count)
+    want = min_annihilator_hankel(prefix, field)
+    if want is None:
+        with pytest.raises(InsufficientData):
+            lrs_min_annihilator(prefix, field)
+    else:
+        assert lrs_min_annihilator(prefix, field) == want
+
+
 def test_numeric_sequence_annihilator():
     seq = [complex(2) ** n + complex(3) ** n for n in range(16)]
     got = lrs_min_annihilator(seq, CC)
     assert got.degree == 2
     want = Poly(CC, [6, -5, 1])
+    assert all(abs(got.coeff(i) - want.coeff(i)) < 1e-7 for i in range(3))
+    # 10^n + 1: the constant part is 1e-29 of the last term, far below a
+    # tolerance taken from the largest term, but not below its own
+    seq = [complex(10) ** n + 1 for n in range(30)]
+    got = lrs_min_annihilator(seq, CC)
+    want = Poly(CC, [10, -11, 1])
+    assert got.degree == 2
     assert all(abs(got.coeff(i) - want.coeff(i)) < 1e-7 for i in range(3))
 
 

@@ -36,6 +36,21 @@ def test_exhaustive_triple_agreement_small_characteristics():
                 assert w == wedge_oracle_dim(s, t, ctx), (p, s, t)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_rule_matches_binomial_scan(p):
+    ctx = WedgeContext(p)
+    for s in range(41):
+        for t in range(41):
+            assert wedge(s, t, ctx) == binom_span_bruteforce(s, t, p), (s, t)
+
+
+def test_digit_rule_at_large_orders():
+    # 1999 = 11111001111 in base 2: the top digit carries, so every digit
+    # reads 1 and the span is 2^11
+    assert wedge(2000, 2000, WedgeContext(2)) == 2048
+    assert wedge(10**12, 10**12, WedgeContext(2)) == 2**40
+
+
 def test_oracle_matches_in_characteristic_zero():
     for s in range(1, 13):
         for t in range(1, 13):
