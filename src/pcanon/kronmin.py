@@ -25,7 +25,7 @@ from .errors import (
     PcanonError,
 )
 from .linalg import Matrix, companion, kron, minpoly
-from .scalar import CLUSTER_TOL, Field, Poly, poly_factor
+from .scalar import CLUSTER_TOL, Field, Poly, _times_powers, poly_factor
 from .wedge import WedgeContext, wedge
 
 #: Kronecker orders past this are rejected rather than ground through
@@ -51,10 +51,7 @@ class EigSpec:
         return not self.nonzero
 
     def poly(self) -> Poly:
-        p = Poly.x(self.field) ** self.zero_index
-        for value, index in self.nonzero:
-            p = p * Poly(self.field, (-value, 1)) ** index
-        return p
+        return _times_powers(Poly.x(self.field) ** self.zero_index, self.nonzero)
 
 
 def eig_spec_of_poly(p: Poly, tol: float = CLUSTER_TOL) -> EigSpec:
@@ -92,10 +89,7 @@ class ProductClassTable:
     entries: tuple  # ((product value, exponent), ...) in canonical order
 
     def poly(self) -> Poly:
-        p = Poly.one(self.field)
-        for value, exponent in self.entries:
-            p = p * Poly(self.field, (-value, 1)) ** exponent
-        return p
+        return _times_powers(Poly.one(self.field), self.entries)
 
 
 def _merge_classes(items, f: Field) -> list:

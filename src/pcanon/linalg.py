@@ -7,11 +7,12 @@ and the spectral projections: the unique family of commuting idempotents
 that resolves the identity and block-diagonalises the matrix by
 generalised eigenspace.
 
-Products run on lifted rows: `_lift` turns entries into plain numbers
-(integers over one common denominator over Q, residues over F_p, the
-entries themselves over C) and `_drop` turns results back; only these two
-know the field. `spectral_projections` builds one power table A^0 ...
-A^(d-1) per call and combines every projection from it.
+Products run on lifted rows: scalar's `_lift` turns entries into plain
+numbers (integers over one common denominator over Q, residues over F_p,
+the entries themselves over C) and `_drop` turns results back; only these
+two know the field, and `Poly` arithmetic uses them too.
+`spectral_projections` builds one power table A^0 ... A^(d-1) per call
+and combines every projection from it.
 
 Row reduction has two implementations, one per row storage. Rows of field
 elements go through `_row_reduce`, the Gauss-Jordan elimination behind
@@ -43,10 +44,12 @@ from .scalar import (
     GF,
     QQ,
     Field,
-    FpElement,
     Poly,
     PrimeField,
-    RationalField,
+    _convolve,
+    _drop,
+    _lift,
+    _times_powers,
     poly_factor,
     poly_lcm,
     series_inverse,
@@ -240,27 +243,6 @@ def _row_reduce(rows, ncols: int, field: Field, eps: float = 0.0):
     return work, pivots
 
 
-def _lift(field: Field, rows):
-    """(plain rows, denominator): integers over one common denominator over
-    Q, residues over F_p, the entries themselves over C."""
-    if isinstance(field, RationalField):
-        den = math.lcm(*(e.denominator for row in rows for e in row))
-        return [[e.numerator * (den // e.denominator) for e in row]
-                for row in rows], den
-    if isinstance(field, PrimeField):
-        return [[e.res for e in row] for row in rows], 1
-    return rows, 1
-
-
-def _drop(field: Field, rows, den: int):
-    """Field rows from plain rows over den; the inverse of `_lift`."""
-    if isinstance(field, RationalField):
-        return [[Fraction(x, den) for x in row] for row in rows]
-    if isinstance(field, PrimeField):
-        return [[FpElement(x, field.char) for x in row] for row in rows]
-    return rows
-
-
 def _product(field: Field, xs, ys):
     """Product of two rectangular blocks of field rows, on lifted rows."""
     xs, dx = _lift(field, xs)
@@ -335,13 +317,7 @@ def char_poly(a: Matrix) -> Poly:
             if k < r - 2:
                 w = [sum(map(mul, a.rows[i][:r - 1], w), f.zero)
                      for i in range(r - 1)]
-        cn = []
-        for i in range(r + 1):
-            s = f.zero
-            for j in range(max(0, i - len(c) + 1), min(i, r) + 1):
-                s = s + q[j] * c[i - j]
-            cn.append(s)
-        c = cn
+        c = _convolve(q, c)[:r + 1]
     return Poly(f, list(reversed(c)))
 
 
@@ -457,13 +433,6 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
             if mod is not None:
                 nxt = [x % mod for x in nxt]
             vec, pol = nxt, [0] + pol
-        if mod is None:
-            g = 0
-            for x in pol:
-                g = math.gcd(g, x)
-            pol = [x // g for x in pol]
-            if pol[-1] < 0:
-                pol = [-x for x in pol]
         local_min = Poly(field, pol).monic()
         acc = poly_lcm(acc, local_min)
         for _, v, _p in local:
@@ -542,10 +511,7 @@ def _numeric_eigendata(a: Matrix, tol: float):
         shifted = a - ident * lam
         nz.append((lam, _stabilization_index(shifted, alg, tol, scale)))
     nz.sort(key=lambda t: (t[0].real, t[0].imag))
-    mp = Poly.x(CC) ** t0
-    for lam, t in nz:
-        mp = mp * Poly(CC, (-lam, 1)) ** t
-    return t0, nz, mp
+    return t0, nz, _times_powers(Poly.x(CC) ** t0, nz)
 
 
 def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
@@ -609,9 +575,7 @@ def spectral_projections(a: Matrix, pairs) -> list[Matrix]:
     """
     f, n = a.field, a.n
     pairs = [(f.coerce(mu), t) for mu, t in pairs]
-    mp = Poly.one(f)
-    for mu, t in pairs:
-        mp = mp * Poly(f, (-mu, 1)) ** t
+    mp = _times_powers(Poly.one(f), pairs)
     d = mp.degree
     powers = [Matrix.identity(f, n), a][:d]
     while len(powers) < d:

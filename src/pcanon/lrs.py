@@ -2,11 +2,12 @@
 
 A sequence is a monic characteristic polynomial P of degree d plus its
 first d terms; everything later is forced by the recurrence. The module
-evaluates a term from X^n mod P (repeated squaring in F[X]/(P)), forms
-termwise products carrying an explicit annihilator (verified on a window,
-so a wrong annihilator fails fast), and recovers the minimal annihilator
-of a raw prefix by Berlekamp-Massey — the independent minimality oracle
-for the product closure.
+evaluates a term from X^n mod P (repeated squaring in F[X]/(P), by the
+`_powmod` that scalar's F_p root finder also uses), forms termwise
+products carrying an explicit annihilator (verified on a window, so a
+wrong annihilator fails fast), and recovers the minimal annihilator of a
+raw prefix by Berlekamp-Massey — the independent minimality oracle for
+the product closure.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .errors import (
     MixedFields,
     NonMonic,
 )
-from .scalar import CC, QQ, GF, Field, FpElement, Poly
+from .scalar import CC, QQ, GF, Field, FpElement, Poly, _powmod
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,7 @@ def lrs_eval(seq: LinRecSeq, n: int):
     p = seq.char
     if n < p.degree:
         return seq.initial[n]
-    x = Poly.x(seq.field)
-    r = Poly.one(seq.field)
-    for bit in bin(n)[2:]:
-        r = r * r
-        if bit == "1":
-            r = r * x
-        if r.degree >= p.degree:
-            r = r % p
+    r = _powmod(Poly.x(seq.field), n, p)
     return sum((c * a for c, a in zip(r.coeffs, seq.initial)), seq.field.zero)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import CharPositive, NotConjugateSymmetric, PcanonError
 from .linalg import Matrix, SpectralData, spectral_data
-from .scalar import CC, Field, Poly, stirling_first, stirling_second
+from .scalar import CC, Field, Poly, _times_powers, stirling_first, stirling_second
 
 
 class Basis(Enum):
@@ -215,11 +215,8 @@ def pcf_to_lambda(form: PCanonicalForm) -> PCanonicalForm:
 def pcf_minpoly(form: PCanonicalForm) -> Poly:
     """Minimal polynomial read directly off the form: X^t0 times the
     product of (X - lambda)^(number of coefficient matrices)."""
-    f = form.field
-    p = Poly.x(f) ** form.t0
-    for lam, coeffs in form.geometric_terms:
-        p = p * Poly(f, (-lam, 1)) ** len(coeffs)
-    return p
+    return _times_powers(Poly.x(form.field) ** form.t0,
+                         [(lam, len(coeffs)) for lam, coeffs in form.geometric_terms])
 
 
 def _real_matrix(m: Matrix, tol: float, scale: float, error: type,

@@ -6,15 +6,21 @@ floats. Every algebraic object downstream carries exactly one Field
 instance; arithmetic between mismatched fields raises MixedFields rather
 than coercing. Plain Python ints are accepted everywhere (the canonical
 image of an integer exists in any field).
+
+Exact products, and division of polynomials, run on plain integers converted
+once per operation by `_lift` and `_drop`. `_powmod` (repeated squaring
+modulo a polynomial) serves lrs and the F_p root finder. Roots come from
+Cantor-Zassenhaus over F_p, Hensel lifting over Q and Durand-Kerner over C.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     MixedFields,
@@ -23,9 +29,6 @@ from .errors import (
     PcanonError,
     ZeroPolynomial,
 )
-
-#: factorisation over F_p scans all residues, so cap the modulus at desk scale
-ROOT_SCAN_PRIME_LIMIT = 10**6
 
 #: relative tolerance used to merge nearly equal numeric roots
 CLUSTER_TOL = 1e-8
@@ -298,6 +301,53 @@ def format_complex(z: complex) -> str:
     return _fmt_float(re) + ("-" if im < 0 else "+") + ims
 
 
+def _lift(field: Field, rows):
+    """(plain rows, denominator): integers over one common denominator over
+    Q, residues over F_p, the entries themselves over C."""
+    if isinstance(field, RationalField):
+        # a numerator already over den is passed on as the same object, so
+        # a coefficient times itself in a square takes int's squaring path
+        den = math.lcm(*(e.denominator for row in rows for e in row))
+        return [[e.numerator if e.denominator == den
+                 else e.numerator * (den // e.denominator) for e in row]
+                for row in rows], den
+    if isinstance(field, PrimeField):
+        return [[e.res for e in row] for row in rows], 1
+    return rows, 1
+
+
+def _drop(field: Field, rows, den: int):
+    """Field rows from plain rows over den; the inverse of `_lift`."""
+    if isinstance(field, RationalField):  # Fraction(x) skips the gcd when den is 1
+        return [[Fraction(x, den) if den != 1 else Fraction(x) for x in row]
+                for row in rows]
+    if isinstance(field, PrimeField):
+        return [[FpElement(x, field.char) for x in row] for row in rows]
+    return rows
+
+
+def _convolve(a: list, b: list) -> list:
+    """Product of two plain ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def _long_division(rem: list, b: list, divide) -> list:
+    """Quotient of plain coefficients by b, divide(c) giving the quotient
+    coefficient for a leading c; rem keeps the remainder in rem[:len(b)-1]."""
+    n = len(b) - 1
+    quot = [0] * (len(rem) - n)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = c = divide(rem[k + n])
+        if c:
+            for j, y in enumerate(b, k):
+                rem[j] -= c * y
+    return quot
+
+
 class Poly:
     """Dense univariate polynomial over one Field, coefficients ascending.
 
@@ -310,7 +360,7 @@ class Poly:
 
     def __init__(self, field: Field, coeffs=()):
         cs = [field.coerce(c) for c in coeffs]
-        while cs and field.is_zero(cs[-1]):
+        while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -334,10 +384,7 @@ class Poly:
 
     @classmethod
     def from_roots(cls, field: Field, roots) -> "Poly":
-        p = cls.one(field)
-        for r in roots:
-            p = p * cls(field, (-field.coerce(r), 1))
-        return p
+        return _times_powers(cls.one(field), [(r, 1) for r in roots])
 
     # -- structure ----------------------------------------------------
     @property
@@ -386,13 +433,12 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
+            f = self.field
             if self.is_zero or other.is_zero:
-                return Poly.zero(self.field)
-            out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(self.field, out)
+                return Poly.zero(f)
+            # over C the lifted entries are the coefficients themselves
+            (a, b), den = _lift(f, (self.coeffs, other.coeffs))
+            return Poly(f, _drop(f, (_convolve(a, b),), den * den)[0])
         c = self.field.coerce(other)
         return Poly(self.field, [c * a for a in self.coeffs])
 
@@ -414,19 +460,25 @@ class Poly:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        f, p = self.field, self.field.char
+        dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
-            return Poly.zero(self.field), self
-        quot = [self.field.zero] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if not self.field.is_zero(c):
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(self.field, quot), Poly(self.field, rem[: other.degree])
+            return Poly.zero(f), self
+        # over Q, pseudo-division db lc^(dq+1) a = q b + r divides by lc
+        # exactly at every step; over F_p the remainder is reduced at the end
+        ((a,), da), ((b,), db) = _lift(f, (self.coeffs,)), _lift(f, (other.coeffs,))
+        lead, n = b[-1], len(b) - 1
+        scale = db * lead ** (dq + 1) if f.exact and not p else 1
+        rem = [x * scale for x in a] if scale != 1 else list(a)
+        if p:
+            inv = pow(lead, -1, p)
+            quot = _long_division(rem, b, lambda c: c * inv % p)
+        elif f.exact:
+            quot = _long_division(rem, b, lambda c: c // lead)
+        else:
+            quot = _long_division(rem, b, lambda c: c / lead)
+        return (Poly(f, _drop(f, (quot,), da * scale // db)[0]),
+                Poly(f, _drop(f, (rem[:n],), da * scale)[0]))
 
     def __floordiv__(self, other: "Poly"):
         return divmod(self, other)[0]
@@ -546,6 +598,58 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return ((a * b) // poly_gcd(a, b)).monic()
 
 
+def _powmod(base, n: int, mod, mul=operator.mul, rem=operator.mod):
+    """base**n modulo mod for n >= 1, by repeated squaring in F[X]/(mod):
+    on Poly, or on another representation given its mul and rem."""
+    r = base
+    for bit in bin(n)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, base)
+        r = rem(r, mod)
+    return rem(r, mod)
+
+
+def _residue_rem(a: list, m: list, p: int) -> list:
+    """Residues of a modulo a monic residue polynomial m, trimmed."""
+    a = list(a)
+    _long_division(a, m, lambda c: c % p)
+    a = [x % p for x in a[:len(m) - 1]]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _residue_gcd(a: list, b: list, p: int) -> list:
+    """gcd of residue polynomials by Euclid, monic unless b is zero ([])."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _residue_rem(a, b, p)
+    return a
+
+
+def _times_powers(p: Poly, pairs) -> Poly:
+    """p times the product of (X - mu)^e over the (mu, e) pairs. Exact
+    fields multiply by one linear factor at a time on plain integers, bX - a
+    for mu = a/b over Q; over C it is one Poly product per pair."""
+    f, q = p.field, p.field.char
+    if not f.exact:
+        for mu, e in pairs:
+            p = p * Poly(f, (-mu, 1)) ** e
+        return p
+    cs, den = [1], 1
+    for mu, e in pairs:
+        mu = f.coerce(mu)
+        a, b = (mu.res, 1) if q else (mu.numerator, mu.denominator)
+        den *= b ** e
+        for _ in range(e):
+            cs = [b * x - a * y for x, y in zip([0] + cs, cs + [0])]
+            if q:
+                cs = [x % q for x in cs]
+    return p * Poly(f, _drop(f, (cs,), den)[0])
+
+
 @dataclass(frozen=True)
 class FactoredPoly:
     """Linear factors split off a monic polynomial, plus what would not split.
@@ -559,52 +663,67 @@ class FactoredPoly:
     remainder: Poly
 
     def reassemble(self) -> Poly:
-        p = self.remainder
-        f = p.field
-        for r, m in self.roots:
-            p = p * Poly(f, (-f.coerce(r), 1)) ** m
-        return p
+        return _times_powers(self.remainder, self.roots)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+#: seed of the randomised root finders: Cantor-Zassenhaus shifts and
+#: Durand-Kerner starting points
+_ROOT_SEED = 0x5EED
 
 
-def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial over Q (no multiplicities)."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    while ints and ints[0] == 0:
-        ints.pop(0)  # zero roots handled by the caller
-    if not ints:
-        return []
-    a0, an = ints[0], ints[-1]
-    found = []
-    seen = set()
-    for num in _divisors(a0):
-        for dq in _divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * num, dq)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if p.evaluate(cand) == 0:
-                    found.append(cand)
-    return found
+def _cz_roots(f: list, p: int) -> list[int]:
+    """Distinct roots of a monic residue polynomial mod p, by
+    Cantor-Zassenhaus (Math. Comp. 1981): g = gcd(f, X^p - X) is the
+    product of X - r over them, and gcd(h, (X + a)^((p-1)/2) - 1) with a
+    seeded random a splits a factor h of g about half the time. For p = 2
+    the roots 0 and 1 are tested directly."""
+    rem = partial(_residue_rem, p=p)
+    xp = _powmod([0, 1], p, f, _convolve, rem) + [0, 0]
+    xp[1] -= 1
+    g = _residue_gcd(f, rem(xp, f), p)
+    if p == 2:
+        return [r for r in (0, 1) if sum(c * r ** i for i, c in enumerate(g)) % 2 == 0]
+    rng = random.Random(_ROOT_SEED)
+    roots, todo = [], [g]
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            t = _powmod([rng.randrange(p), 1], (p - 1) // 2, h, _convolve, rem) + [0]
+            t[0] -= 1
+            s = _residue_gcd(h, rem(t, h), p)
+            if 1 < len(s) < len(h):
+                todo += [s, _long_division(list(h), s, lambda c: c % p)]
+            else:
+                todo.append(h)
+    return roots
 
 
-_DK_SEED = 0x5EED
+def _hensel_roots(p: Poly):
+    """Candidates including every rational root of a nonzero polynomial over
+    Q, by Hensel lifting (Loos, SIAM J. Comput. 1983); callers confirm each
+    by exact division. The squarefree part, lifted to integers h, stays
+    squarefree mod the first prime q not dividing lc = lc(h). Newton's step
+    lifts each root r mod q to a modulus M > 2 |lc| B, B = 1 + max |h_i/lc|
+    bounding every root. A root a/b has b | lc, so lc a/b is the symmetric
+    residue of lc r mod M."""
+    (h,), _ = _lift(QQ, ((p // poly_gcd(p, p.derivative())).coeffs,))
+    lead = h[-1]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    q = 2
+    while (not is_prime(q) or lead % q == 0
+           or poly_gcd(Poly(GF(q), h), Poly(GF(q), dh)).degree):
+        q += 1
+    bound = 2 * (lead + max(abs(c) for c in h))
+    for r in _cz_roots([c * pow(lead, -1, q) % q for c in h], q):
+        m = q
+        while m <= bound:
+            m *= m
+            slope = pow(sum(c * r ** i for i, c in enumerate(dh)), -1, m)
+            r = (r - sum(c * r ** i for i, c in enumerate(h)) * slope) % m
+        v = lead * r % m
+        yield Fraction(v - m if 2 * v > m else v, lead)
 
 
 def durand_kerner(p: Poly, max_iter: int = 500, step_tol: float = 1e-12) -> list[complex]:
@@ -619,7 +738,7 @@ def durand_kerner(p: Poly, max_iter: int = 500, step_tol: float = 1e-12) -> list
     if n <= 0:
         return []
     coeffs = [complex(c) for c in p.coeffs]
-    rng = random.Random(_DK_SEED)
+    rng = random.Random(_ROOT_SEED)
     radius = 1.0 + max(abs(c) for c in coeffs[:-1]) if n else 1.0
     zs = []
     for k in range(n):
@@ -758,14 +877,13 @@ def _factor_complex(p: Poly, tol: float) -> FactoredPoly:
 def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
     """Split linear factors off a nonzero monic polynomial.
 
-    Over Q: squarefree reduction, then rational-root extraction; whatever
-    has no rational root stays in the remainder. Over F_p: Horner on plain
-    residues of the whole polynomial at every x mod p (p capped at
-    ROOT_SCAN_PRIME_LIMIT); the squarefree part would lose a root whose
-    multiplicity is a multiple of p. Both take multiplicities by repeated
-    division. Over C: Durand-Kerner on the squarefree part, root
-    clustering at relative tolerance tol, then multiplicity recovery by
-    repeated deflation.
+    Over F_p, for any p, Cantor-Zassenhaus finds the distinct roots of the
+    whole polynomial, keeping a root whose multiplicity is a multiple of p.
+    Over Q, Hensel lifting from one prime finds those of the squarefree
+    part. Both confirm each root and take its multiplicity by repeated
+    division; what has no root in the field stays in the remainder. Over C:
+    Durand-Kerner on the squarefree part, root clustering at relative
+    tolerance tol, then multiplicity recovery by repeated deflation.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -777,46 +895,21 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
         return _factor_complex(p.monic() if lead != 1 else p, tol)
     if not p.is_monic:
         raise NonMonic("factorisation expects a monic polynomial")
-    if isinstance(f, PrimeField) and f.char > ROOT_SCAN_PRIME_LIMIT:
-        raise PcanonError(f"root scan supports p <= {ROOT_SCAN_PRIME_LIMIT}")
 
-    coeffs = list(p.coeffs)
-    zero_mult = 0
-    while len(coeffs) > 1 and f.is_zero(coeffs[0]):
-        coeffs.pop(0)
-        zero_mult += 1
-    work = Poly(f, coeffs)
-    roots: list[tuple] = []
-    if zero_mult:
-        roots.append((f.zero, zero_mult))
-
-    if work.degree >= 1:
-        if isinstance(f, RationalField):
-            candidates = _rational_roots(
-                (work // poly_gcd(work, work.derivative())).monic())
-        else:
-            char = f.char
-            top_down = [c.res for c in reversed(work.coeffs)]
-            candidates = []
-            for x in range(char):
-                acc = 0
-                for c in top_down:
-                    acc = (acc * x + c) % char
-                if not acc:
-                    candidates.append(x)
-        for r in candidates:
-            lin = Poly(f, (-f.coerce(r), 1))
-            mult = 0
-            while True:
-                q, rem = divmod(work, lin)
-                if rem.is_zero:
-                    work = q
-                    mult += 1
-                else:
-                    break
-            if mult:
-                roots.append((f.coerce(r), mult))
-
+    zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    work = Poly(f, p.coeffs[zeros:])
+    roots = [(f.zero, zeros)] if zeros else []
+    candidates = (_cz_roots([c.res for c in work.coeffs], f.char) if f.char
+                  else _hensel_roots(work))
+    for r in map(f.coerce, candidates):
+        lin = Poly(f, (-r, 1))
+        mult = 0
+        q, rem = divmod(work, lin)
+        while rem.is_zero:
+            work, mult = q, mult + 1
+            q, rem = divmod(work, lin)
+        if mult:
+            roots.append((r, mult))
     roots.sort(key=lambda t: f.sort_key(t[0]))
     return FactoredPoly(tuple(roots), work)
 

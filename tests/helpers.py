@@ -4,9 +4,10 @@ Everything here is deliberately independent of the code under test:
 the exponential oracle is plain scaling-and-squaring on a truncated
 series, the wedge oracle is a direct scan of binomial coefficients, the
 annihilator oracle solves one Hankel system per candidate degree, the
-class-table oracle enumerates every tuple of eigenvalues, and the random
-matrices are Jordan assemblies conjugated by unimodular integer matrices
-so every expected invariant is known by construction.
+class-table oracle enumerates every tuple of eigenvalues, the root
+oracles scan every residue mod p or every quotient of divisors over Q,
+and the random matrices are Jordan assemblies conjugated by unimodular
+integer matrices so every expected invariant is known by construction.
 """
 
 from __future__ import annotations
@@ -55,6 +56,51 @@ def naive_matmul(xs, ys):
             out_row.append(acc)
         out.append(out_row)
     return out
+
+
+def naive_poly_mul(xs, ys) -> list:
+    """Product of two ascending coefficient lists by the schoolbook double
+    loop, in whatever number type the coefficients have."""
+    out = [0 * xs[0]] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def roots_by_scan(f: Poly, p: int) -> list[int]:
+    """Residues r mod p with f(r) = 0, by Horner at every residue."""
+    top_down = [c.res for c in reversed(f.coeffs)]
+    found = []
+    for x in range(p):
+        acc = 0
+        for c in top_down:
+            acc = (acc * x + c) % p
+        if not acc:
+            found.append(x)
+    return found
+
+
+def rational_roots_by_divisors(f: Poly) -> list[Fraction]:
+    """Sorted distinct rational roots of a nonzero polynomial over Q: every
+    +-d/e with d dividing the lowest nonzero and e the leading coefficient
+    of f cleared to integers, tested by exact evaluation (0 when X | f)."""
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return set(small) | {n // d for d in small}
+
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [int(c * den) for c in f.coeffs]
+    found = {Fraction(0)} if ints[0] == 0 else set()
+    while ints[0] == 0:
+        ints.pop(0)
+    for num in divisors(ints[0]):
+        for dq in divisors(ints[-1]):
+            for cand in (Fraction(num, dq), Fraction(-num, dq)):
+                if f.evaluate(cand) == 0:
+                    found.add(cand)
+    return sorted(found)
 
 
 def binom_span_bruteforce(s: int, t: int, p: int) -> int:

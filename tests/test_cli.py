@@ -66,6 +66,15 @@ def test_pcf_pretty_semicirculant(capsys):
     assert block.splitlines()[1].split() == ["[", "0", "0", "0", "8", "]"]
 
 
+def test_pcf_over_a_large_prime_field(capsys):
+    doc = '{"field": "Fp", "p": 1000000007, "matrix": [[1, 1], [0, 2]]}'
+    code, out, _ = run_cli(capsys, "pcf", doc, "--json")
+    assert code == 0
+    terms = json.loads(out)["geometric"]
+    assert terms == [{"value": 1, "coeffs": [[[1, 1000000006], [0, 0]]]},
+                     {"value": 2, "coeffs": [[[0, 1], [0, 1]]]}]
+
+
 # -- input plumbing -----------------------------------------------------------
 
 

@@ -223,6 +223,12 @@ def test_product_closure_falls_back_when_spectrum_is_irrational():
     assert got == Poly(QQ, [1, 0, 1])
 
 
+def test_product_closure_with_a_huge_constant_term():
+    # no rational roots, and a constant term far past a divisor scan
+    p = Poly(QQ, [-(10 ** 24 + 7), -1, 1])
+    assert lrs_product_poly([p, p]) == kron_minpoly_direct([companion(p)] * 2)
+
+
 def test_product_closure_validates_input():
     with pytest.raises(EmptyInput):
         lrs_product_poly([])

@@ -133,6 +133,14 @@ def test_nonsplit_spectrum_rejected():
         pcf_build(Matrix(QQ, [[0, -1], [1, 0]]))
 
 
+def test_nonsplit_refusal_with_a_huge_determinant():
+    # |det| is about 4.5e24, past any scan of the constant term's divisors
+    rng = random.Random(3)
+    a = Matrix(QQ, [[rng.randint(-99, 99) for _ in range(12)] for _ in range(12)])
+    with pytest.raises(NonSplitField):
+        pcf_build(a)
+
+
 def test_numeric_build_matches_exact_on_rational_input(semicirculant_4x4):
     exact = pcf_build(semicirculant_4x4)
     approx = pcf_build(semicirculant_4x4.to_field(CC))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import naive_poly_mul, rational_roots_by_divisors, roots_by_scan
 from pcanon.errors import (
     MixedFields,
     NonMonic,
@@ -21,6 +22,7 @@ from pcanon.scalar import (
     QQ,
     FpElement,
     Poly,
+    _times_powers,
     cluster_complex,
     durand_kerner,
     format_complex,
@@ -135,6 +137,42 @@ def test_poly_shift_is_composition(p, c, x):
     assert p.shifted(c).evaluate(x) == p.evaluate(x + c)
 
 
+def _elements(field):
+    if field == QQ:
+        return st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    return st.integers(0, field.char - 1).map(field.from_int)
+
+
+_exact_fields = pytest.mark.parametrize("field", [QQ, GF(5), GF(101)], ids=repr)
+
+
+@_exact_fields
+@given(data=st.data())
+def test_plain_kernel_matches_field_arithmetic(field, data):
+    polys = st.lists(_elements(field), min_size=1, max_size=7)
+    a, b = data.draw(polys), data.draw(polys)
+    pa, pb = Poly(field, a), Poly(field, b)
+    assert pa * pb == Poly(field, naive_poly_mul(a, b))
+    if not pb.is_zero:
+        q, r = divmod(pa, pb)
+        assert q * pb + r == pa and r.degree < pb.degree
+    c, x = data.draw(_elements(field)), data.draw(_elements(field))
+    assert pa.shifted(c).evaluate(x) == pa.evaluate(x + c)
+
+
+@_exact_fields
+@given(data=st.data())
+def test_times_powers_is_the_factor_by_factor_product(field, data):
+    start = data.draw(st.lists(_elements(field), min_size=1, max_size=4))
+    pairs = data.draw(st.lists(st.tuples(_elements(field), st.integers(0, 4)),
+                               max_size=5))
+    want = start
+    for mu, e in pairs:
+        for _ in range(e):
+            want = naive_poly_mul(want, [-mu, field.one])
+    assert _times_powers(Poly(field, start), pairs) == Poly(field, want)
+
+
 def test_poly_zero_degree_convention():
     assert Poly(QQ, []).degree == -1
     assert Poly(QQ, [0, 0]).is_zero
@@ -238,6 +276,46 @@ def test_factor_prime_field_multiplicity_p_beside_irreducible(mult):
     quad = Poly(f2, [1, 1, 1])  # X^2 + X + 1, irreducible, keeps f' != 0
     got = poly_factor(Poly.from_roots(f2, [0] + [1] * mult) * quad)
     assert _residue_roots(got) == [(0, 1), (1, mult)]
+    assert got.remainder == quad
+
+
+@given(st.sampled_from([2, 3, 5, 101]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1), max_size=8),
+    st.lists(st.integers(0, p - 1), max_size=4))))
+@example((5, list(range(5)), []))  # X^5 - X itself
+@example((101, list(range(101)), []))  # X^101 - X itself
+@example((2, [0, 1], [1, 1]))  # X(X - 1) beside the irreducible X^2 + X + 1
+@example((3, [2] * 6 + [0], [2]))  # a root of multiplicity 2p
+def test_factor_prime_field_matches_residue_scan(case):
+    p, roots, rest = case
+    f = Poly.from_roots(GF(p), roots) * Poly(GF(p), rest + [1])
+    got = poly_factor(f)
+    assert [r for r, _ in _residue_roots(got)] == roots_by_scan(f, p)
+    assert roots_by_scan(got.remainder, p) == []
+    assert got.reassemble() == f
+
+
+_small_q = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@given(st.lists(_small_q, max_size=5), st.lists(_small_q, max_size=3))
+# these roots collide mod 2, 3 and 5, so the lifting prime is 7
+@example([Fraction(r) for r in (1, -1, 2, -2, 3)], [])
+def test_factor_rational_matches_divisor_scan(roots, rest):
+    f = Poly.from_roots(QQ, roots) * Poly(QQ, rest + [1])
+    got = poly_factor(f)
+    assert sorted(r for r, _ in got.roots) == rational_roots_by_divisors(f)
+    assert rational_roots_by_divisors(got.remainder) == []
+    assert got.reassemble() == f
+
+
+def test_factor_large_prime_field():
+    p = 10 ** 9 + 7
+    f = GF(p)
+    r = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+    quad = Poly(f, [-r, 0, 1])  # irreducible: r is not a square mod p
+    got = poly_factor(Poly.from_roots(f, [1, 2, 2, 2]) * quad)
+    assert _residue_roots(got) == [(1, 1), (2, 3)]
     assert got.remainder == quad
 
 
