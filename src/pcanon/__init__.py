@@ -92,7 +92,6 @@ from .scalar import (
     FpElement,
     Poly,
     cluster_complex,
-    durand_kerner,
     format_complex,
     is_prime,
     poly_factor,
@@ -108,7 +107,7 @@ __all__ = [
     # fields and polynomials
     "QQ", "CC", "GF", "Field", "FpElement", "Poly", "FactoredPoly",
     "poly_factor", "poly_gcd", "poly_lcm", "series_inverse",
-    "durand_kerner", "cluster_complex", "format_complex", "is_prime",
+    "cluster_complex", "format_complex", "is_prime",
     "stirling_first", "stirling_second",
     # matrices and spectra
     "Matrix", "kron", "companion", "matrix_poly", "char_poly", "minpoly",

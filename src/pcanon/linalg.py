@@ -2,10 +2,11 @@
 
 Provides exact matrix arithmetic, a division-free characteristic
 polynomial, minimal polynomials by integer Krylov chains (exact fields)
-or by eigenvalue clustering with rank stabilisation (complex doubles),
-and the spectral projections: the unique family of commuting idempotents
-that resolves the identity and block-diagonalises the matrix by
-generalised eigenspace.
+or from scalar's `_spectrum`, which merges numpy's eigenvalues and finds
+their indices by one rank rule (complex doubles), and the spectral
+projections: the unique family of commuting idempotents that resolves
+the identity and block-diagonalises the matrix by generalised
+eigenspace.
 
 Products run on lifted rows: scalar's `_lift` turns entries into plain
 numbers (integers over one common denominator over Q, residues over F_p,
@@ -49,6 +50,7 @@ from .scalar import (
     _convolve,
     _drop,
     _lift,
+    _spectrum,
     _times_powers,
     poly_factor,
     poly_lcm,
@@ -429,7 +431,7 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
             if piv is None:
                 break
             _insert_row(local, (piv, vec, pol))
-            nxt = [sum(int_rows[r][c] * vec[c] for c in range(n)) for r in range(n)]
+            nxt = [sum(map(mul, row, vec)) for row in int_rows]
             if mod is not None:
                 nxt = [x % mod for x in nxt]
             vec, pol = nxt, [0] + pol
@@ -463,61 +465,21 @@ def _minpoly_exact(a: Matrix) -> Poly:
 
 
 # ---------------------------------------------------------------------
-# numeric spectra: clustering plus rank stabilisation
+# numeric spectra: eigenvalues and indices from scalar's `_spectrum`
 # ---------------------------------------------------------------------
-
-def _numeric_rank(m: Matrix, tol: float, scale: float) -> int:
-    import numpy as np
-
-    arr = np.array([[complex(e) for e in row] for row in m.rows], dtype=complex)
-    if not arr.any():
-        return 0
-    sing = np.linalg.svd(arr, compute_uv=False)
-    return int((sing > tol * max(1.0, scale)).sum())
-
-
-def _stabilization_index(m: Matrix, cap: int, tol: float, scale: float) -> int:
-    """Smallest k with rank(m^k) == rank(m^(k+1)), floored at 1, capped."""
-    prev = m.n
-    power = Matrix.identity(m.field, m.n)
-    for k in range(1, cap + 1):
-        power = power * m
-        r = _numeric_rank(power, tol, scale)
-        if r == prev:
-            return max(1, k - 1)
-        prev = r
-    return cap
-
 
 def _numeric_eigendata(a: Matrix, tol: float):
     """(t0, [(eigenvalue, index), ...], minimal polynomial) over C."""
-    cp = char_poly(a)
-    fact = poly_factor(cp, tol)
-    if fact.remainder.degree > 0:
-        raise NonSplitField("numeric eigenvalue extraction did not split the "
-                            "characteristic polynomial; raise the tolerance")
-    scale = max(1.0, float(a.maxnorm()))
-    zero_alg = 0
-    groups: list[tuple[complex, int]] = []
-    for root, mult in fact.roots:
-        if abs(root) <= tol * scale:
-            zero_alg += mult
-        else:
-            groups.append((root, mult))
-    t0 = _stabilization_index(a, zero_alg, tol, scale) if zero_alg else 0
-    ident = Matrix.identity(CC, a.n)
-    nz = []
-    for lam, alg in groups:
-        shifted = a - ident * lam
-        nz.append((lam, _stabilization_index(shifted, alg, tol, scale)))
-    nz.sort(key=lambda t: (t[0].real, t[0].imag))
+    spectrum = _spectrum(a.rows, tol)
+    t0 = next((t for mu, _, t in spectrum if not mu), 0)
+    nz = [(mu, t) for mu, _, t in spectrum if mu]
     return t0, nz, _times_powers(Poly.x(CC) ** t0, nz)
 
 
 def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
     """Minimal polynomial: exact Krylov chains over Q and F_p; over C the
-    product of (X - eigenvalue)^index with indices found by rank
-    stabilisation of shifted powers."""
+    product of (X - eigenvalue)^index, both read off the computed
+    eigenvalues and the ranks of shifted powers by scalar's `_spectrum`."""
     if a.field.exact:
         return _minpoly_exact(a)
     return _numeric_eigendata(a, tol)[2]

@@ -10,11 +10,13 @@ image of an integer exists in any field).
 Exact products, and division of polynomials, run on plain integers converted
 once per operation by `_lift` and `_drop`. `_powmod` (repeated squaring
 modulo a polynomial) serves lrs and the F_p root finder. Roots come from
-Cantor-Zassenhaus over F_p, Hensel lifting over Q and Durand-Kerner over C.
+Cantor-Zassenhaus over F_p and Hensel lifting over Q. Over C, `_spectrum`
+takes a matrix's eigenvalues from numpy and one rank rule decides which of
+them are one eigenvalue and what its index is; the roots of a polynomial
+are the eigenvalues of its companion matrix. numpy is imported there only.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import random
@@ -655,8 +657,8 @@ class FactoredPoly:
     """Linear factors split off a monic polynomial, plus what would not split.
 
     roots holds (root, multiplicity) pairs in the field's canonical order;
-    remainder is monic of degree >= 0 and has no roots in the field (exactly
-    for exact fields, within the clustering tolerance for complex doubles).
+    remainder is monic of degree >= 0 and has no roots in the field. Over C
+    every polynomial splits, so the remainder is always 1.
     """
 
     roots: tuple
@@ -666,8 +668,7 @@ class FactoredPoly:
         return _times_powers(self.remainder, self.roots)
 
 
-#: seed of the randomised root finders: Cantor-Zassenhaus shifts and
-#: Durand-Kerner starting points
+#: seed of the random shifts in Cantor-Zassenhaus
 _ROOT_SEED = 0x5EED
 
 
@@ -726,152 +727,103 @@ def _hensel_roots(p: Poly):
         yield Fraction(v - m if 2 * v > m else v, lead)
 
 
-def durand_kerner(p: Poly, max_iter: int = 500, step_tol: float = 1e-12) -> list[complex]:
-    """All complex roots of a monic polynomial by simultaneous iteration.
-
-    Starting points sit on a circle of radius 1 + max|coefficient| with a
-    deterministic random perturbation so symmetric configurations cannot
-    stall. Iteration stops when the largest correction falls below step_tol
-    or after max_iter sweeps.
-    """
-    n = p.degree
-    if n <= 0:
-        return []
-    coeffs = [complex(c) for c in p.coeffs]
-    rng = random.Random(_ROOT_SEED)
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1]) if n else 1.0
-    zs = []
-    for k in range(n):
-        ang = 2 * math.pi * (k + 0.25) / n + 0.1 * (rng.random() - 0.5)
-        rad = radius * (1 + 0.05 * (rng.random() - 0.5))
-        zs.append(rad * cmath.exp(1j * ang))
-
-    def val(z):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    for _ in range(max_iter):
-        biggest = 0.0
-        for k in range(n):
-            zk = zs[k]
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != k:
-                    denom *= zk - zs[j]
-            if denom == 0:
-                zs[k] = zk + (1e-8 + 1e-8j) * (1 + rng.random())
-                biggest = math.inf
-                continue
-            delta = val(zk) / denom
-            zs[k] = zk - delta
-            biggest = max(biggest, abs(delta))
-        if biggest < step_tol:
-            break
-    return zs
+def _linked(values: list[complex], dist: float) -> list[list[complex]]:
+    """Groups of values under single linkage at relative distance dist:
+    each group in input order, so that the means of conjugate groups are
+    exact conjugates, and the groups in order of their first member."""
+    label = list(range(len(values)))
+    for i, v in enumerate(values):
+        for j, w in enumerate(values[:i]):
+            if label[i] != label[j] and abs(v - w) <= dist * max(1.0, abs(v), abs(w)):
+                old, new = label[i], label[j]
+                label = [new if x == old else x for x in label]
+    groups: dict[int, list[complex]] = {}
+    for x, v in zip(label, values):
+        groups.setdefault(x, []).append(v)
+    return list(groups.values())
 
 
 def cluster_complex(values: list[complex], tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
-    """Merge nearly equal complex values; returns (mean, count) per cluster."""
-    m = len(values)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) <= tol * max(1.0, abs(values[i]), abs(values[j])):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(values[i])
-    out = []
-    for vs in groups.values():
-        mean = sum(vs) / len(vs)
-        out.append((mean, len(vs)))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
+    """Merge nearly equal complex values by single linkage at relative
+    distance tol; returns (mean, count) per group, sorted."""
+    return sorted(((sum(g) / len(g), len(g)) for g in _linked(values, tol)),
+                  key=lambda t: (t[0].real, t[0].imag))
 
 
-def _numeric_poly_gcd(a: Poly, b: Poly, tol: float = 1e-10) -> Poly:
-    """Thresholded Euclid over complex doubles (desk-scale spectra only)."""
-    scale = max(1.0,
-                max((abs(c) for c in a.coeffs), default=0.0),
-                max((abs(c) for c in b.coeffs), default=0.0))
-    a = a.monic()
-    b = b.monic()
-    while True:
-        if b.degree <= 0:
-            return Poly.one(CC)
-        r = a % b
-        if r.is_zero or max(abs(c) for c in r.coeffs) <= tol * scale:
-            return b.monic()
-        a, b = b, r.monic()
+#: relative distance at which computed eigenvalues are first linked. A
+#: defective block of size m spreads its computed eigenvalues over about
+#: (eps * condition)^(1/m). The largest |value - mean| / max(1, |mean|) in a
+#: defective group was 7.1e-5 over 728 groups (the benchmark's log-refusal
+#: matrices and rational_spectrum_matrix inputs, 40 seeds each, and Jordan
+#: blocks), and 2.8e-3 on the benchmark's n = 16 Jordan inputs.
+_LINK_DISTANCE = 1e-2
+
+#: a group of m computed eigenvalues with mean mu is one eigenvalue when the
+#: m smallest singular values of (A - mu I)^k, for some k <= m, are at most
+#: _RANK_SLACK * n * eps * ||A - mu I||_2^k. On those 728 groups the ratio
+#: sigma / (n eps ||A - mu I||^k) at the index k was at most 0.12; for the
+#: two eigenvalues of [[l, 1], [0, l (1 + 1e-5)]], l in [0.8, 1.25], it was
+#: at least 3.6e4 at k = 1 and k = 2.
+_RANK_SLACK = 100
 
 
-def _numeric_squarefree(p: Poly, tol: float) -> Poly:
-    g = _numeric_poly_gcd(p, p.derivative(), tol=min(tol, 1e-10))
-    if g.degree <= 0:
-        return p
-    return (p // g).monic()
+def _spectrum(rows, tol: float) -> list[tuple[complex, int, int]]:
+    """(eigenvalue, algebraic multiplicity, index) triples of a complex
+    matrix, sorted; eigenvalues of modulus <= tol * max(1, largest entry)
+    are reported as exactly 0.
+
+    The computed eigenvalues come from numpy.linalg.eigvals, on the real
+    array when every entry is real, so that conjugate pairs come out
+    exactly conjugate. One rank rule then decides both which of them are
+    one eigenvalue and its index, the reading of Jordan structure off the
+    ranks of (A - mu I)^k (Golub & Wilkinson, SIAM Rev. 1976). Values
+    linked at relative distance _LINK_DISTANCE form groups; a group of m
+    with mean mu is one eigenvalue if the least k <= m passing the
+    _RANK_SLACK test exists, and that k is its index. A group that fails
+    is linked again at a tenth of the distance. At tol a group is accepted
+    with index m, so values within relative distance tol are always one
+    eigenvalue.
+    """
+    import numpy as np
+
+    a = np.array(rows, dtype=complex)
+    if not a.imag.any():
+        a = a.real
+    n = len(a)
+    zero = tol * max(1.0, float(abs(a).max()))
+    values = [0j if abs(v) <= zero else complex(v) for v in np.linalg.eigvals(a)]
+    out, todo = [], [(values, max(_LINK_DISTANCE, tol))]
+    while todo:
+        values, dist = todo.pop()
+        for group in _linked(values, dist):
+            m = len(group)
+            mu = sum(group) / m
+            if abs(mu) <= zero:
+                mu = 0j
+            index = m if m == 1 or dist <= tol else _index(a - mu * np.eye(n), m)
+            if index:
+                out.append((mu, m, index))
+            else:
+                todo.append((group, max(dist / 10, tol)))
+    return sorted(out, key=lambda t: (t[0].real, t[0].imag))
 
 
-def _synthetic_div(coeffs: list[complex], r: complex) -> tuple[list[complex], complex]:
-    """Divide by (X - r); returns (quotient coeffs ascending, remainder)."""
-    out = [0j] * (len(coeffs) - 1)
-    acc = 0j
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[i] + acc * r
-        out[i - 1] = acc
-    rem = coeffs[0] + acc * r
-    return out, rem
+def _index(b, m: int) -> int | None:
+    """Least k <= m at which the m smallest singular values of the numpy
+    array b^k are at most _RANK_SLACK * n * eps * ||b||_2^k, or None."""
+    import numpy as np
 
-
-def _factor_complex(p: Poly, tol: float) -> FactoredPoly:
-    coeffs = [complex(c) for c in p.coeffs]
-    zero_mult = 0
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        coeffs.pop(0)
-        zero_mult += 1
-    work = Poly(CC, coeffs)
-    roots: list[tuple[complex, int]] = []
-    if zero_mult:
-        roots.append((0j, zero_mult))
-    if work.degree >= 1:
-        sf = _numeric_squarefree(work, tol)
-        raw = durand_kerner(sf)
-        reps = cluster_complex(raw, tol=tol)
-        quotient = list(work.coeffs)
-        for rep, _ in reps:
-            # a few Newton polishing steps on the squarefree part
-            z = rep
-            dsf = sf.derivative()
-            for _ in range(4):
-                dv = dsf.evaluate(z)
-                if dv == 0:
-                    break
-                z = z - sf.evaluate(z) / dv
-            mult = 0
-            while len(quotient) > 1:
-                bound = sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(quotient))
-                q2, rem = _synthetic_div(quotient, z)
-                if abs(rem) <= tol * max(1.0, bound):
-                    quotient = q2
-                    mult += 1
-                else:
-                    break
-            if mult:
-                roots.append((z, mult))
-        work = Poly(CC, quotient).monic() if len(quotient) > 1 else Poly.one(CC)
-    else:
-        work = Poly.one(CC)
-    roots.sort(key=lambda t: CC.sort_key(t[0]))
-    return FactoredPoly(tuple(roots), work)
+    norm = np.linalg.norm(b, 2)
+    if not norm:
+        return 1
+    b = b / norm
+    floor = _RANK_SLACK * len(b) * np.finfo(float).eps
+    power = b
+    for k in range(1, m + 1):
+        if np.linalg.svd(power, compute_uv=False)[-m] <= floor:
+            return k
+        power = power @ b
+    return None
 
 
 def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
@@ -881,35 +833,47 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
     whole polynomial, keeping a root whose multiplicity is a multiple of p.
     Over Q, Hensel lifting from one prime finds those of the squarefree
     part. Both confirm each root and take its multiplicity by repeated
-    division; what has no root in the field stays in the remainder. Over C:
-    Durand-Kerner on the squarefree part, root clustering at relative
-    tolerance tol, then multiplicity recovery by repeated deflation.
+    division; what has no root in the field stays in the remainder. Over C
+    the exactly zero low coefficients give the root 0, and the roots of the
+    rest are the eigenvalues of its companion matrix, as numpy.roots takes
+    them, grouped by `_spectrum` at relative tolerance tol; the remainder is
+    always 1.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     f = p.field
     if not f.exact:
-        lead = p.lead
-        if abs(lead - 1) > 1e-9 * max(1.0, max(abs(c) for c in p.coeffs)):
+        if abs(p.lead - 1) > 1e-9 * max(1.0, max(abs(c) for c in p.coeffs)):
             raise NonMonic("complex factorisation expects a monic polynomial")
-        return _factor_complex(p.monic() if lead != 1 else p, tol)
-    if not p.is_monic:
+        p = p.monic()
+    elif not p.is_monic:
         raise NonMonic("factorisation expects a monic polynomial")
 
     zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
     work = Poly(f, p.coeffs[zeros:])
-    roots = [(f.zero, zeros)] if zeros else []
-    candidates = (_cz_roots([c.res for c in work.coeffs], f.char) if f.char
-                  else _hensel_roots(work))
-    for r in map(f.coerce, candidates):
-        lin = Poly(f, (-r, 1))
-        mult = 0
-        q, rem = divmod(work, lin)
-        while rem.is_zero:
-            work, mult = q, mult + 1
+    if not f.exact:
+        cs = work.coeffs
+        rows = [[float(j == i - 1) for j in range(len(cs) - 2)] + [-c]
+                for i, c in enumerate(cs[:-1])]
+        # a root of the rest within tol of 0 joins the stripped zeros
+        found = {f.zero: zeros}
+        for mu, m, _ in _spectrum(rows, tol) if rows else ():
+            found[mu] = found.get(mu, 0) + m
+        roots = [(mu, m) for mu, m in found.items() if m]
+        work = Poly.one(f)
+    else:
+        roots = [(f.zero, zeros)] if zeros else []
+        candidates = (_cz_roots([c.res for c in work.coeffs], f.char) if f.char
+                      else _hensel_roots(work))
+        for r in map(f.coerce, candidates):
+            lin = Poly(f, (-r, 1))
+            mult = 0
             q, rem = divmod(work, lin)
-        if mult:
-            roots.append((r, mult))
+            while rem.is_zero:
+                work, mult = q, mult + 1
+                q, rem = divmod(work, lin)
+            if mult:
+                roots.append((r, mult))
     roots.sort(key=lambda t: f.sort_key(t[0]))
     return FactoredPoly(tuple(roots), work)
 

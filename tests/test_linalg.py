@@ -37,6 +37,7 @@ from pcanon.linalg import (
     spectral_data,
     spectral_projections,
 )
+from pcanon.pcf import pcf_build, pcf_eval
 from pcanon.scalar import CC, GF, QQ, Poly, series_inverse
 
 # -- strategies ---------------------------------------------------------------
@@ -438,6 +439,71 @@ def test_numeric_nilpotent_index():
     j = Matrix.jordan_block(QQ, 4, 0).to_field(CC)
     sd = spectral_data(j)
     assert sd.t0 == 4 and not sd.components
+
+
+def test_numeric_near_defective_splits_and_defective_merges():
+    near = spectral_data(Matrix(CC, [[1, 1], [0, 1 + 1e-5]]))
+    assert [c.index for c in near.components] == [1, 1]
+    assert [round(c.value.real, 6) for c in near.components] == [1, 1.00001]
+    defective = spectral_data(Matrix(CC, [[1, 3], [-3, -5]]))
+    [comp] = defective.components
+    assert abs(comp.value + 2) < 1e-8 and comp.index == 2
+    # values within relative distance tol are one eigenvalue at any scale
+    close = spectral_data(Matrix.diagonal(CC, [1e6, 1e6 * (1 + 1e-9)]))
+    assert len(close.components) == 1
+
+
+def _frobenius(m: Matrix) -> float:
+    return math.sqrt(sum(abs(e) ** 2 for row in m.rows for e in row))
+
+
+def test_natural_scale_complex_gaussian_builds():
+    for seed in range(10):
+        rng = random.Random(seed)
+        a = Matrix(CC, [[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                         for _ in range(20)] for _ in range(20)])
+        form = pcf_build(a)
+        want = a
+        for k in range(1, 21):
+            if k in (1, 20):
+                got = pcf_eval(form, k)
+                assert _frobenius(got - want) <= 1e-10 * _frobenius(want), (seed, k)
+            want = want * a
+
+
+_SWEEP_VALUES = (-2, -1, 0, 1, 2, 3)
+
+
+def _sweep_inputs():
+    rng = random.Random(2024)
+    for _ in range(200):
+        yield rational_spectrum_matrix(rng, _SWEEP_VALUES)[0]
+    for _ in range(80):
+        blocks, order = [], 0
+        while order < 2 or (order < 6 and rng.random() < 0.7):
+            size = rng.choice((1, 2, 3))
+            blocks.append((size, Fraction(rng.choice(_SWEEP_VALUES))))
+            order += size
+        yield conjugated_jordan(rng, QQ, blocks)
+
+
+def test_numeric_spectra_match_exact_route():
+    for a in _sweep_inputs():
+        exact = spectral_data(a)
+        numeric = spectral_data(a.to_field(CC))
+        assert numeric.t0 == exact.t0, a
+        assert len(numeric.components) == len(exact.components), a
+        for got, want in zip(numeric.components, exact.components):
+            assert abs(got.value - float(want.value)) < 1e-6, a
+            assert got.index == want.index, a
+
+
+def test_real_spectrum_is_closed_under_conjugation():
+    rng = random.Random(8)
+    a = Matrix(CC, [[rng.gauss(0, 1) for _ in range(8)] for _ in range(8)])
+    values = {c.value for c in spectral_data(a).components}
+    assert any(v.imag for v in values)
+    assert {v.conjugate() for v in values} == values
 
 
 def test_unimodular_builder_has_unit_determinant():

@@ -24,7 +24,6 @@ from pcanon.scalar import (
     Poly,
     _times_powers,
     cluster_complex,
-    durand_kerner,
     format_complex,
     is_prime,
     poly_factor,
@@ -329,9 +328,9 @@ def test_factor_requires_monic_nonzero():
 def test_factor_complex_multiple_roots():
     p = Poly.from_roots(CC, [1.0, 1.0, complex(1, 2)])
     f = poly_factor(p)
-    roots = sorted(f.roots, key=lambda rm: (rm[0].real, rm[0].imag))
     assert f.remainder.degree <= 0
-    (r1, m1), (r2, m2) = roots
+    # the expected roots share a real part, so pair by distance, not order
+    (r1, m1), (r2, m2) = sorted(f.roots, key=lambda rm: abs(rm[0] - 1))
     assert abs(r1 - 1) < 1e-8 and m1 == 2
     assert abs(r2 - complex(1, 2)) < 1e-8 and m2 == 1
 
@@ -342,13 +341,24 @@ def test_factor_complex_zero_root_is_exact():
     rootmap = {complex(r): m for r, m in f.roots}
     assert rootmap[0j] == 2
     assert any(abs(r - 2) < 1e-10 for r in rootmap)
+    # a root within tol of 0 joins the exactly zero ones
+    assert poly_factor(Poly(CC, [0, 0, -1e-12, 1.0])).roots == ((0j, 3),)
 
 
-def test_durand_kerner_distinct_integer_roots():
-    p = Poly.from_roots(CC, [complex(k) for k in range(1, 9)])
-    roots = sorted(durand_kerner(p), key=lambda z: z.real)
-    for k, r in enumerate(roots, start=1):
-        assert abs(r - k) < 1e-6
+def test_factor_complex_integer_and_repeated_roots():
+    cases = [
+        {complex(k): 1 for k in range(1, 9)},
+        {1: 3, 2: 1},
+        {2j: 2, -1: 3, 3: 1},
+    ]
+    for want in cases:
+        p = Poly.from_roots(CC, [r for r, m in want.items() for _ in range(m)])
+        f = poly_factor(p)
+        assert f.remainder == Poly.one(CC)
+        assert len(f.roots) == len(want)
+        for r, m in f.roots:
+            nearest = min(want, key=lambda w: abs(r - w))
+            assert abs(r - nearest) < 1e-6 and m == want[nearest]
 
 
 def test_cluster_complex_merges_near_duplicates():
