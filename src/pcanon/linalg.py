@@ -479,7 +479,8 @@ def _numeric_eigendata(a: Matrix, tol: float):
 def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
     """Minimal polynomial: exact Krylov chains over Q and F_p; over C the
     product of (X - eigenvalue)^index, both read off the computed
-    eigenvalues and the ranks of shifted powers by scalar's `_spectrum`."""
+    eigenvalues and the null-space staircase of A - mu I by scalar's
+    `_spectrum`."""
     if a.field.exact:
         return _minpoly_exact(a)
     return _numeric_eigendata(a, tol)[2]

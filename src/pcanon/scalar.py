@@ -727,14 +727,15 @@ def _hensel_roots(p: Poly):
         yield Fraction(v - m if 2 * v > m else v, lead)
 
 
-def _linked(values: list[complex], dist: float) -> list[list[complex]]:
-    """Groups of values under single linkage at relative distance dist:
-    each group in input order, so that the means of conjugate groups are
-    exact conjugates, and the groups in order of their first member."""
+def _linked(values: list[complex], dist: float, scale: float = 1.0) -> list[list[complex]]:
+    """Groups of values under single linkage, v and w linked when
+    |v - w| <= dist * max(scale, |v|, |w|): each group in input order, so
+    that the means of conjugate groups are exact conjugates, and the groups
+    in order of their first member."""
     label = list(range(len(values)))
     for i, v in enumerate(values):
         for j, w in enumerate(values[:i]):
-            if label[i] != label[j] and abs(v - w) <= dist * max(1.0, abs(v), abs(w)):
+            if label[i] != label[j] and abs(v - w) <= dist * max(scale, abs(v), abs(w)):
                 old, new = label[i], label[j]
                 label = [new if x == old else x for x in label]
     groups: dict[int, list[complex]] = {}
@@ -750,20 +751,20 @@ def cluster_complex(values: list[complex], tol: float = CLUSTER_TOL) -> list[tup
                   key=lambda t: (t[0].real, t[0].imag))
 
 
-#: relative distance at which computed eigenvalues are first linked. A
-#: defective block of size m spreads its computed eigenvalues over about
-#: (eps * condition)^(1/m). The largest |value - mean| / max(1, |mean|) in a
-#: defective group was 7.1e-5 over 728 groups (the benchmark's log-refusal
-#: matrices and rational_spectrum_matrix inputs, 40 seeds each, and Jordan
-#: blocks), and 2.8e-3 on the benchmark's n = 16 Jordan inputs.
+#: distance, relative to max(1, largest entry, |value|), at which computed
+#: eigenvalues are first linked: a defective block of size m spreads them
+#: over about (eps ||A|| condition)^(1/m). Blocks of size 2 to 5 at 1 beside
+#: 1e2 to 1e6 spread over up to 0.066 of |value| but 3.6e-6 of that scale,
+#: the most in 1121 multiple groups (those, and the benchmark's log-refusal,
+#: rational_spectrum_matrix and n = 16 Jordan inputs).
 _LINK_DISTANCE = 1e-2
 
-#: a group of m computed eigenvalues with mean mu is one eigenvalue when the
-#: m smallest singular values of (A - mu I)^k, for some k <= m, are at most
-#: _RANK_SLACK * n * eps * ||A - mu I||_2^k. On those 728 groups the ratio
-#: sigma / (n eps ||A - mu I||^k) at the index k was at most 0.12; for the
-#: two eigenvalues of [[l, 1], [0, l (1 + 1e-5)]], l in [0.8, 1.25], it was
-#: at least 3.6e4 at k = 1 and k = 2.
+#: a staircase step of A - mu I counts a singular value as zero when it is
+#: at most _RANK_SLACK * n * eps * ||A - mu I||_2. In those groups the most
+#: counted was 14.5 n eps ||A - mu I||, the least left 2.0e5. Values 1 and
+#: 1 + d beside 10 to 1e6 gave about d / (2 n eps ||A||), so they stay
+#: apart once d exceeds about 2 * _RANK_SLACK * n * eps * ||A||;
+#: [[l, 1], [0, l (1 + 1e-5)]], l in [0.8, 1.25], gave at least 3.6e4.
 _RANK_SLACK = 100
 
 
@@ -775,13 +776,13 @@ def _spectrum(rows, tol: float) -> list[tuple[complex, int, int]]:
     The computed eigenvalues come from numpy.linalg.eigvals, on the real
     array when every entry is real, so that conjugate pairs come out
     exactly conjugate. One rank rule then decides both which of them are
-    one eigenvalue and its index, the reading of Jordan structure off the
-    ranks of (A - mu I)^k (Golub & Wilkinson, SIAM Rev. 1976). Values
-    linked at relative distance _LINK_DISTANCE form groups; a group of m
-    with mean mu is one eigenvalue if the least k <= m passing the
-    _RANK_SLACK test exists, and that k is its index. A group that fails
-    is linked again at a tenth of the distance. At tol a group is accepted
-    with index m, so values within relative distance tol are always one
+    one eigenvalue and its index. Values linked at _LINK_DISTANCE form
+    groups; a group of m with mean mu is one eigenvalue when the staircase
+    of A - mu I (`_index`) holds m null vectors, and its number of steps
+    is the index. A group that fails is linked again at a tenth of the
+    distance, and last at tol relative to max(1, |value|), where it is
+    accepted, with index m if the staircase fails even at a floor of
+    tol * max(1, |mu|): values within relative distance tol are always one
     eigenvalue.
     """
     import numpy as np
@@ -790,39 +791,50 @@ def _spectrum(rows, tol: float) -> list[tuple[complex, int, int]]:
     if not a.imag.any():
         a = a.real
     n = len(a)
-    zero = tol * max(1.0, float(abs(a).max()))
+    scale = max(1.0, float(abs(a).max()))
+    zero = tol * scale
     values = [0j if abs(v) <= zero else complex(v) for v in np.linalg.eigvals(a)]
     out, todo = [], [(values, max(_LINK_DISTANCE, tol))]
     while todo:
         values, dist = todo.pop()
-        for group in _linked(values, dist):
+        last = dist <= tol
+        for group in _linked(values, dist, 1.0 if last else scale):
             m = len(group)
             mu = sum(group) / m
             if abs(mu) <= zero:
                 mu = 0j
-            index = m if m == 1 or dist <= tol else _index(a - mu * np.eye(n), m)
-            if index:
-                out.append((mu, m, index))
+            least = tol * max(1.0, abs(mu)) if last else 0.0
+            index = 1 if m == 1 else _index(a - mu * np.eye(n), m, least)
+            if index or last:
+                out.append((mu, m, index or m))
             else:
                 todo.append((group, max(dist / 10, tol)))
     return sorted(out, key=lambda t: (t[0].real, t[0].imag))
 
 
-def _index(b, m: int) -> int | None:
-    """Least k <= m at which the m smallest singular values of the numpy
-    array b^k are at most _RANK_SLACK * n * eps * ||b||_2^k, or None."""
+def _index(b, m: int, least: float) -> int | None:
+    """Steps after which the staircase of the numpy array b holds m null
+    vectors, or None if a step finds none first (Kublanovskaya's reading
+    of Jordan structure; Golub & Wilkinson, SIAM Rev. 1976). A step counts
+    the singular values at most max(least, _RANK_SLACK * n * eps * ||b||_2)
+    and compresses b to the right singular vectors of the others; then
+    dim null(b^(k+1)) = dim null(b) + dim null(compression^k). No power of
+    b is formed, so no other eigenvalue's power can swamp a small gap."""
     import numpy as np
 
-    norm = np.linalg.norm(b, 2)
-    if not norm:
-        return 1
-    b = b / norm
-    floor = _RANK_SLACK * len(b) * np.finfo(float).eps
-    power = b
+    _, sigma, vh = np.linalg.svd(b)
+    floor = max(least, _RANK_SLACK * len(b) * np.finfo(float).eps * sigma[0])
+    found = 0
     for k in range(1, m + 1):
-        if np.linalg.svd(power, compute_uv=False)[-m] <= floor:
+        null = int((sigma <= floor).sum())
+        if not null:
+            return None
+        found += null
+        if found >= m:
             return k
-        power = power @ b
+        keep = vh[:len(sigma) - null]
+        b = keep @ b @ keep.conj().T
+        _, sigma, vh = np.linalg.svd(b)
     return None
 
 

@@ -448,9 +448,24 @@ def test_numeric_near_defective_splits_and_defective_merges():
     defective = spectral_data(Matrix(CC, [[1, 3], [-3, -5]]))
     [comp] = defective.components
     assert abs(comp.value + 2) < 1e-8 and comp.index == 2
-    # values within relative distance tol are one eigenvalue at any scale
+    # values within relative distance tol are one eigenvalue at any scale,
+    # and a diagonal matrix has index 1
     close = spectral_data(Matrix.diagonal(CC, [1e6, 1e6 * (1 + 1e-9)]))
-    assert len(close.components) == 1
+    assert [c.index for c in close.components] == [1]
+    # close values beside a much larger one stay apart: powers of A - mu I
+    # would let the large eigenvalue swamp the gap between them
+    for values in ([1, 1.001, 1e4], [1, 1.001, 1.002, 100]):
+        data = spectral_data(Matrix.diagonal(CC, values))
+        assert [c.value for c in data.components] == values
+        assert [c.index for c in data.components] == [1] * len(values)
+    # the computed eigenvalues of J_4(1) beside 10^6 spread over about
+    # 10^-2 of the eigenvalue, but over much less than the matrix's scale
+    for size in (3, 4):
+        for seed in range(6):
+            a = conjugated_jordan(random.Random(seed), CC, [(size, 1), (1, 10 ** 6)])
+            small, large = spectral_data(a).components
+            assert abs(small.value - 1) < 1e-6 and small.index == size, (size, seed)
+            assert abs(large.value - 10 ** 6) < 1e-3 and large.index == 1, (size, seed)
 
 
 def _frobenius(m: Matrix) -> float:
