@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -507,7 +508,12 @@ def run(argv=None) -> int:
     except PcanonError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader closed early: point stdout at devnull so that the
+        # flush at exit does not fail again (the Python docs' SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -25,7 +25,7 @@ from .errors import (
     PcanonError,
 )
 from .linalg import Matrix, companion, kron, minpoly
-from .scalar import CLUSTER_TOL, Field, Poly, _times_powers, poly_factor
+from .scalar import CLUSTER_TOL, Field, Poly, _linked, _times_powers, poly_factor
 from .wedge import WedgeContext, wedge
 
 #: Kronecker orders past this are rejected rather than ground through
@@ -94,23 +94,17 @@ class ProductClassTable:
 
 def _merge_classes(items, f: Field) -> list:
     """(value, exponent) pairs with equal values merged, keeping the larger
-    exponent: exact equality, or relative clustering tolerance on complex
-    doubles, where a class takes the mean of its members."""
+    exponent: exact equality, or over complex doubles single linkage at
+    the clustering tolerance, as cluster_complex groups, where a class
+    takes the mean of its members."""
+    top: dict = {}
+    for value, e in items:
+        if e > top.get(value, 0):
+            top[value] = e
     if f.exact:
-        table: dict = {}
-        for value, e in items:
-            if e > table.get(value, 0):
-                table[value] = e
-        return list(table.items())
-    groups = []
-    while items:
-        v0 = items[0][0]
-        near = [abs(v - v0) <= CLUSTER_TOL * max(1.0, abs(v), abs(v0)) for v, _ in items]
-        members = [m for m, c in zip(items, near) if c]
-        items = [m for m, c in zip(items, near) if not c]
-        groups.append((sum(v for v, _ in members) / len(members),
-                       max(e for _, e in members)))
-    return groups
+        return list(top.items())
+    return [(sum(g) / len(g), max(top.get(v, 0) for v in g))
+            for g in _linked([v for v, _ in items], CLUSTER_TOL)]
 
 
 def product_class_table(specs, ctx: WedgeContext | None = None) -> ProductClassTable:

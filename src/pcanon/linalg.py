@@ -11,9 +11,11 @@ eigenspace.
 Products run on lifted rows: scalar's `_lift` turns entries into plain
 numbers (integers over one common denominator over Q, residues over F_p,
 the entries themselves over C) and `_drop` turns results back; only these
-two know the field, and `Poly` arithmetic uses them too.
-`spectral_projections` builds one power table A^0 ... A^(d-1) per call
-and combines every projection from it.
+two know the field, and `Poly` arithmetic uses them too. `_combine`
+forms weighted sums sum_j W[r][j] M_j of matrices as one such product of
+the weight rows with the flattened matrices: `spectral_projections`
+combines every projection from one power table A^0 ... A^(d-1) with it,
+and every closed-form evaluation in pcf and matfun is one call of it.
 
 Row reduction has two implementations, one per row storage. Rows of field
 elements go through `_row_reduce`, the Gauss-Jordan elimination behind
@@ -252,6 +254,16 @@ def _product(field: Field, xs, ys):
     cols = list(zip(*ys))
     return _drop(field, [[sum(map(mul, r, c)) for c in cols] for r in xs],
                  dx * dy)
+
+
+def _combine(field: Field, n: int, weight_rows, mats) -> list[Matrix]:
+    """sum_j W[r][j] M_j for every row r of the field weights W, as one
+    product of W with the flattened n x n matrices M_j on lifted rows."""
+    if not mats:
+        return [Matrix.zeros(field, n) for _ in weight_rows]
+    table = [[e for row in m.rows for e in row] for m in mats]
+    return [Matrix(field, [flat[i:i + n] for i in range(0, n * n, n)])
+            for flat in _product(field, weight_rows, table)]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -549,9 +561,7 @@ def spectral_projections(a: Matrix, pairs) -> list[Matrix]:
         inv = series_inverse(cofactor.shifted(mu), t).shifted(-mu)
         reduced = (inv * cofactor) % mp
         coeffs.append([reduced.coeff(i) for i in range(d)])
-    table = [[e for row in p.rows for e in row] for p in powers]
-    return [Matrix(f, [flat[i:i + n] for i in range(0, n * n, n)])
-            for flat in _product(f, coeffs, table)]
+    return _combine(f, n, coeffs, powers)
 
 
 def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:

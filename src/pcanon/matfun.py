@@ -7,9 +7,10 @@ e^(lambda t) per eigenvalue, and by (-1)^(i-1) / (i lambda^i) for log A,
 a terminating series added to sum_j z_j pi_j. A branch choice per
 eigenvalue (principal or explicit winding integers) fixes z_j =
 log|lambda_j| + i(Arg lambda_j + 2 pi k_j). Both directions also exist at
-the level of closed forms for the full power sequence. All arithmetic
-here is on complex doubles; exact inputs are converted once at the
-boundary.
+the level of closed forms for the full power sequence. log A, and e^(tA)
+at a given t, is one weighted sum of the chains or the stored matrices
+through linalg's `_combine`. All arithmetic here is on complex doubles;
+exact inputs are converted once at the boundary.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import (
     SingularMatrix,
     ZeroLogClash,
 )
-from .linalg import Matrix, spectral_data
+from .linalg import Matrix, _combine, spectral_data
 from .pcf import (
     Basis,
     PCanonicalForm,
@@ -132,21 +133,22 @@ def expm_closed(a: Matrix, tol: float = 1e-8) -> ClosedFormExp:
                                                  for lam, chain in chains))
 
 
-def _t_sum(order: int, coeffs, t) -> Matrix:
-    """sum_i M_i t^i over the (i, M_i) pairs."""
-    acc = Matrix.zeros(CC, order)
-    for i, m in coeffs:
-        acc = acc + m * t ** i
-    return acc
+def _exp_at(order: int, t, scaled) -> Matrix:
+    """sum of g t^i M_i over every (g, ((i, M_i), ...)) in scaled, as one
+    weighted sum."""
+    weights, mats = [], []
+    for g, coeffs in scaled:
+        weights += [g * t ** i for i, _ in coeffs]
+        mats += [m for _, m in coeffs]
+    return _combine(CC, order, [weights], mats)[0]
 
 
 def closedform_eval(form: ClosedFormExp, t) -> Matrix:
     """Evaluate e^(tA) at a real or complex time."""
     t = complex(t)
-    out = _t_sum(form.order, form.polynomial_part, t)
-    for lam, coeffs in form.exponential_terms:
-        out = out + _t_sum(form.order, coeffs, t) * cmath.exp(lam * t)
-    return out
+    return _exp_at(form.order, t, [(1.0, form.polynomial_part)]
+                   + [(cmath.exp(lam * t), coeffs)
+                      for lam, coeffs in form.exponential_terms])
 
 
 def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
@@ -173,19 +175,15 @@ def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
 def realclosedform_eval(form: RealClosedForm, t: float) -> Matrix:
     """Evaluate a real closed form at real time (entries stay real)."""
     t = float(t)
-    out = _t_sum(form.order, form.polynomial_part, t)
+    scaled = [(1.0, form.polynomial_part)]
     for term in form.terms:
         if isinstance(term, RealExpTerm):
-            w = complex(math.exp(term.value * t))
-            out = out + _t_sum(form.order, term.coeffs, t) * w
+            scaled.append((math.exp(term.value * t), term.coeffs))
         else:
             g = math.exp(term.growth * t)
-            cosf = complex(g * math.cos(term.frequency * t))
-            sinf = complex(g * math.sin(term.frequency * t))
-            spiral = [(i, mc * cosf + ms * sinf)
-                      for (i, mc), (_, ms) in zip(term.cos_coeffs, term.sin_coeffs)]
-            out = out + _t_sum(form.order, spiral, t)
-    return out
+            scaled.append((g * math.cos(term.frequency * t), term.cos_coeffs))
+            scaled.append((g * math.sin(term.frequency * t), term.sin_coeffs))
+    return _exp_at(form.order, t, scaled)
 
 
 def _branch_logs(values, branch: LogBranchSpec, tol: float) -> list[complex]:
@@ -221,16 +219,13 @@ def logm(a: Matrix, branch: LogBranchSpec = LogBranchSpec.principal(),
     if sd.t0 > 0:
         raise SingularMatrix("singular matrices have no logarithm")
     zs = _branch_logs([c.value for c in sd.components], branch, tol)
-    out = Matrix.zeros(CC, a.n)
+    weights, mats = [], []
     _, chains = _chains(a, sd)
     for (lam, chain), z in zip(chains, zs):
-        out = out + chain[0] * z
-        lam_inv = 1.0 / lam
-        factor = 1.0 + 0j
-        for i in range(1, len(chain)):
-            factor = factor * lam_inv
-            out = out + chain[i] * (factor * ((-1) ** (i - 1) / i))
-    return out
+        weights += [z] + [(-1) ** (i - 1) / (i * lam ** i)
+                          for i in range(1, len(chain))]
+        mats += chain
+    return _combine(CC, a.n, [weights], mats)[0]
 
 
 def _log_form(order: int, pairs) -> PCanonicalForm:

@@ -8,7 +8,9 @@ and log A in matfun, are weights times one set of chains, A^i pi_0 and
 (A - lambda I)^i pi, built once by _chains. Two scalar bases are
 supported for the polynomial factor: binomial coefficients binom(k, i)
 (any field) and pure powers k^i (characteristic zero only), with one
-exact Stirling conversion between them. Complex forms of real matrices
+exact Stirling conversion between them. Evaluating a form at k, and
+the Stirling conversion, is one weighted sum of the stored matrices
+through linalg's `_combine`. Complex forms of real matrices
 can be rewritten over the reals with r^k cos(k theta) / r^k sin(k theta)
 spirals by the conjugate-pair merger that e^(tA) shares.
 """
@@ -20,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import CharPositive, NotConjugateSymmetric, PcanonError
-from .linalg import Matrix, SpectralData, spectral_data
+from .linalg import Matrix, SpectralData, _combine, spectral_data
 from .scalar import CC, Field, Poly, _times_powers, stirling_first, stirling_second
 
 
@@ -140,51 +142,37 @@ def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
                           geometric_terms=tuple(geo))
 
 
-def _delta_part(form, field: Field, k: int) -> Matrix:
-    """The finitely supported part of a closed form at k."""
+def _eval_at(form, field: Field, k: int, scaled) -> Matrix:
+    """A closed form at k, as one weighted sum: the nilpotent slot at k
+    plus g binom(k, i) C_i (g k^i C_i in the power basis) for every
+    (g, [C_0, C_1, ...]) in scaled."""
     if k < 0:
         raise ValueError("power index must be nonnegative")
-    out = Matrix.zeros(field, form.order)
-    for i, v in form.nilpotent_terms:
-        if i == k:
-            out = out + v
-    return out
-
-
-def _basis_sum(form, field: Field, coeffs, k: int) -> Matrix:
-    """sum_i C_i binom(k, i), or sum_i C_i k^i in the power basis."""
     basis_factor = _binom_factor if form.basis is Basis.LAMBDA else _power_factor
-    acc = Matrix.zeros(field, form.order)
-    for i, c in enumerate(coeffs):
-        w = basis_factor(field, k, i)
-        if not field.is_zero(w):
-            acc = acc + c * w
-    return acc
+    mats = [v for i, v in form.nilpotent_terms if i == k]
+    weights = [field.one] * len(mats)
+    for g, coeffs in scaled:
+        weights += [g * basis_factor(field, k, i) for i in range(len(coeffs))]
+        mats += coeffs
+    return _combine(field, form.order, [weights], mats)[0]
 
 
 def pcf_eval(form: PCanonicalForm, k: int) -> Matrix:
     """The k-th power of the underlying matrix, evaluated from the form."""
-    f = form.field
-    out = _delta_part(form, f, k)
-    for lam, coeffs in form.geometric_terms:
-        out = out + _basis_sum(form, f, coeffs, k) * lam ** k
-    return out
+    return _eval_at(form, form.field, k,
+                    ((lam ** k, coeffs) for lam, coeffs in form.geometric_terms))
 
 
-def _rebase(coeffs, to_gamma: bool) -> list:
+def _rebase(field: Field, n: int, coeffs, to_gamma: bool) -> list:
     """Stirling change of basis of one coefficient list, untrimmed: the
-    identities of pcf_to_gamma (to_gamma) and pcf_to_lambda."""
-    t = len(coeffs)
-    new = []
-    for m in range(t):
-        acc = Matrix.zeros(coeffs[0].field, coeffs[0].n)
-        for i in range(m, t):
-            w = (Fraction(stirling_first(i, m), math.factorial(i)) if to_gamma
-                 else Fraction(stirling_second(i, m) * math.factorial(m)))
-            if w:
-                acc = acc + coeffs[i] * acc.field.from_fraction(w)
-        new.append(acc)
-    return new
+    identities of pcf_to_gamma (to_gamma) and pcf_to_lambda, with the
+    Stirling weights as the rows of one weighted sum. C_0 carries over,
+    since binom(k, 0) = k^0 = 1."""
+    weights = [[field.from_fraction(
+        Fraction(stirling_first(i, m), math.factorial(i)) if to_gamma
+        else Fraction(stirling_second(i, m) * math.factorial(m)))
+        for i in range(len(coeffs))] for m in range(1, len(coeffs))]
+    return [*coeffs[:1], *_combine(field, n, weights, coeffs)]
 
 
 def _rebase_pcf(form: PCanonicalForm, basis: Basis) -> PCanonicalForm:
@@ -192,7 +180,8 @@ def _rebase_pcf(form: PCanonicalForm, basis: Basis) -> PCanonicalForm:
         raise CharPositive("basis conversion needs characteristic zero")
     if form.basis is basis:
         return form
-    geo = tuple((lam, tuple(_trim(_rebase(coeffs, basis is Basis.GAMMA))))
+    geo = tuple((lam, tuple(_trim(_rebase(form.field, form.order, coeffs,
+                                          basis is Basis.GAMMA))))
                 for lam, coeffs in form.geometric_terms)
     return replace(form, basis=basis, geometric_terms=geo)
 
@@ -297,19 +286,16 @@ def pcf_realify(form: PCanonicalForm, tol: float = 1e-8) -> RealPCF:
 
 def realpcf_eval(form: RealPCF, k: int) -> Matrix:
     """Evaluate a real closed form at integer k (entries stay real)."""
-    out = _delta_part(form, CC, k)
-    for term in form.terms:
-        if isinstance(term, RealTerm):
-            geom = complex(term.value ** k, 0.0)
-            out = out + _basis_sum(form, CC, term.coeffs, k) * geom
-        else:
-            rk = term.modulus ** k
-            cosf = complex(rk * math.cos(k * term.angle), 0.0)
-            sinf = complex(rk * math.sin(k * term.angle), 0.0)
-            spiral = [cc * cosf + sc * sinf
-                      for cc, sc in zip(term.cos_coeffs, term.sin_coeffs)]
-            out = out + _basis_sum(form, CC, spiral, k)
-    return out
+    def scaled():
+        for term in form.terms:
+            if isinstance(term, RealTerm):
+                yield term.value ** k, term.coeffs
+            else:
+                rk = term.modulus ** k
+                yield rk * math.cos(k * term.angle), term.cos_coeffs
+                yield rk * math.sin(k * term.angle), term.sin_coeffs
+
+    return _eval_at(form, CC, k, scaled())
 
 
 def _rebase_real(form: RealPCF, basis: Basis) -> RealPCF:
@@ -317,7 +303,7 @@ def _rebase_real(form: RealPCF, basis: Basis) -> RealPCF:
         return form
 
     def conv(coeffs):
-        return tuple(_rebase(coeffs, basis is Basis.GAMMA))
+        return tuple(_rebase(CC, form.order, coeffs, basis is Basis.GAMMA))
 
     terms = tuple(RealTerm(t.value, conv(t.coeffs)) if isinstance(t, RealTerm)
                   else SpiralTerm(t.modulus, t.angle, conv(t.cos_coeffs),

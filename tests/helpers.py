@@ -260,3 +260,26 @@ def blocks_minpoly_exponents(blocks) -> dict:
     for size, lam in blocks:
         out[lam] = max(out.get(lam, 0), size)
     return out
+
+
+def real_with_spectrum(gen, reals, pairs):
+    """A real numpy matrix Q T Q^T with eigenvalues reals and r e^(+-i theta)
+    for each (r, theta) in pairs: T is block diagonal, with a 2 x 2
+    rotation-scaling block per pair, plus a random part above the blocks,
+    and Q is orthogonal; gen is a numpy Generator."""
+    import numpy as np
+
+    blocks = [np.array([[v]]) for v in reals]
+    blocks += [r * np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+               for r, th in pairs]
+    n = sum(len(b) for b in blocks)
+    t = np.zeros((n, n))
+    owner = []
+    for j, b in enumerate(blocks):
+        at = len(owner)
+        t[at:at + len(b), at:at + len(b)] = b
+        owner += [j] * len(b)
+    above = np.less.outer(owner, owner)
+    t += np.where(above, 0.3 * gen.standard_normal((n, n)), 0.0)
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    return q @ t @ q.T

@@ -302,3 +302,17 @@ def test_import_does_not_load_numpy():
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+
+
+def test_closed_pipe_exits_quietly():
+    # `pcanon ... | grep -q` closes the pipe early; that is not an error
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pcanon.cli", "pcf", SEMICIRCULANT],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

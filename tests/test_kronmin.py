@@ -30,7 +30,7 @@ from pcanon.kronmin import (
     product_class_table,
 )
 from pcanon.linalg import Matrix, companion, kron, minpoly
-from pcanon.scalar import CC, GF, QQ, Poly
+from pcanon.scalar import CC, GF, QQ, Poly, cluster_complex
 from pcanon.wedge import WedgeContext
 
 
@@ -170,6 +170,18 @@ def test_class_table_fold_matches_enumeration(field):
         else:
             assert all(abs(u - v) <= 1e-12 * max(1.0, abs(v))
                        for (u, _), (v, _) in zip(got, want))
+
+
+def test_class_table_links_a_chain_of_near_values():
+    # each value is within the clustering tolerance of the next but not
+    # of the far end: single linkage makes one class, as in cluster_complex
+    values = [1 + 0j, 1 + 0.9e-8, 1 + 1.8e-8]
+    ((mean, _),) = cluster_complex(values)
+    chain = EigSpec(CC, 0, tuple(zip(values, (1, 3, 2))))
+    for specs in ([chain], [chain, EigSpec(CC, 0, ((1 + 0j, 1),))]):
+        ((value, e),) = product_class_table(specs, WedgeContext(0)).entries
+        assert abs(value - mean) <= 1e-15
+        assert e == 3
 
 
 def test_class_table_refuses_empty_input():

@@ -17,6 +17,7 @@ from helpers import (
     max_diff,
     naive_matmul,
     rational_spectrum_matrix,
+    real_with_spectrum,
     unimodular,
 )
 from pcanon.errors import (
@@ -29,6 +30,7 @@ from pcanon.errors import (
 )
 from pcanon.linalg import (
     Matrix,
+    _combine,
     char_poly,
     companion,
     kron,
@@ -525,3 +527,37 @@ def test_unimodular_builder_has_unit_determinant():
     for seed in range(6):
         m = unimodular(random.Random(seed), 4)
         assert _det(m) in (1, -1)
+
+
+def test_combine_matches_termwise_sums():
+    rng = random.Random(3)
+    for field in (QQ, GF(101), CC):
+        def entry():
+            return field.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+        mats = [Matrix(field, [[entry() for _ in range(4)] for _ in range(4)])
+                for _ in range(5)]
+        weights = [[entry() for _ in mats] for _ in range(3)]
+        want = [Matrix.zeros(field, 4) for _ in weights]
+        for r, row in enumerate(weights):
+            for w, m in zip(row, mats):
+                want[r] = want[r] + m * w
+        got = _combine(field, 4, weights, mats)
+        if field.exact:
+            assert got == want
+        else:
+            assert all(max_diff(x, y) <= 1e-12 for x, y in zip(got, want))
+    assert _combine(QQ, 3, [[]], []) == [Matrix.zeros(QQ, 3)]
+
+
+@pytest.mark.xfail(strict=True, reason="projections are combined from the powers "
+                   "A^0 ... A^(d-1), which lose digits when the spectrum lies far "
+                   "from 0 compared with its spread")
+def test_projections_of_an_offset_spectrum_resolve_the_identity():
+    np = pytest.importorskip("numpy")
+    g = real_with_spectrum(np.random.default_rng(31), (-2.0, -0.5, 1.0),
+                           ((1.5, 0.4), (0.8, 1.6), (0.5, 2.8)))
+    # the same matrix unshifted resolves the identity to about 2e-13
+    sd = spectral_data(Matrix(CC, (g + 3 * np.eye(9)).tolist()))
+    total = sum(np.array(c.projection.rows) for c in sd.components)
+    assert np.linalg.norm(total - np.eye(9)) <= 1e-10

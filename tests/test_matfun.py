@@ -11,7 +11,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import spiral_3x3_at
-from helpers import expm_series, max_diff, rational_spectrum_matrix
+from helpers import (
+    conjugated_jordan,
+    expm_series,
+    max_diff,
+    rational_spectrum_matrix,
+    real_with_spectrum,
+)
 from pcanon.errors import (
     NotReal,
     NumericFieldUnsupported,
@@ -396,3 +402,32 @@ def test_real_pcf_log_refuses_negative_real_eigenvalue(negative_pair_2x2):
     rf = pcf_realify(pcf_build(negative_pair_2x2.to_field(CC)))
     with pytest.raises(PrincipalUndefined):
         logm_real_pcf(rf)
+
+
+def test_real_exponential_and_log_match_scipy():
+    np = pytest.importorskip("numpy")
+    sla = pytest.importorskip("scipy.linalg")
+    gen = np.random.default_rng(29)
+    for reals, pairs in (((0.5,), ((1.2, 1.0),)),
+                         ((-1.5, 0.3, 2.0), ((1.0, 1.0), (0.6, 2.5))),
+                         ((-2.0, -0.5, 1.0), ((1.5, 0.4), (0.8, 1.6), (0.5, 2.8)))):
+        g = real_with_spectrum(gen, reals, pairs)
+        form = expm_real(Matrix(CC, g.tolist()))
+        for t in (0.0, 0.5, -1.0, 3.0):
+            want = sla.expm(t * g)
+            got = np.array(realclosedform_eval(form, t).rows)
+            assert not got.imag.any()
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), (reals, t)
+    # spectra off the closed negative real axis, for the principal log
+    for reals, pairs in (((0.5, 2.0), ((1.2, 1.0),)),
+                         ((0.3, 1.0, 2.5), ((1.5, 0.8), (0.7, 2.2))),
+                         ((0.4, 1.1, 3.0), ((1.8, 0.5), (1.0, 1.6), (0.6, 2.6)))):
+        b = real_with_spectrum(gen, reals, pairs)
+        want = sla.logm(b)
+        got = np.array(logm(Matrix(CC, b.tolist())).rows)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), reals
+    # a defective input: Jordan blocks of sizes 3 and 2
+    j = conjugated_jordan(random.Random(5), CC, [(3, 2), (2, 0.5)])
+    want = sla.logm(np.array(j.rows))
+    got = np.array(logm(j).rows)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import spiral_3x3_powers
-from helpers import jordan_assembly, max_diff, rational_spectrum_matrix
+from helpers import (
+    conjugated_jordan,
+    jordan_assembly,
+    max_diff,
+    rational_spectrum_matrix,
+    real_with_spectrum,
+)
 from pcanon.errors import CharPositive, NonSplitField, NotConjugateSymmetric
 from pcanon.linalg import Matrix, minpoly
 from pcanon.pcf import (
@@ -244,3 +250,62 @@ def test_spiral_powers_match_complex_eval(spiral_3x3):
     terms = {lam: cs for lam, cs in form.geometric_terms}
     close = [lam for lam in terms if abs(lam - mu) < 1e-8]
     assert len(close) == 1
+
+
+def _exact_inputs():
+    rng = random.Random(29)
+    for _ in range(12):
+        yield rational_spectrum_matrix(rng, (0, 1, -1, 2, Fraction(1, 2), -3),
+                                       max_order=6)[0]
+    for p in (2, 3, 101):
+        for _ in range(4):
+            blocks = [(rng.randint(1, 3), rng.randrange(p))
+                      for _ in range(rng.randint(1, 3))]
+            yield conjugated_jordan(rng, GF(p), blocks)
+
+
+def test_eval_matches_repeated_products_in_both_bases():
+    # every k below the index of zero, the index itself and a large k
+    for a in _exact_inputs():
+        form = pcf_build(a)
+        forms = [form]
+        if a.field == QQ:
+            gamma = pcf_to_gamma(form)
+            assert pcf_to_lambda(gamma) == form
+            forms.append(gamma)
+        big = 97 if a.field == QQ else 10**12 + 3
+        for k in sorted({0, *range(form.t0 + 1), big}):
+            want = a ** k
+            assert all(pcf_eval(f, k) == want for f in forms), (a, k)
+
+
+def test_negative_power_index_is_refused():
+    form = pcf_build(Matrix(QQ, [[1, 3], [-3, -5]]).to_field(CC))
+    for call, f in ((pcf_eval, form), (realpcf_eval, pcf_realify(form))):
+        with pytest.raises(ValueError):
+            call(f, -1)
+
+
+def test_nilpotent_form_vanishes_from_its_index_on():
+    for field in (QQ, GF(3)):
+        a = conjugated_jordan(random.Random(4), field, [(3, 0), (2, 0), (1, 0)])
+        form = pcf_build(a)
+        assert (form.t0, form.geometric_terms) == (3, ())
+        assert pcf_eval(form, 2) == a ** 2 != Matrix.zeros(field, 6)
+        for k in (3, 4, 50):
+            assert pcf_eval(form, k) == Matrix.zeros(field, 6)
+
+
+def test_real_eval_matches_numpy_powers():
+    np = pytest.importorskip("numpy")
+    gen = np.random.default_rng(17)
+    for reals, pairs in (((0.5,), ((0.9, 1.0),)),
+                         ((-0.8, 0.3, 1.0), ((0.9, 1.0), (0.6, 2.5))),
+                         ((-0.9, -0.4, 0.6), ((1.0, 0.4), (0.8, 1.6), (0.5, 2.8)))):
+        g = real_with_spectrum(gen, reals, pairs)
+        real = pcf_realify(pcf_build(Matrix(CC, g.tolist())))
+        for k in (0, 1, 2, 7, 30):
+            want = np.linalg.matrix_power(g, k)
+            got = np.array(realpcf_eval(real, k).rows)
+            assert not got.imag.any()
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), (reals, k)
