@@ -8,12 +8,15 @@ projections: the unique family of commuting idempotents that resolves
 the identity and block-diagonalises the matrix by generalised
 eigenspace.
 
-Products run on lifted rows: scalar's `_lift` turns entries into plain
-numbers (integers over one common denominator over Q, residues over F_p,
-the entries themselves over C) and `_drop` turns results back; only these
-two know the field, and `Poly` arithmetic uses them too. `_combine`
-forms weighted sums sum_j W[r][j] M_j of matrices as one such product of
-the weight rows with the flattened matrices: `spectral_projections`
+Every matrix product goes through one kernel, `_product`. Over C it is
+one numpy complex matmul, in BLAS. Over Q and F_p it runs on lifted
+rows: scalar's `_lift` turns entries into plain integers (over one
+common denominator over Q, residues over F_p) and `_drop` turns results
+back; only these two know the field, and `Poly` arithmetic uses them
+too. Matrices built from such results, and from sums, differences and
+scalar multiples, skip the constructor's coercion (`Matrix._of`).
+`_combine` forms weighted sums sum_j W[r][j] M_j of matrices as one
+product of the weight rows with the flattened matrices: `spectral_projections`
 combines every projection from one power table A^0 ... A^(d-1) with it,
 and every closed-form evaluation in pcf and matfun is one call of it.
 
@@ -75,6 +78,14 @@ class Matrix:
         self.field = field
         self.n = n
         self.rows = rs
+
+    @classmethod
+    def _of(cls, field: Field, rows) -> "Matrix":
+        """Matrix of rows of field elements the library computed itself:
+        no coercion, no shape check."""
+        m = cls.__new__(cls)
+        m.field, m.n, m.rows = field, len(rows), tuple(map(tuple, rows))
+        return m
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -143,30 +154,28 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check(other)
-        return Matrix(self.field, [[a + b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._of(self.field, [[a + b for a, b in zip(ra, rb)]
+                                       for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check(other)
-        return Matrix(self.field, [[a - b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._of(self.field, [[a - b for a, b in zip(ra, rb)]
+                                       for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-e for e in row] for row in self.rows])
+        return Matrix._of(self.field, [[-e for e in row] for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            return Matrix(self.field,
-                          _product(self.field, self.rows, other.rows))
+            return Matrix._of(self.field,
+                              _product(self.field, self.rows, other.rows))
         c = self.field.coerce(other)
-        return Matrix(self.field, [[c * e for e in row] for row in self.rows])
+        return Matrix._of(self.field, [[c * e for e in row] for row in self.rows])
 
-    def __rmul__(self, other):
-        c = self.field.coerce(other)
-        return Matrix(self.field, [[c * e for e in row] for row in self.rows])
+    __rmul__ = __mul__  # a scalar on the left: fields commute
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 0:
@@ -248,7 +257,15 @@ def _row_reduce(rows, ncols: int, field: Field, eps: float = 0.0):
 
 
 def _product(field: Field, xs, ys):
-    """Product of two rectangular blocks of field rows, on lifted rows."""
+    """Product of two rectangular blocks of field rows: over C one numpy
+    complex matmul (BLAS), over Q and F_p on lifted integer rows."""
+    if not field.exact:
+        import numpy as np
+
+        k = len(ys)
+        return (np.array(xs, dtype=complex).reshape(len(xs), k)
+                @ np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0)
+                ).tolist()
     xs, dx = _lift(field, xs)
     ys, dy = _lift(field, ys)
     cols = list(zip(*ys))
@@ -258,11 +275,11 @@ def _product(field: Field, xs, ys):
 
 def _combine(field: Field, n: int, weight_rows, mats) -> list[Matrix]:
     """sum_j W[r][j] M_j for every row r of the field weights W, as one
-    product of W with the flattened n x n matrices M_j on lifted rows."""
+    product of W with the flattened n x n matrices M_j."""
     if not mats:
         return [Matrix.zeros(field, n) for _ in weight_rows]
     table = [[e for row in m.rows for e in row] for m in mats]
-    return [Matrix(field, [flat[i:i + n] for i in range(0, n * n, n)])
+    return [Matrix._of(field, [flat[i:i + n] for i in range(0, n * n, n)])
             for flat in _product(field, weight_rows, table)]
 
 

@@ -45,11 +45,12 @@ def expm_series(a: Matrix, t=1.0, terms: int = 40) -> Matrix:
 
 def naive_matmul(xs, ys):
     """Product of two blocks of rows by the schoolbook triple loop, in
-    whatever number type the entries have."""
+    whatever number type the entries have; an empty ys (inner dimension 0)
+    gives rows of no columns."""
     out = []
     for row in xs:
         out_row = []
-        for j in range(len(ys[0])):
+        for j in range(len(ys[0]) if ys else 0):
             acc = 0
             for k, x in enumerate(row):
                 acc = acc + x * ys[k][j]

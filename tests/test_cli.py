@@ -294,14 +294,27 @@ def test_console_script_installed():
     assert proc.stdout.strip() == "6"
 
 
+EXACT_WORK = """
+from pcanon import GF, QQ, Matrix, Poly, lrs_product_poly, pcf_build, pcf_eval
+for field in (QQ, GF(101)):
+    a = Matrix(field, [[2, 1, 0], [0, 2, 0], [1, 0, 3]])
+    b = a * a
+    assert pcf_eval(pcf_build(b), 9) == b ** 9
+    lrs_product_poly([Poly(field, [-1, -1, 1]), Poly(field, [-2, 1])])
+"""
+
+
 def test_import_does_not_load_numpy():
-    # numpy serves only complex-field ranks, so exact work starts without it
+    # numpy serves only complex-field eigenvalues, ranks and products, so
+    # exact work starts and runs without it
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, pcanon; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+    for work in ("", EXACT_WORK):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, pcanon\n{work}\nprint('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
 
 def test_closed_pipe_exits_quietly():

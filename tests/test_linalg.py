@@ -31,6 +31,7 @@ from pcanon.errors import (
 from pcanon.linalg import (
     Matrix,
     _combine,
+    _product,
     char_poly,
     companion,
     kron,
@@ -39,8 +40,9 @@ from pcanon.linalg import (
     spectral_data,
     spectral_projections,
 )
-from pcanon.pcf import pcf_build, pcf_eval
-from pcanon.scalar import CC, GF, QQ, Poly, series_inverse
+from pcanon.matfun import closedform_eval, expm_closed, logm
+from pcanon.pcf import pcf_build, pcf_eval, pcf_to_gamma
+from pcanon.scalar import CC, GF, QQ, FpElement, Poly, series_inverse
 
 # -- strategies ---------------------------------------------------------------
 
@@ -172,6 +174,61 @@ def test_product_matches_integer_matmul_mod_p(p):
             got = Matrix(GF(p), left) * Matrix(GF(p), ys)
             want = [[x % p for x in row] for row in naive_matmul(left, ys)]
             assert [[e.res for e in row] for row in got.rows] == want
+
+
+def test_complex_product_matches_triple_loop_on_every_shape():
+    rng = random.Random(17)
+
+    def block(r, c):
+        return [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(c)]
+                for _ in range(r)]
+
+    shapes = [(3, 4, 5), (1, 7, 1), (6, 1, 2), (5, 5, 5), (2, 12, 9),
+              (0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]
+    for m, k, c in shapes:
+        xs, ys = block(m, k), block(k, c)
+        got = _product(CC, xs, ys)
+        want = naive_matmul(xs, ys)
+        assert [len(row) for row in got] == [0 if k == 0 else c] * m
+        scale = max((abs(e) for row in want for e in row), default=1.0)
+        assert all(abs(x - y) <= 1e-14 * scale
+                   for rg, rw in zip(got, want) for x, y in zip(rg, rw))
+
+
+def test_complex_matrix_products_match_numpy():
+    np = pytest.importorskip("numpy")
+    gen = np.random.default_rng(5)
+    for n in (1, 4, 13):
+        x, y = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+                for _ in range(2))
+        a, b = Matrix(CC, x.tolist()), Matrix(CC, y.tolist())
+        for got, want in ((a * b, x @ y), (a ** 7, np.linalg.matrix_power(x, 7))):
+            got = np.array(got.rows)
+            assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), CC], ids=str)
+def test_returned_matrices_hold_field_elements(field):
+    # matrices the library computes skip the constructor's coercion, so
+    # every operation must hand back entries of the field's own type
+    kind = {QQ: Fraction, CC: complex}.get(field, FpElement)
+    rng = random.Random(29)
+    a, _ = rational_spectrum_matrix(rng, [-2, 1, 3], max_order=6)
+    a = a.to_field(field)
+    b = Matrix(field, [[rng.randint(-4, 4) for _ in range(a.n)] for _ in range(a.n)])
+    out = [a + b, a - b, -a, a * b, a * 3, 2 * a, a ** 5, a ** 0]
+    sd = spectral_data(a)  # a has no eigenvalue 0
+    out += spectral_projections(a, [(c.value, c.index) for c in sd.components])
+    form = pcf_build(a)
+    out += [pcf_eval(form, k) for k in (0, 1, 6)]
+    if field.char == 0:
+        out += [c for _, cs in pcf_to_gamma(form).geometric_terms for c in cs]
+    if field is CC:
+        out += [closedform_eval(expm_closed(a), t) for t in (0, 0.5, 1j)]
+        out.append(logm(a + Matrix.identity(CC, a.n) * 5))
+    for m in out:
+        assert {type(e) for row in m.rows for e in row} == {kind}
+        assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
 
 
 def test_power_binary_and_identity():
