@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     PcanonError,
     PrincipalUndefined,
+    ProjectionsInaccurate,
     SingularMatrix,
     ZeroLogClash,
     ZeroPolynomial,
@@ -132,5 +133,6 @@ __all__ = [
     "NonMonic", "DegreeZero", "NonSplitField", "HorizonTooSmall",
     "CharPositive", "NotConjugateSymmetric", "OrderTooLarge", "EmptyInput",
     "AnnihilatorMismatch", "InsufficientData", "SingularMatrix",
-    "PrincipalUndefined", "ZeroLogClash", "NotReal", "ParseError",
+    "ProjectionsInaccurate", "PrincipalUndefined", "ZeroLogClash", "NotReal",
+    "ParseError",
 ]

@@ -68,6 +68,11 @@ class SingularMatrix(PcanonError):
     """The matrix is singular where an invertible one is required."""
 
 
+class ProjectionsInaccurate(PcanonError):
+    """Numeric spectral projections fail their own check: they do not sum
+    to the identity, or are not idempotent, to the tolerance asked for."""
+
+
 class PrincipalUndefined(PcanonError):
     """An eigenvalue sits on the closed negative real axis (or at zero)."""
 
@@ -100,6 +105,7 @@ __all__ = [
     "AnnihilatorMismatch",
     "InsufficientData",
     "SingularMatrix",
+    "ProjectionsInaccurate",
     "PrincipalUndefined",
     "ZeroLogClash",
     "NotReal",

@@ -6,7 +6,12 @@ or from scalar's `_spectrum`, which merges numpy's eigenvalues and finds
 their indices by one rank rule (complex doubles), and the spectral
 projections: the unique family of commuting idempotents that resolves
 the identity and block-diagonalises the matrix by generalised
-eigenspace.
+eigenspace. On exact fields they are polynomials in the matrix, from
+partial fractions. Over C they are the oblique projectors onto invariant
+subspaces, built in numpy from the singular vectors and staircases of
+the shifts A - mu I, and checked before they are returned: a resolution
+that misses the identity or idempotence by more than tol raises
+ProjectionsInaccurate.
 
 Every matrix product goes through one kernel, `_product`. Over C it is
 one numpy complex matmul, in BLAS. Over Q and F_p it runs on lifted
@@ -16,9 +21,10 @@ back; only these two know the field, and `Poly` arithmetic uses them
 too. Matrices built from such results, and from sums, differences and
 scalar multiples, skip the constructor's coercion (`Matrix._of`).
 `_combine` forms weighted sums sum_j W[r][j] M_j of matrices as one
-product of the weight rows with the flattened matrices: `spectral_projections`
-combines every projection from one power table A^0 ... A^(d-1) with it,
-and every closed-form evaluation in pcf and matfun is one call of it.
+product of the weight rows with the flattened matrices: over Q and F_p
+`spectral_projections` combines every projection from one power table
+A^0 ... A^(d-1) with it, and every closed-form evaluation in pcf and
+matfun is one call of it.
 
 Row reduction has two implementations, one per row storage. Rows of field
 elements go through `_row_reduce`, the Gauss-Jordan elimination behind
@@ -43,6 +49,7 @@ from .errors import (
     MixedFields,
     NonMonic,
     NonSplitField,
+    ProjectionsInaccurate,
     SingularMatrix,
 )
 from .scalar import (
@@ -56,6 +63,7 @@ from .scalar import (
     _drop,
     _lift,
     _spectrum,
+    _staircase,
     _times_powers,
     poly_factor,
     poly_lcm,
@@ -497,11 +505,18 @@ def _minpoly_exact(a: Matrix) -> Poly:
 # numeric spectra: eigenvalues and indices from scalar's `_spectrum`
 # ---------------------------------------------------------------------
 
-def _numeric_eigendata(a: Matrix, tol: float):
-    """(t0, [(eigenvalue, index), ...], minimal polynomial) over C."""
-    spectrum = _spectrum(a.rows, tol)
-    t0 = next((t for mu, _, t in spectrum if not mu), 0)
-    nz = [(mu, t) for mu, _, t in spectrum if mu]
+def _numeric_spectrum(a: Matrix, tol: float):
+    """(complex numpy array of A, scalar's `_spectrum` of it)."""
+    import numpy as np
+
+    arr = np.array(a.rows, dtype=complex)
+    return arr, _spectrum(arr, tol)
+
+
+def _eigendata(spectrum):
+    """(t0, [(eigenvalue, index), ...], minimal polynomial) of a spectrum."""
+    t0 = next((t for mu, _, t, _ in spectrum if not mu), 0)
+    nz = [(mu, t) for mu, _, t, _ in spectrum if mu]
     return t0, nz, _times_powers(Poly.x(CC) ** t0, nz)
 
 
@@ -512,7 +527,7 @@ def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
     `_spectrum`."""
     if a.field.exact:
         return _minpoly_exact(a)
-    return _numeric_eigendata(a, tol)[2]
+    return _eigendata(_numeric_spectrum(a, tol)[1])[2]
 
 
 # ---------------------------------------------------------------------
@@ -554,18 +569,35 @@ class SpectralData:
         return out
 
 
-def spectral_projections(a: Matrix, pairs) -> list[Matrix]:
+def spectral_projections(a: Matrix, pairs, tol: float = 1e-8) -> list[Matrix]:
     """Projections onto generalised eigenspaces, one per (eigenvalue,
     exponent) pair; the pairs must cover the minimal polynomial exactly.
 
-    Each projection is a polynomial in the matrix, produced by partial
-    fractions: invert the complementary factor as a power series around
-    the eigenvalue, truncate at the exponent, and reduce modulo the
-    minimal polynomial. The powers A^0 ... A^(d-1) are computed once and
-    every projection is combined from them, the last one included:
-    taking it as I minus the others loses accuracy over C.
+    Over Q and F_p each projection is a polynomial in the matrix, produced
+    by partial fractions: invert the complementary factor as a power
+    series around the eigenvalue, truncate at the exponent, and reduce
+    modulo the minimal polynomial. The powers A^0 ... A^(d-1) are computed
+    once and every projection is combined from them, the last one
+    included.
+
+    Over C each is the oblique projector onto an invariant subspace
+    (`_projectors`), whose dimension the staircase of A - mu I finds at
+    its rank floor; the result is checked before it is returned, and
+    ProjectionsInaccurate is raised when it fails at tol.
     """
     f, n = a.field, a.n
+    if not f.exact:
+        import numpy as np
+
+        arr = np.array(a.rows, dtype=complex)
+        groups = []
+        for mu, _ in pairs:
+            mu = complex(mu)
+            counts, basis = _staircase(arr - mu * np.eye(n), n)
+            if not counts:
+                raise ProjectionsInaccurate(f"{mu!r} is not an eigenvalue")
+            groups.append((mu, sum(counts), (counts, basis)))
+        return [Matrix._of(CC, p.tolist()) for p in _projectors(arr, groups, tol)]
     pairs = [(f.coerce(mu), t) for mu, t in pairs]
     mp = _times_powers(Poly.one(f), pairs)
     d = mp.degree
@@ -581,25 +613,93 @@ def spectral_projections(a: Matrix, pairs) -> list[Matrix]:
     return _combine(f, n, coeffs, powers)
 
 
+def _projectors(a, groups, tol: float):
+    """Stacked numpy array of the spectral projections of the complex
+    array a, one per (eigenvalue, size m, staircase or None) group, in
+    order: pi = V (W^H V)^-1 W^H, V and W orthonormal bases of the right
+    and left generalised eigenspaces (Golub & Van Loan, Matrix
+    Computations, sec. 7.6). No polynomial in A is formed.
+
+    A group of m = n is the identity. A group of m = 1 takes v and w as
+    the last right and left singular vectors of A - mu I, from one SVD of
+    all such shifts stacked. A larger group takes V from its staircase
+    (one vector a step when it has none) and W from the staircase of
+    (A - mu I)^H with the same counts. On a real matrix the projection of
+    conj(mu) is the exact conjugate of mu's. Raises ProjectionsInaccurate
+    when ||sum pi - I||_F or the largest ||pi^2 - pi||_F / ||pi||_F
+    exceeds tol.
+    """
+    import numpy as np
+
+    n = len(a)
+    eye = np.eye(n)
+    out = np.empty((len(groups), n, n), dtype=complex)
+    at = {mu: j for j, (mu, _, _) in enumerate(groups)}
+    real = not a.imag.any()
+    mirror = {j: at[mu.conjugate()] for j, (mu, _, _) in enumerate(groups)
+              if real and mu.imag < 0 and mu.conjugate() in at}
+    simple = [j for j, (_, m, _) in enumerate(groups)
+              if m == 1 < n and j not in mirror]
+    if simple:
+        mus = np.array([groups[j][0] for j in simple])
+        u, _, vh = np.linalg.svd(a - mus[:, None, None] * eye)
+        v, w = vh[:, -1, :].conj(), u[:, :, -1].conj()
+        out[simple] = (v[:, :, None] * w[:, None, :]
+                       / (v * w).sum(1)[:, None, None])
+    for j, (mu, m, stairs) in enumerate(groups):
+        if m == n:
+            out[j] = eye
+        elif m > 1 and j not in mirror:
+            b = a - mu * eye
+            counts, v = stairs or _staircase(b, m, counts=[1] * m)
+            w = _staircase(b.conj().T, m, counts=counts)[1].conj().T
+            out[j] = v @ np.linalg.solve(w @ v, w)
+    for j, i in mirror.items():
+        out[j] = out[i].conj()
+    resolution = float(np.linalg.norm(out.sum(0) - eye))
+    idempotence = float(max(np.linalg.norm(out @ out - out, axis=(1, 2))
+                            / np.linalg.norm(out, axis=(1, 2))))
+    if not (resolution <= tol and idempotence <= tol):
+        raise ProjectionsInaccurate(
+            f"spectral projections miss their checks at tol {tol:g}: "
+            f"||sum pi - I|| = {resolution:.3g}, "
+            f"max ||pi^2 - pi|| / ||pi|| = {idempotence:.3g}")
+    return out
+
+
+def _numeric_resolution(a: Matrix, arr, spectrum, tol: float) -> SpectralData:
+    """spectral_data over C from A's array and `_spectrum`."""
+    t0, nz, mp = _eigendata(spectrum)
+    projs = [Matrix._of(CC, p.tolist()) for p in _projectors(
+        arr, [(mu, m, stairs) for mu, m, _, stairs in spectrum], tol)]
+    zero = (next((p for (mu, *_), p in zip(spectrum, projs) if not mu), None)
+            or Matrix._of(CC, [[0j] * a.n for _ in range(a.n)]))
+    comps = tuple(EigenComponent(mu, t, p) for (mu, _, t, _), p
+                  in zip(spectrum, projs) if mu)
+    return SpectralData(field=CC, order=a.n, minimal_polynomial=mp, t0=t0,
+                        zero_projection=zero, components=comps)
+
+
 def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
     """Full spectral resolution; raises NonSplitField when the minimal
-    polynomial has an irreducible factor of degree > 1 over an exact field."""
+    polynomial has an irreducible factor of degree > 1 over an exact field,
+    and ProjectionsInaccurate when the projections over C fail their check
+    at tol."""
     f = a.field
-    if f.exact:
-        mp = _minpoly_exact(a)
-        fact = poly_factor(mp)
-        if fact.remainder.degree > 0:
-            raise NonSplitField(
-                f"minimal polynomial {mp.format()} does not split over {f}")
-        t0 = 0
-        nz = []
-        for root, mult in fact.roots:
-            if f.is_zero(root):
-                t0 = mult
-            else:
-                nz.append((root, mult))
-    else:
-        t0, nz, mp = _numeric_eigendata(a, tol)
+    if not f.exact:
+        return _numeric_resolution(a, *_numeric_spectrum(a, tol), tol)
+    mp = _minpoly_exact(a)
+    fact = poly_factor(mp)
+    if fact.remainder.degree > 0:
+        raise NonSplitField(
+            f"minimal polynomial {mp.format()} does not split over {f}")
+    t0 = 0
+    nz = []
+    for root, mult in fact.roots:
+        if f.is_zero(root):
+            t0 = mult
+        else:
+            nz.append((root, mult))
     pairs = ([(f.zero, t0)] if t0 else []) + nz
     projs = spectral_projections(a, pairs)
     if t0:

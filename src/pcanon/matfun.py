@@ -27,7 +27,13 @@ from .errors import (
     SingularMatrix,
     ZeroLogClash,
 )
-from .linalg import Matrix, _combine, spectral_data
+from .linalg import (
+    Matrix,
+    _combine,
+    _numeric_resolution,
+    _numeric_spectrum,
+    spectral_data,
+)
 from .pcf import (
     Basis,
     PCanonicalForm,
@@ -215,12 +221,13 @@ def logm(a: Matrix, branch: LogBranchSpec = LogBranchSpec.principal(),
     The eigenvalues of the result are exactly the chosen z_j.
     """
     a = _to_cc(a)
-    sd = spectral_data(a, tol)
-    if sd.t0 > 0:
+    arr, spectrum = _numeric_spectrum(a, tol)
+    # refuse from the eigenvalues alone, before any projection is built
+    if any(not mu for mu, *_ in spectrum):
         raise SingularMatrix("singular matrices have no logarithm")
-    zs = _branch_logs([c.value for c in sd.components], branch, tol)
+    zs = _branch_logs([mu for mu, *_ in spectrum], branch, tol)
     weights, mats = [], []
-    _, chains = _chains(a, sd)
+    _, chains = _chains(a, _numeric_resolution(a, arr, spectrum, tol))
     for (lam, chain), z in zip(chains, zs):
         weights += [z] + [(-1) ** (i - 1) / (i * lam ** i)
                           for i in range(1, len(chain))]

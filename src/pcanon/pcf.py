@@ -110,11 +110,16 @@ def _chain(step: Matrix, start: Matrix, length: int) -> list:
 def _chains(a: Matrix, sd: SpectralData) -> tuple[list, list]:
     """The chains every closed form is weighted from: A^i pi_0 for i below
     the index of zero, and per nonzero eigenvalue (lambda, [(A - lambda
-    I)^i pi for i below its index])."""
-    ident = Matrix.identity(a.field, a.n)
+    I)^i pi for i below its index]). A - lambda I is formed only for an
+    index above 1."""
+    def chain(c):
+        if c.index == 1:
+            return [c.projection]
+        step = a - Matrix.identity(a.field, a.n) * c.value
+        return _chain(step, c.projection, c.index)
+
     return (_chain(a, sd.zero_projection, sd.t0),
-            [(c.value, _chain(a - ident * c.value, c.projection, c.index))
-             for c in sd.components])
+            [(c.value, chain(c)) for c in sd.components])
 
 
 def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:

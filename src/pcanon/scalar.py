@@ -632,18 +632,15 @@ def _residue_gcd(a: list, b: list, p: int) -> list:
 
 
 def _times_powers(p: Poly, pairs) -> Poly:
-    """p times the product of (X - mu)^e over the (mu, e) pairs. Exact
-    fields multiply by one linear factor at a time on plain integers, bX - a
-    for mu = a/b over Q; over C it is one Poly product per pair."""
+    """p times the product of (X - mu)^e over the (mu, e) pairs, one linear
+    factor bX - a at a time on plain numbers: integers for mu = a/b over Q
+    and residues over F_p, complex doubles with b = 1 over C."""
     f, q = p.field, p.field.char
-    if not f.exact:
-        for mu, e in pairs:
-            p = p * Poly(f, (-mu, 1)) ** e
-        return p
     cs, den = [1], 1
     for mu, e in pairs:
         mu = f.coerce(mu)
-        a, b = (mu.res, 1) if q else (mu.numerator, mu.denominator)
+        a, b = ((mu, 1) if not f.exact else (mu.res, 1) if q
+                else (mu.numerator, mu.denominator))
         den *= b ** e
         for _ in range(e):
             cs = [b * x - a * y for x, y in zip([0] + cs, cs + [0])]
@@ -727,15 +724,18 @@ def _hensel_roots(p: Poly):
         yield Fraction(v - m if 2 * v > m else v, lead)
 
 
-def _linked(values: list[complex], dist: float, scale: float = 1.0) -> list[list[complex]]:
+def _linked(values: list[complex], dist: float, scale: float = 1.0,
+            least: float = 0.0) -> list[list[complex]]:
     """Groups of values under single linkage, v and w linked when
-    |v - w| <= dist * max(scale, |v|, |w|): each group in input order, so
-    that the means of conjugate groups are exact conjugates, and the groups
-    in order of their first member."""
+    |v - w| <= dist * max(scale, |v|, |w|) or least * max(1, |v|, |w|):
+    each group in input order, so that the means of conjugate groups are
+    exact conjugates, and the groups in order of their first member."""
     label = list(range(len(values)))
     for i, v in enumerate(values):
         for j, w in enumerate(values[:i]):
-            if label[i] != label[j] and abs(v - w) <= dist * max(scale, abs(v), abs(w)):
+            big = max(abs(v), abs(w))
+            if label[i] != label[j] and abs(v - w) <= max(
+                    dist * max(scale, big), least * max(1.0, big)):
                 old, new = label[i], label[j]
                 label = [new if x == old else x for x in label]
     groups: dict[int, list[complex]] = {}
@@ -768,74 +768,95 @@ _LINK_DISTANCE = 1e-2
 _RANK_SLACK = 100
 
 
-def _spectrum(rows, tol: float) -> list[tuple[complex, int, int]]:
-    """(eigenvalue, algebraic multiplicity, index) triples of a complex
-    matrix, sorted; eigenvalues of modulus <= tol * max(1, largest entry)
-    are reported as exactly 0.
+def _spectrum(rows, tol: float) -> list[tuple[complex, int, int, tuple | None]]:
+    """(eigenvalue, algebraic multiplicity, index, staircase) of a complex
+    matrix, sorted; staircase is `_staircase`'s (counts, basis) of
+    A - eigenvalue I when a group ran one, else None.
 
     The computed eigenvalues come from numpy.linalg.eigvals, on the real
     array when every entry is real, so that conjugate pairs come out
     exactly conjugate. One rank rule then decides both which of them are
     one eigenvalue and its index. Values linked at _LINK_DISTANCE form
     groups; a group of m with mean mu is one eigenvalue when the staircase
-    of A - mu I (`_index`) holds m null vectors, and its number of steps
-    is the index. A group that fails is linked again at a tenth of the
-    distance, and last at tol relative to max(1, |value|), where it is
-    accepted, with index m if the staircase fails even at a floor of
-    tol * max(1, |mu|): values within relative distance tol are always one
+    of A - mu I holds m null vectors, and its number of steps is the
+    index. A group that 0 would join at the same distance tries mu = 0
+    first, so the eigenvalue 0 is decided by the staircase of A itself,
+    at the same floor as any other; a value is never rounded to 0 by its
+    size. A group that fails is linked again at a tenth of the distance,
+    down to tol / max(1, largest entry), and last at tol relative to
+    max(1, |value|), where it is accepted, with index m if the staircase
+    fails even at a floor of tol * max(1, |mu|). Values within relative
+    distance tol are linked at every distance, so they are always one
     eigenvalue.
     """
     import numpy as np
 
-    a = np.array(rows, dtype=complex)
+    a = np.asarray(rows, dtype=complex)
     if not a.imag.any():
         a = a.real
     n = len(a)
     scale = max(1.0, float(abs(a).max()))
-    zero = tol * scale
-    values = [0j if abs(v) <= zero else complex(v) for v in np.linalg.eigvals(a)]
+    values = [complex(v) for v in np.linalg.eigvals(a)]
     out, todo = [], [(values, max(_LINK_DISTANCE, tol))]
     while todo:
         values, dist = todo.pop()
-        last = dist <= tol
-        for group in _linked(values, dist, 1.0 if last else scale):
+        last = dist <= tol / scale
+        dist, reach = (tol, 1.0) if last else (dist, scale)
+        for group in _linked(values, dist, reach, tol):
             m = len(group)
-            mu = sum(group) / m
-            if abs(mu) <= zero:
-                mu = 0j
-            least = tol * max(1.0, abs(mu)) if last else 0.0
-            index = 1 if m == 1 else _index(a - mu * np.eye(n), m, least)
-            if index or last:
-                out.append((mu, m, index or m))
+            mean = sum(group) / m
+            # 0 would join the group under the same link rule
+            near_zero = min(map(abs, group)) <= max(dist * reach, tol)
+            for mu in (0j, mean) if near_zero else (mean,):
+                if m == 1 and mu:
+                    out.append((mu, 1, 1, None))
+                    break
+                least = tol * max(1.0, abs(mu)) if last else 0.0
+                stairs = _staircase(a - mu * np.eye(n), m, least)
+                if sum(stairs[0]) == m:
+                    out.append((mu, m, len(stairs[0]), stairs))
+                    break
             else:
-                todo.append((group, max(dist / 10, tol)))
+                if last:
+                    out.append((mean, m, m, None))
+                else:
+                    todo.append((group, max(dist / 10, tol / scale)))
     return sorted(out, key=lambda t: (t[0].real, t[0].imag))
 
 
-def _index(b, m: int, least: float) -> int | None:
-    """Steps after which the staircase of the numpy array b holds m null
-    vectors, or None if a step finds none first (Kublanovskaya's reading
-    of Jordan structure; Golub & Wilkinson, SIAM Rev. 1976). A step counts
-    the singular values at most max(least, _RANK_SLACK * n * eps * ||b||_2)
-    and compresses b to the right singular vectors of the others; then
-    dim null(b^(k+1)) = dim null(b) + dim null(compression^k). No power of
-    b is formed, so no other eigenvalue's power can swamp a small gap."""
+def _staircase(b, m: int, least: float = 0.0, counts=None):
+    """Kublanovskaya's staircase of the numpy array b (Golub & Wilkinson,
+    SIAM Rev. 1976): (counts, basis), where step k + 1 found counts[k] null
+    vectors and the orthonormal columns of basis span null(b^len(counts)).
+
+    A step counts the singular values at most max(least, _RANK_SLACK * n *
+    eps * ||b||_2), at most m in all, maps their right singular vectors
+    back through the earlier compressions into the basis, and compresses b
+    to the others; then dim null(b^(k+1)) = dim null(b) + dim
+    null(compression^k). It stops once m are found or when a step finds
+    none. Given counts, step k + 1 takes counts[k] vectors instead: the
+    staircase of b^H following the counts of b's gives the left basis.
+    No power of b is formed, so no other eigenvalue's power can swamp a
+    small gap.
+    """
     import numpy as np
 
     _, sigma, vh = np.linalg.svd(b)
     floor = max(least, _RANK_SLACK * len(b) * np.finfo(float).eps * sigma[0])
-    found = 0
-    for k in range(1, m + 1):
-        null = int((sigma <= floor).sum())
+    taken, cols, back = [], [], None
+    while sum(taken) < m:
+        null = (counts[len(taken)] if counts
+                else min(int((sigma <= floor).sum()), m - sum(taken)))
         if not null:
-            return None
-        found += null
-        if found >= m:
-            return k
-        keep = vh[:len(sigma) - null]
-        b = keep @ b @ keep.conj().T
-        _, sigma, vh = np.linalg.svd(b)
-    return None
+            break
+        keep, vecs = vh[:len(sigma) - null], vh[len(sigma) - null:].conj().T
+        cols.append(vecs if back is None else back @ vecs)
+        taken.append(null)
+        if sum(taken) < m:
+            b = keep @ b @ keep.conj().T
+            back = keep.conj().T if back is None else back @ keep.conj().T
+            _, sigma, vh = np.linalg.svd(b)
+    return taken, (np.hstack(cols) if cols else None)
 
 
 def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
@@ -848,8 +869,8 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
     division; what has no root in the field stays in the remainder. Over C
     the exactly zero low coefficients give the root 0, and the roots of the
     rest are the eigenvalues of its companion matrix, as numpy.roots takes
-    them, grouped by `_spectrum` at relative tolerance tol; the remainder is
-    always 1.
+    them, grouped by `_spectrum` at relative tolerance tol, a root within
+    tol of 0 counting as 0; the remainder is always 1.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -867,9 +888,11 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
         cs = work.coeffs
         rows = [[float(j == i - 1) for j in range(len(cs) - 2)] + [-c]
                 for i, c in enumerate(cs[:-1])]
-        # a root of the rest within tol of 0 joins the stripped zeros
+        # a root of the rest within tol of 0 joins the stripped zeros,
+        # as values within relative distance tol are one eigenvalue
         found = {f.zero: zeros}
-        for mu, m, _ in _spectrum(rows, tol) if rows else ():
+        for mu, m, *_ in _spectrum(rows, tol) if rows else ():
+            mu = f.zero if abs(mu) <= tol else mu
             found[mu] = found.get(mu, 0) + m
         roots = [(mu, m) for mu, m in found.items() if m]
         work = Poly.one(f)

@@ -284,3 +284,13 @@ def real_with_spectrum(gen, reals, pairs):
     t += np.where(above, 0.3 * gen.standard_normal((n, n)), 0.0)
     q, _ = np.linalg.qr(gen.standard_normal((n, n)))
     return q @ t @ q.T
+
+
+def clustered_real(gen):
+    """A real 20 x 20 real_with_spectrum matrix with 8 real eigenvalues and
+    6 conjugate pairs, values and moduli in [0.3, 1.5], angles in [0.2,
+    2.8]: a spread-out spectrum whose smallest gaps are a few hundredths;
+    gen is a numpy Generator."""
+    reals = gen.uniform(0.3, 1.5, 8)
+    pairs = list(zip(gen.uniform(0.3, 1.5, 6), gen.uniform(0.2, 2.8, 6)))
+    return real_with_spectrum(gen, reals, pairs)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     blocks_minpoly_exponents,
+    clustered_real,
     conjugated_jordan,
     jordan_assembly,
     max_diff,
@@ -26,6 +27,8 @@ from pcanon.errors import (
     MixedFields,
     NonMonic,
     NonSplitField,
+    PrincipalUndefined,
+    ProjectionsInaccurate,
     SingularMatrix,
 )
 from pcanon.linalg import (
@@ -607,9 +610,6 @@ def test_combine_matches_termwise_sums():
     assert _combine(QQ, 3, [[]], []) == [Matrix.zeros(QQ, 3)]
 
 
-@pytest.mark.xfail(strict=True, reason="projections are combined from the powers "
-                   "A^0 ... A^(d-1), which lose digits when the spectrum lies far "
-                   "from 0 compared with its spread")
 def test_projections_of_an_offset_spectrum_resolve_the_identity():
     np = pytest.importorskip("numpy")
     g = real_with_spectrum(np.random.default_rng(31), (-2.0, -0.5, 1.0),
@@ -618,3 +618,85 @@ def test_projections_of_an_offset_spectrum_resolve_the_identity():
     sd = spectral_data(Matrix(CC, (g + 3 * np.eye(9)).tolist()))
     total = sum(np.array(c.projection.rows) for c in sd.components)
     assert np.linalg.norm(total - np.eye(9)) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [2033, 2016, 7, 8])
+def test_projections_of_a_clustered_spectrum_resolve_the_identity(seed):
+    # partial fractions on the powers of A lost up to 2.6e-4 here, silently
+    np = pytest.importorskip("numpy")
+    g = clustered_real(np.random.default_rng(seed))
+    try:
+        sd = spectral_data(Matrix(CC, g.tolist()))
+    except ProjectionsInaccurate:
+        return
+    total = sum(np.array(p.rows) for p in sd.all_projections)
+    assert np.linalg.norm(total - np.eye(20)) <= 1e-8
+
+
+def test_defective_projections_come_from_the_staircase():
+    np = pytest.importorskip("numpy")
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((7, 7)))
+    blocks = ((0, 4, 1.0), (4, 2, 2.0), (6, 1, 5.0))  # J_4(1) + J_2(2) + (5)
+    j = np.zeros((7, 7))
+    for at, size, lam in blocks:
+        j[at:at + size, at:at + size] = lam * np.eye(size) + np.eye(size, k=1)
+    sd = spectral_data(Matrix(CC, (q @ j @ q.T).tolist()))
+    assert sd.t0 == 0
+    assert [c.index for c in sd.components] == [4, 2, 1]
+    for (at, size, lam), c in zip(blocks, sd.components):
+        assert abs(c.value - lam) < 1e-3
+        e = np.zeros((7, 7))
+        e[at:at + size, at:at + size] = np.eye(size)
+        assert abs(np.array(c.projection.rows) - q @ e @ q.T).max() <= 1e-10
+
+
+def _large_entry_matrix():
+    """J_3(1) + (10^6) + (-5 10^5) + J_2(3) under a unimodular conjugation
+    whose largest entry is 2.6e8."""
+    blocks = [(3, 1), (1, 10 ** 6), (1, -5 * 10 ** 5), (2, 3)]
+    return conjugated_jordan(random.Random(1575), CC, blocks)
+
+
+def test_large_entries_keep_an_eigenvalue_of_modulus_one():
+    # a threshold of tol times the largest entry (2.6) once turned the
+    # block at 1 into the eigenvalue 0
+    a = _large_entry_matrix()
+    want = Poly.from_roots(CC, [1, 1, 1, 3, 3, 10 ** 6, -5 * 10 ** 5])
+    got = minpoly(a)
+    assert got.degree == 7
+    top = max(abs(c) for c in want.coeffs)
+    assert max(abs(x - y) for x, y in zip(got.coeffs, want.coeffs)) <= 1e-6 * top
+    sd = spectral_data(a, tol=1e-4)
+    assert sd.t0 == 0
+    assert [(round(c.value.real, 4), c.index) for c in sd.components] == [
+        (-5e5, 1), (1, 3), (3, 2), (1e6, 1)]
+
+
+def test_inaccurate_projections_are_refused_by_name():
+    # the eigenvalues of the blocks at 1 and 3 carry errors of about
+    # 1e-7 (machine epsilon times the entries), and so do their
+    # projections: at tol 1e-8 the resolution misses the identity
+    with pytest.raises(ProjectionsInaccurate, match=r"\|\|sum pi - I\|\| = .*"
+                       r"\|\|pi\^2 - pi\|\| / \|\|pi\|\| = "):
+        spectral_data(_large_entry_matrix())
+    with pytest.raises(ProjectionsInaccurate):
+        pcf_build(_large_entry_matrix())
+
+
+def test_log_refuses_from_the_eigenvalues_before_any_projection():
+    # the projections of this matrix fail their check, so only a refusal
+    # taken from the spectrum alone can name the negative eigenvalues
+    with pytest.raises(PrincipalUndefined, match="closed negative real axis"):
+        logm(_large_entry_matrix() * -1)
+
+
+def test_conjugate_projections_of_a_real_matrix_are_exact_conjugates():
+    np = pytest.importorskip("numpy")
+    sd = spectral_data(Matrix(CC, clustered_real(np.random.default_rng(2033)).tolist()))
+    by_value = {c.value: c.projection for c in sd.components}
+    pairs = [c for c in sd.components if c.value.imag > 0]
+    assert len(pairs) == 6
+    for c in pairs:
+        partner = by_value[c.value.conjugate()]
+        assert partner.rows == tuple(tuple(e.conjugate() for e in row)
+                                     for row in c.projection.rows)

@@ -11,13 +11,19 @@ import pytest
 
 from conftest import spiral_3x3_powers
 from helpers import (
+    clustered_real,
     conjugated_jordan,
     jordan_assembly,
     max_diff,
     rational_spectrum_matrix,
     real_with_spectrum,
 )
-from pcanon.errors import CharPositive, NonSplitField, NotConjugateSymmetric
+from pcanon.errors import (
+    CharPositive,
+    NonSplitField,
+    NotConjugateSymmetric,
+    ProjectionsInaccurate,
+)
 from pcanon.linalg import Matrix, minpoly
 from pcanon.pcf import (
     Basis,
@@ -309,3 +315,18 @@ def test_real_eval_matches_numpy_powers():
             got = np.array(realpcf_eval(real, k).rows)
             assert not got.imag.any()
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), (reals, k)
+
+
+@pytest.mark.parametrize("seed", [2033, 2016, 7, 8])
+def test_clustered_real_form_reproduces_the_matrix_or_refuses(seed):
+    # the form at k = 1 once missed A by up to 5.1e-5 here, with no warning
+    np = pytest.importorskip("numpy")
+    g = clustered_real(np.random.default_rng(seed))
+    try:
+        form = pcf_build(Matrix(CC, g.tolist()))
+    except ProjectionsInaccurate:
+        return
+    got = np.array(pcf_eval(form, 1).rows)
+    assert np.linalg.norm(got - g) <= 1e-8 * np.linalg.norm(g)
+    real = np.array(realpcf_eval(pcf_realify(form), 1).rows)
+    assert np.linalg.norm(real - g) <= 1e-8 * np.linalg.norm(g)
