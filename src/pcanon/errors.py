@@ -70,7 +70,9 @@ class SingularMatrix(PcanonError):
 
 class ProjectionsInaccurate(PcanonError):
     """Numeric spectral projections fail their own check: they do not sum
-    to the identity, or are not idempotent, to the tolerance asked for."""
+    to the identity, or are not idempotent, to the tolerance asked for; or
+    the (eigenvalue, index) pairs they were asked for are not the
+    matrix's spectrum."""
 
 
 class PrincipalUndefined(PcanonError):

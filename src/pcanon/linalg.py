@@ -10,8 +10,8 @@ eigenspace. On exact fields they are polynomials in the matrix, from
 partial fractions. Over C they are the oblique projectors onto invariant
 subspaces, built in numpy from the singular vectors and staircases of
 the shifts A - mu I, and checked before they are returned: a resolution
-that misses the identity or idempotence by more than tol raises
-ProjectionsInaccurate.
+that misses the identity or idempotence by more than tol, relative to
+the projections' size, raises ProjectionsInaccurate.
 
 Every matrix product goes through one kernel, `_product`. Over C it is
 one numpy complex matmul, in BLAS. Over Q and F_p it runs on lifted
@@ -54,6 +54,7 @@ from .errors import (
 )
 from .scalar import (
     CC,
+    CLUSTER_TOL,
     GF,
     QQ,
     Field,
@@ -569,7 +570,7 @@ class SpectralData:
         return out
 
 
-def spectral_projections(a: Matrix, pairs, tol: float = 1e-8) -> list[Matrix]:
+def spectral_projections(a: Matrix, pairs) -> list[Matrix]:
     """Projections onto generalised eigenspaces, one per (eigenvalue,
     exponent) pair; the pairs must cover the minimal polynomial exactly.
 
@@ -580,24 +581,32 @@ def spectral_projections(a: Matrix, pairs, tol: float = 1e-8) -> list[Matrix]:
     once and every projection is combined from them, the last one
     included.
 
-    Over C each is the oblique projector onto an invariant subspace
-    (`_projectors`), whose dimension the staircase of A - mu I finds at
-    its rank floor; the result is checked before it is returned, and
-    ProjectionsInaccurate is raised when it fails at tol.
+    Over C the pairs must be the matrix's spectrum as `spectral_data`
+    finds it: each names the eigenvalue its value lies within relative
+    CLUSTER_TOL of, with that eigenvalue's index, and each eigenvalue is
+    named once; otherwise ProjectionsInaccurate is raised. The
+    projections are then `spectral_data`'s, checked in the same way.
     """
     f, n = a.field, a.n
     if not f.exact:
-        import numpy as np
-
-        arr = np.array(a.rows, dtype=complex)
-        groups = []
-        for mu, _ in pairs:
+        arr, spectrum = _numeric_spectrum(a, CLUSTER_TOL)
+        named = []
+        for mu, t in pairs:
             mu = complex(mu)
-            counts, basis = _staircase(arr - mu * np.eye(n), n)
-            if not counts:
-                raise ProjectionsInaccurate(f"{mu!r} is not an eigenvalue")
-            groups.append((mu, sum(counts), (counts, basis)))
-        return [Matrix._of(CC, p.tolist()) for p in _projectors(arr, groups, tol)]
+            j = min(range(len(spectrum)), key=lambda i: abs(spectrum[i][0] - mu))
+            near, _, index, _ = spectrum[j]
+            if (abs(near - mu) > CLUSTER_TOL * max(1.0, abs(near), abs(mu))
+                    or index != t):
+                raise ProjectionsInaccurate(
+                    f"({mu!r}, {t}) is not an (eigenvalue, index) pair of the "
+                    f"matrix; its spectrum is "
+                    f"{[(v, i) for v, _, i, _ in spectrum]}")
+            named.append(j)
+        if sorted(named) != list(range(len(spectrum))):
+            raise ProjectionsInaccurate(
+                "the pairs do not name each eigenvalue of the matrix once")
+        return [Matrix._of(CC, p.tolist()) for p in _projectors(
+            arr, [spectrum[j] for j in named], CLUSTER_TOL)]
     pairs = [(f.coerce(mu), t) for mu, t in pairs]
     mp = _times_powers(Poly.one(f), pairs)
     d = mp.degree
@@ -615,10 +624,11 @@ def spectral_projections(a: Matrix, pairs, tol: float = 1e-8) -> list[Matrix]:
 
 def _projectors(a, groups, tol: float):
     """Stacked numpy array of the spectral projections of the complex
-    array a, one per (eigenvalue, size m, staircase or None) group, in
-    order: pi = V (W^H V)^-1 W^H, V and W orthonormal bases of the right
-    and left generalised eigenspaces (Golub & Van Loan, Matrix
-    Computations, sec. 7.6). No polynomial in A is formed.
+    array a, one per `_spectrum` group (eigenvalue, size m, index,
+    staircase or None), in order: pi = V (W^H V)^-1 W^H, V and W
+    orthonormal bases of the right and left generalised eigenspaces
+    (Golub & Van Loan, Matrix Computations, sec. 7.6). No polynomial in
+    A is formed.
 
     A group of m = n is the identity. A group of m = 1 takes v and w as
     the last right and left singular vectors of A - mu I, from one SVD of
@@ -626,19 +636,20 @@ def _projectors(a, groups, tol: float):
     (one vector a step when it has none) and W from the staircase of
     (A - mu I)^H with the same counts. On a real matrix the projection of
     conj(mu) is the exact conjugate of mu's. Raises ProjectionsInaccurate
-    when ||sum pi - I||_F or the largest ||pi^2 - pi||_F / ||pi||_F
-    exceeds tol.
+    when ||sum pi - I||_F / max ||pi||_F or the largest ||pi^2 - pi||_F /
+    ||pi||_F exceeds tol: both relative to the projections' size, which
+    is what rounding in forming and summing them is proportional to.
     """
     import numpy as np
 
     n = len(a)
     eye = np.eye(n)
     out = np.empty((len(groups), n, n), dtype=complex)
-    at = {mu: j for j, (mu, _, _) in enumerate(groups)}
+    at = {mu: j for j, (mu, *_) in enumerate(groups)}
     real = not a.imag.any()
-    mirror = {j: at[mu.conjugate()] for j, (mu, _, _) in enumerate(groups)
+    mirror = {j: at[mu.conjugate()] for j, (mu, *_) in enumerate(groups)
               if real and mu.imag < 0 and mu.conjugate() in at}
-    simple = [j for j, (_, m, _) in enumerate(groups)
+    simple = [j for j, (_, m, *_) in enumerate(groups)
               if m == 1 < n and j not in mirror]
     if simple:
         mus = np.array([groups[j][0] for j in simple])
@@ -646,7 +657,7 @@ def _projectors(a, groups, tol: float):
         v, w = vh[:, -1, :].conj(), u[:, :, -1].conj()
         out[simple] = (v[:, :, None] * w[:, None, :]
                        / (v * w).sum(1)[:, None, None])
-    for j, (mu, m, stairs) in enumerate(groups):
+    for j, (mu, m, _, stairs) in enumerate(groups):
         if m == n:
             out[j] = eye
         elif m > 1 and j not in mirror:
@@ -656,13 +667,13 @@ def _projectors(a, groups, tol: float):
             out[j] = v @ np.linalg.solve(w @ v, w)
     for j, i in mirror.items():
         out[j] = out[i].conj()
-    resolution = float(np.linalg.norm(out.sum(0) - eye))
-    idempotence = float(max(np.linalg.norm(out @ out - out, axis=(1, 2))
-                            / np.linalg.norm(out, axis=(1, 2))))
+    size = np.linalg.norm(out, axis=(1, 2))
+    resolution = float(np.linalg.norm(out.sum(0) - eye) / size.max())
+    idempotence = float((np.linalg.norm(out @ out - out, axis=(1, 2)) / size).max())
     if not (resolution <= tol and idempotence <= tol):
         raise ProjectionsInaccurate(
             f"spectral projections miss their checks at tol {tol:g}: "
-            f"||sum pi - I|| = {resolution:.3g}, "
+            f"||sum pi - I|| / max ||pi|| = {resolution:.3g}, "
             f"max ||pi^2 - pi|| / ||pi|| = {idempotence:.3g}")
     return out
 
@@ -670,8 +681,7 @@ def _projectors(a, groups, tol: float):
 def _numeric_resolution(a: Matrix, arr, spectrum, tol: float) -> SpectralData:
     """spectral_data over C from A's array and `_spectrum`."""
     t0, nz, mp = _eigendata(spectrum)
-    projs = [Matrix._of(CC, p.tolist()) for p in _projectors(
-        arr, [(mu, m, stairs) for mu, m, _, stairs in spectrum], tol)]
+    projs = [Matrix._of(CC, p.tolist()) for p in _projectors(arr, spectrum, tol)]
     zero = (next((p for (mu, *_), p in zip(spectrum, projs) if not mu), None)
             or Matrix._of(CC, [[0j] * a.n for _ in range(a.n)]))
     comps = tuple(EigenComponent(mu, t, p) for (mu, _, t, _), p

@@ -625,10 +625,7 @@ def test_projections_of_a_clustered_spectrum_resolve_the_identity(seed):
     # partial fractions on the powers of A lost up to 2.6e-4 here, silently
     np = pytest.importorskip("numpy")
     g = clustered_real(np.random.default_rng(seed))
-    try:
-        sd = spectral_data(Matrix(CC, g.tolist()))
-    except ProjectionsInaccurate:
-        return
+    sd = spectral_data(Matrix(CC, g.tolist()))
     total = sum(np.array(p.rows) for p in sd.all_projections)
     assert np.linalg.norm(total - np.eye(20)) <= 1e-8
 
@@ -676,8 +673,8 @@ def test_inaccurate_projections_are_refused_by_name():
     # the eigenvalues of the blocks at 1 and 3 carry errors of about
     # 1e-7 (machine epsilon times the entries), and so do their
     # projections: at tol 1e-8 the resolution misses the identity
-    with pytest.raises(ProjectionsInaccurate, match=r"\|\|sum pi - I\|\| = .*"
-                       r"\|\|pi\^2 - pi\|\| / \|\|pi\|\| = "):
+    with pytest.raises(ProjectionsInaccurate, match=r"\|\|sum pi - I\|\| / max "
+                       r"\|\|pi\|\| = .*\|\|pi\^2 - pi\|\| / \|\|pi\|\| = "):
         spectral_data(_large_entry_matrix())
     with pytest.raises(ProjectionsInaccurate):
         pcf_build(_large_entry_matrix())
@@ -700,3 +697,24 @@ def test_conjugate_projections_of_a_real_matrix_are_exact_conjugates():
         partner = by_value[c.value.conjugate()]
         assert partner.rows == tuple(tuple(e.conjugate() for e in row)
                                      for row in c.projection.rows)
+
+
+def test_spectral_data_pairs_give_back_its_projections():
+    np = pytest.importorskip("numpy")
+    inputs = [Matrix.diagonal(CC, [1e6, 1e6 * (1 + 1e-9)]),  # one merged group
+              Matrix(CC, [[1, 3], [-3, -5]]),
+              Matrix(CC, [[1, 1], [0, 1 + 1e-5]]),
+              Matrix(CC, [[0, 1, 0], [0, 0, 0], [0, 0, 2]]),
+              Matrix(CC, clustered_real(np.random.default_rng(7)).tolist())]
+    inputs += [conjugated_jordan(random.Random(seed), CC, [(3, 1), (1, 10 ** 6)])
+               for seed in range(3)]
+    for a in inputs:
+        sd = spectral_data(a)
+        pairs = ([(0, sd.t0)] if sd.t0 else []) + [(c.value, c.index)
+                                                   for c in sd.components]
+        for got, want in zip(spectral_projections(a, pairs), sd.all_projections):
+            assert np.abs(np.array(got.rows) - np.array(want.rows)).max() <= 1e-12
+    a = Matrix(CC, [[1, 3], [-3, -5]])  # (X + 2)^2
+    for pairs in ([(-2, 1)], [(-2, 2), (1, 1)], [(-2.001, 2)], [(-2, 2), (-2, 2)]):
+        with pytest.raises(ProjectionsInaccurate):
+            spectral_projections(a, pairs)
