@@ -8,10 +8,10 @@ projections: the unique family of commuting idempotents that resolves
 the identity and block-diagonalises the matrix by generalised
 eigenspace. On exact fields they are polynomials in the matrix, from
 partial fractions. Over C they are the oblique projectors onto invariant
-subspaces, built in numpy from the singular vectors and staircases of
-the shifts A - mu I, and checked before they are returned: a resolution
-that misses the identity or idempotence by more than tol, relative to
-the projections' size, raises ProjectionsInaccurate.
+subspaces, built in numpy from the eigenvectors of A and A^T (simple
+eigenvalues) or the staircases of A - mu I, and checked before they are
+returned: a resolution that misses the identity or idempotence by more
+than tol, relative to the projections' size, raises ProjectionsInaccurate.
 
 Every matrix product goes through one kernel, `_product`. Over C it is
 one numpy complex matmul, in BLAS. Over Q and F_p it runs on lifted
@@ -285,7 +285,7 @@ def _product(field: Field, xs, ys):
 def _combine(field: Field, n: int, weight_rows, mats) -> list[Matrix]:
     """sum_j W[r][j] M_j for every row r of the field weights W, as one
     product of W with the flattened n x n matrices M_j."""
-    if not mats:
+    if not (weight_rows and mats):
         return [Matrix.zeros(field, n) for _ in weight_rows]
     table = [[e for row in m.rows for e in row] for m in mats]
     return [Matrix._of(field, [flat[i:i + n] for i in range(0, n * n, n)])
@@ -630,15 +630,16 @@ def _projectors(a, groups, tol: float):
     (Golub & Van Loan, Matrix Computations, sec. 7.6). No polynomial in
     A is formed.
 
-    A group of m = n is the identity. A group of m = 1 takes v and w as
-    the last right and left singular vectors of A - mu I, from one SVD of
-    all such shifts stacked. A larger group takes V from its staircase
-    (one vector a step when it has none) and W from the staircase of
-    (A - mu I)^H with the same counts. On a real matrix the projection of
-    conj(mu) is the exact conjugate of mu's. Raises ProjectionsInaccurate
-    when ||sum pi - I||_F / max ||pi||_F or the largest ||pi^2 - pi||_F /
-    ||pi||_F exceeds tol: both relative to the projections' size, which
-    is what rounding in forming and summing them is proportional to.
+    A group of m = n is the identity. A group of m = 1 takes v and conj(w)
+    from one eig of A and one of A^T: the eigenvectors of the eigenvalue
+    nearest mu, which no other group may share. A larger group takes V
+    from its staircase (one vector a step when it has none) and W from
+    the staircase of (A - mu I)^H with the same counts. On a real matrix
+    the projection of conj(mu) is the exact conjugate of mu's. Raises
+    ProjectionsInaccurate on a shared eigenvalue, or when ||sum pi - I||_F
+    / max ||pi||_F or the largest ||pi^2 - pi||_F / ||pi||_F exceeds tol,
+    both relative to the projections' size, as rounding is; V and W come
+    from independent decompositions, so these are real tests.
     """
     import numpy as np
 
@@ -653,10 +654,15 @@ def _projectors(a, groups, tol: float):
               if m == 1 < n and j not in mirror]
     if simple:
         mus = np.array([groups[j][0] for j in simple])
-        u, _, vh = np.linalg.svd(a - mus[:, None, None] * eye)
-        v, w = vh[:, -1, :].conj(), u[:, :, -1].conj()
-        out[simple] = (v[:, :, None] * w[:, None, :]
-                       / (v * w).sum(1)[:, None, None])
+        picked = []
+        for m in (a, a.T):
+            values, vecs = np.linalg.eig(m.real if real else m)
+            near = abs(values - mus[:, None]).argmin(1)
+            if len(set(near.tolist())) < len(simple):
+                raise ProjectionsInaccurate("two eigenvalues share an eigenvector")
+            picked.append(vecs[:, near].T)
+        v, w = picked
+        out[simple] = v[:, :, None] * w[:, None, :] / (v * w).sum(1)[:, None, None]
     for j, (mu, m, _, stairs) in enumerate(groups):
         if m == n:
             out[j] = eye

@@ -160,14 +160,16 @@ def closedform_eval(form: ClosedFormExp, t) -> Matrix:
 def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
     """Real-arithmetic closed form of e^(tA) for a real matrix: conjugate
     exponential terms merge into growth/oscillation spirals."""
+    import numpy as np
+
     a = _to_cc(a)
-    scale = max(1.0, a.maxnorm())
-    form = expm_closed(_real_matrix(a, 1e-12, scale, NotReal, "source matrix"), tol)
-    poly_part = tuple((i, _real_matrix(m, tol, scale, NotReal, f"t^{i} coefficient"))
-                      for i, m in form.polynomial_part)
-    reals, pairs = _merge_conjugates(
-        [(lam, tuple(m for _, m in coeffs)) for lam, coeffs in form.exponential_terms],
-        tol, scale, NotReal)
+    src = np.array(a.rows, dtype=complex)
+    scale = max(1.0, float(abs(src).max()))
+    form = expm_closed(_real_matrix(src, 1e-12, scale, NotReal, "source matrix"), tol)
+    poly_part, reals, pairs = _merge_conjugates(
+        form.polynomial_part,
+        [(lam, [m for _, m in coeffs]) for lam, coeffs in form.exponential_terms],
+        tol, scale, NotReal, "t^{} coefficient")
     real_terms = sorted((RealExpTerm(v, tuple(enumerate(cs))) for v, cs in reals),
                         key=lambda trm: trm.value)
     spiral_terms = sorted((SpiralExpTerm(mu.real, mu.imag, tuple(enumerate(cos)),

@@ -213,26 +213,42 @@ def pcf_minpoly(form: PCanonicalForm) -> Poly:
                          [(lam, len(coeffs)) for lam, coeffs in form.geometric_terms])
 
 
-def _real_matrix(m: Matrix, tol: float, scale: float, error: type,
+def _real_of(x) -> Matrix:
+    return Matrix._of(CC, x.astype(complex).tolist())
+
+
+def _real_matrix(m, tol: float, scale: float, error: type,
                  what: str = "coefficient") -> Matrix:
-    """Real part of m; raises error when an imaginary part exceeds tol * scale."""
-    worst = max((abs(e.imag) for row in m.rows for e in row), default=0.0)
+    """Real part of array m; raises error when an imaginary part exceeds tol * scale."""
+    worst = float(abs(m.imag).max())
     if worst > tol * scale:
         raise error(f"{what} has imaginary residue {worst:.3g}")
-    return Matrix(CC, [[complex(e.real, 0.0) for e in row] for row in m.rows])
+    return _real_of(m.real)
 
 
-def _merge_conjugates(terms, tol: float, scale: float, error: type):
-    """Split the (eigenvalue, coefficient matrices) terms of a real source.
+def _merge_conjugates(singles, terms, tol: float, scale: float | None, error: type,
+                      what: str = "coefficient"):
+    """Split the matrices of a real source's closed form, each taken to
+    numpy once, at tol * scale (scale None: their largest entry, at least 1).
 
-    Returns the real terms as (value, real coefficients) and the merged
-    conjugate pairs as (mu with Im mu > 0, 2 Re C, -2 Im C), where C are
-    the coefficients of mu and conj(C) those of conj(mu), both in input
-    order. Raises error when the eigenvalues or the coefficients fail to
-    pair up at tol.
+    Returns the (i, matrix) singles as (i, real part), named what.format(i)
+    in a refusal, the real (eigenvalue, matrices) terms as (value, real
+    parts) and the merged conjugate pairs as (mu with Im mu > 0, 2 Re C,
+    -2 Im C), where C are the matrices of mu and conj(C) those of conj(mu),
+    both in input order. Raises error when an imaginary part is too large
+    or the eigenvalues or the matrices fail to pair up.
     """
+    import numpy as np
+
+    stack = np.array([m.rows for _, m in singles]
+                     + [c.rows for _, cs in terms for c in cs], dtype=complex)
+    if scale is None:
+        scale = max(1.0, float(abs(stack).max(initial=0.0)))
+    arrs = iter(stack)
+    singles = tuple((i, _real_matrix(next(arrs), tol, scale, error, what.format(i)))
+                    for i, _ in singles)
     reals, pairs = [], []
-    pending = dict(enumerate(terms))
+    pending = dict(enumerate((lam, [next(arrs) for _ in cs]) for lam, cs in terms))
     while pending:
         lam, coeffs = pending.pop(min(pending))
         lam_scale = max(1.0, abs(lam))
@@ -250,17 +266,13 @@ def _merge_conjugates(terms, tol: float, scale: float, error: type):
         if lam.imag < 0:
             lam, coeffs, mcoeffs = mu, mcoeffs, coeffs
         for c, mc in zip(coeffs, mcoeffs):
-            diff = max(abs(x - y.conjugate())
-                       for rx, ry in zip(c.rows, mc.rows) for x, y in zip(rx, ry))
+            diff = float(abs(c - mc.conj()).max())
             if diff > tol * scale:
                 raise error(f"coefficients of {lam!r} are not conjugate "
                             f"(residue {diff:.3g})")
-        cos = tuple(Matrix(CC, [[complex(2 * e.real, 0.0) for e in row]
-                                for row in c.rows]) for c in coeffs)
-        sin = tuple(Matrix(CC, [[complex(-2 * e.imag, 0.0) for e in row]
-                                for row in c.rows]) for c in coeffs)
-        pairs.append((lam, cos, sin))
-    return reals, pairs
+        pairs.append((lam, tuple(_real_of(2 * c.real) for c in coeffs),
+                      tuple(_real_of(-2 * c.imag) for c in coeffs)))
+    return singles, reals, pairs
 
 
 def pcf_realify(form: PCanonicalForm, tol: float = 1e-8) -> RealPCF:
@@ -274,13 +286,8 @@ def pcf_realify(form: PCanonicalForm, tol: float = 1e-8) -> RealPCF:
     """
     if form.field != CC:
         raise PcanonError("realification applies to complex-double forms")
-    mats = [v for _, v in form.nilpotent_terms]
-    mats += [c for _, coeffs in form.geometric_terms for c in coeffs]
-    scale = max([1.0, *(m.maxnorm() for m in mats)])
-    nil = tuple((i, _real_matrix(v, tol, scale, NotConjugateSymmetric))
-                for i, v in form.nilpotent_terms)
-    reals, pairs = _merge_conjugates(form.geometric_terms, tol, scale,
-                                     NotConjugateSymmetric)
+    nil, reals, pairs = _merge_conjugates(form.nilpotent_terms, form.geometric_terms,
+                                          tol, None, NotConjugateSymmetric)
     real_terms = sorted((RealTerm(v, cs) for v, cs in reals), key=lambda t: t.value)
     spiral_terms = sorted((SpiralTerm(abs(mu), math.atan2(mu.imag, mu.real), cos, sin)
                            for mu, cos, sin in pairs),

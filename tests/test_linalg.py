@@ -35,6 +35,7 @@ from pcanon.linalg import (
     Matrix,
     _combine,
     _product,
+    _projectors,
     char_poly,
     companion,
     kron,
@@ -608,6 +609,7 @@ def test_combine_matches_termwise_sums():
         else:
             assert all(max_diff(x, y) <= 1e-12 for x, y in zip(got, want))
     assert _combine(QQ, 3, [[]], []) == [Matrix.zeros(QQ, 3)]
+    assert _combine(QQ, 3, [], [Matrix.identity(QQ, 3)]) == []
 
 
 def test_projections_of_an_offset_spectrum_resolve_the_identity():
@@ -718,3 +720,62 @@ def test_spectral_data_pairs_give_back_its_projections():
     for pairs in ([(-2, 1)], [(-2, 2), (1, 1)], [(-2.001, 2)], [(-2, 2), (-2, 2)]):
         with pytest.raises(ProjectionsInaccurate):
             spectral_projections(a, pairs)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 24, 32])
+def test_simple_projections_match_the_eigenvector_basis(n):
+    # A = X D X^-1 with distinct D: the projection of d_i is X e_i e_i^H X^-1
+    np = pytest.importorskip("numpy")
+    for seed in range(3):
+        gen = np.random.default_rng([n, seed])
+        x = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        d = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        xi = np.linalg.inv(x)
+        sd = spectral_data(Matrix(CC, (x * d @ xi).tolist()))
+        assert sd.t0 == 0 and len(sd.components) == n
+        for c in sd.components:
+            i = abs(d - c.value).argmin()
+            want = np.outer(x[:, i], xi[i])
+            err = np.linalg.norm(np.array(c.projection.rows) - want)
+            assert err <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", [28, 2016])
+def test_simple_projections_match_a_40_digit_reference(seed):
+    np = pytest.importorskip("numpy")
+    mpmath = pytest.importorskip("mpmath")
+    g = clustered_real(np.random.default_rng(seed))
+    sd = spectral_data(Matrix(CC, g.tolist()))
+    with mpmath.workdps(40):
+        e, el, er = mpmath.eig(mpmath.matrix(g.tolist()), left=True, right=True)
+        ref = [(complex(e[i]), np.array(
+            (er[:, i] * el[i, :] / (el[i, :] * er[:, i])[0]).tolist(), dtype=complex))
+            for i in range(len(g))]
+    assert len(sd.components) == len(g)
+    for c in sd.components:
+        _, want = min(ref, key=lambda r: abs(r[0] - c.value))
+        err = np.linalg.norm(np.array(c.projection.rows) - want)
+        assert err <= 1e-9 * np.linalg.norm(want)
+
+
+def test_simple_groups_nearest_one_eigenvalue_are_refused():
+    np = pytest.importorskip("numpy")
+    groups = [(1 + 0j, 1, 1, None), (1.1 + 0j, 1, 1, None), (3 + 0j, 1, 1, None)]
+    with pytest.raises(ProjectionsInaccurate, match="share an eigenvector"):
+        _projectors(np.diag([1.0, 2.0, 3.0]).astype(complex), groups, 1e-8)
+
+
+def test_triangular_input_resolves_like_the_exact_route():
+    # eig returns the diagonal exactly, and for the transpose in reverse
+    # order: vectors are paired by eigenvalue, not by position
+    np = pytest.importorskip("numpy")
+    t = np.triu(np.random.default_rng(3).integers(-4, 5, (6, 6))).astype(float)
+    np.fill_diagonal(t, [3, -1, 2, 0.5, 5, -2])
+    assert sorted(np.linalg.eigvals(t).real) == sorted(np.diag(t))
+    sd = spectral_data(Matrix(CC, t.tolist()))
+    exact = spectral_data(Matrix(QQ, [[Fraction(e) for e in row] for row in t.tolist()]))
+    assert [c.value for c in sd.components] == [complex(e.value)
+                                                for e in exact.components]
+    for c, e in zip(sd.components, exact.components):
+        want = np.array([[float(v) for v in row] for row in e.projection.rows])
+        assert abs(np.array(c.projection.rows) - want).max() <= 1e-12

@@ -27,6 +27,7 @@ from pcanon.linalg import Matrix, minpoly
 from pcanon.pcf import (
     Basis,
     PCanonicalForm,
+    RealTerm,
     pcf_build,
     pcf_eval,
     pcf_minpoly,
@@ -216,6 +217,32 @@ def test_realify_rejects_pair_with_unconjugate_coefficients():
     bent = PCanonicalForm(CC, 2, Basis.LAMBDA, (), ((lam, (c,)), (mu, (c,))))
     with pytest.raises(NotConjugateSymmetric):
         pcf_realify(bent)
+
+
+def test_realify_holds_the_exact_real_and_imaginary_parts():
+    # entrywise reference: Re C for a real eigenvalue and the nilpotent
+    # part, 2 Re C and -2 Im C for the pair member with Im > 0
+    np = pytest.importorskip("numpy")
+    g = real_with_spectrum(np.random.default_rng(23), (0.0, 0.5, -0.8),
+                           ((0.9, 1.0), (0.6, 2.5)))
+    form = pcf_build(Matrix(CC, g.tolist()))
+    real = pcf_realify(form)
+
+    def part(coeffs, f):
+        return tuple(tuple(tuple(complex(f(e), 0.0) for e in row) for row in c.rows)
+                     for c in coeffs)
+
+    assert form.t0 == 1
+    assert [(i, v.rows) for i, v in real.nilpotent_terms] == [
+        (i, part([v], lambda e: e.real)[0]) for i, v in form.nilpotent_terms]
+    want = {(lam.real, part(cs, lambda e: e.real)) if not lam.imag
+            else (abs(lam), math.atan2(lam.imag, lam.real),
+                  part(cs, lambda e: 2 * e.real), part(cs, lambda e: -2 * e.imag))
+            for lam, cs in form.geometric_terms if lam.imag >= 0}
+    got = {(t.value, tuple(c.rows for c in t.coeffs)) if isinstance(t, RealTerm)
+           else (t.modulus, t.angle, tuple(c.rows for c in t.cos_coeffs),
+                 tuple(c.rows for c in t.sin_coeffs)) for t in real.terms}
+    assert got == want and len(real.terms) == 4
 
 
 def test_real_basis_conversions_roundtrip(spiral_3x3):
