@@ -151,12 +151,8 @@ class Matrix:
         return Matrix(self.field, list(zip(*self.rows)))
 
     def to_field(self, field: Field) -> "Matrix":
-        def conv(e):
-            if isinstance(e, Fraction):
-                return field.from_fraction(e)
-            return field.coerce(e)
-
-        return Matrix(field, [[conv(e) for e in row] for row in self.rows])
+        return Matrix._of(field, [[field.from_fraction(e) if isinstance(e, Fraction)
+                                   else field.coerce(e) for e in row] for row in self.rows])
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -515,10 +511,9 @@ def _numeric_spectrum(a: Matrix, tol: float):
 
 
 def _eigendata(spectrum):
-    """(t0, [(eigenvalue, index), ...], minimal polynomial) of a spectrum."""
+    """(t0, [(eigenvalue, index), ...]) of a spectrum."""
     t0 = next((t for mu, _, t, _ in spectrum if not mu), 0)
-    nz = [(mu, t) for mu, _, t, _ in spectrum if mu]
-    return t0, nz, _times_powers(Poly.x(CC) ** t0, nz)
+    return t0, [(mu, t) for mu, _, t, _ in spectrum if mu]
 
 
 def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
@@ -528,7 +523,8 @@ def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
     `_spectrum`."""
     if a.field.exact:
         return _minpoly_exact(a)
-    return _eigendata(_numeric_spectrum(a, tol)[1])[2]
+    t0, nz = _eigendata(_numeric_spectrum(a, tol)[1])
+    return _times_powers(Poly.x(CC) ** t0, nz)
 
 
 # ---------------------------------------------------------------------
@@ -553,15 +549,21 @@ class SpectralData:
     eigenspace (the zero matrix when t0 == 0), and components lists the
     nonzero eigenvalues in the field's canonical order. The projections
     together with the zero one sum to the identity, are pairwise
-    annihilating idempotents, and commute with the matrix.
+    annihilating idempotents, and commute with the matrix. The minimal
+    polynomial X^t0 * prod (X - value)^index is derived from t0 and the
+    components when it is read.
     """
 
     field: Field
     order: int
-    minimal_polynomial: Poly
     t0: int
     zero_projection: Matrix
     components: tuple[EigenComponent, ...]
+
+    @property
+    def minimal_polynomial(self) -> Poly:
+        return _times_powers(Poly.x(self.field) ** self.t0,
+                             [(c.value, c.index) for c in self.components])
 
     @property
     def all_projections(self) -> list[Matrix]:
@@ -686,14 +688,14 @@ def _projectors(a, groups, tol: float):
 
 def _numeric_resolution(a: Matrix, arr, spectrum, tol: float) -> SpectralData:
     """spectral_data over C from A's array and `_spectrum`."""
-    t0, nz, mp = _eigendata(spectrum)
+    t0 = _eigendata(spectrum)[0]
     projs = [Matrix._of(CC, p.tolist()) for p in _projectors(arr, spectrum, tol)]
     zero = (next((p for (mu, *_), p in zip(spectrum, projs) if not mu), None)
             or Matrix._of(CC, [[0j] * a.n for _ in range(a.n)]))
     comps = tuple(EigenComponent(mu, t, p) for (mu, _, t, _), p
                   in zip(spectrum, projs) if mu)
-    return SpectralData(field=CC, order=a.n, minimal_polynomial=mp, t0=t0,
-                        zero_projection=zero, components=comps)
+    return SpectralData(field=CC, order=a.n, t0=t0, zero_projection=zero,
+                        components=comps)
 
 
 def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
@@ -724,5 +726,5 @@ def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
         zero_proj, rest = Matrix.zeros(f, a.n), projs
     comps = tuple(EigenComponent(mu, t, pi)
                   for (mu, t), pi in zip(nz, rest))
-    return SpectralData(field=f, order=a.n, minimal_polynomial=mp, t0=t0,
-                        zero_projection=zero_proj, components=comps)
+    return SpectralData(field=f, order=a.n, t0=t0, zero_projection=zero_proj,
+                        components=comps)

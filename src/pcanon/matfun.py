@@ -127,7 +127,8 @@ def _to_cc(a: Matrix) -> Matrix:
 
 
 def _exp_weights(chain) -> tuple:
-    return tuple((i, c * complex(1 / math.factorial(i))) for i, c in enumerate(chain))
+    return tuple((i, c * complex(1 / math.factorial(i)) if i else c)
+                 for i, c in enumerate(chain))
 
 
 def expm_closed(a: Matrix, tol: float = 1e-8) -> ClosedFormExp:

@@ -251,11 +251,12 @@ class ComplexField(Field):
         if isinstance(x, (int, float)):
             return complex(x)
         if isinstance(x, Fraction):
-            return complex(float(x))
+            return self.from_fraction(x)
         raise MixedFields(f"cannot place {type(x).__name__} in C")
 
     def from_fraction(self, q: Fraction):
-        return complex(float(q))
+        # int / int is correctly rounded, as float(q) is, without its detour
+        return complex(q.numerator / q.denominator)
 
     def sort_key(self, x: complex):
         return (x.real, x.imag)
@@ -729,18 +730,34 @@ def _linked(values: list[complex], dist: float, scale: float = 1.0,
     """Groups of values under single linkage, v and w linked when
     |v - w| <= dist * max(scale, |v|, |w|) or least * max(1, |v|, |w|):
     each group in input order, so that the means of conjugate groups are
-    exact conjugates, and the groups in order of their first member."""
-    label = list(range(len(values)))
-    for i, v in enumerate(values):
-        for j, w in enumerate(values[:i]):
-            big = max(abs(v), abs(w))
-            if label[i] != label[j] and abs(v - w) <= max(
-                    dist * max(scale, big), least * max(1.0, big)):
-                old, new = label[i], label[j]
-                label = [new if x == old else x for x in label]
+    exact conjugates, and the groups in order of their first member. No
+    link is longer than reach, the rule at the largest modulus, so with the
+    values sorted by real part each is compared only with those whose real
+    part lies within reach above its own; a union-find merges."""
+    re = [v.real for v in values]
+    mods = [abs(v) for v in values]
+    top = max(mods, default=0.0)
+    reach = max(dist * max(scale, top), least * max(1.0, top))
+    order = sorted(range(len(values)), key=re.__getitem__)
+    root = list(range(len(values)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for k, i in enumerate(order):
+        v, r, m = values[i], re[i], mods[i]
+        for j in order[k + 1:]:
+            if re[j] - r > reach:
+                break
+            big = max(m, mods[j])
+            if abs(v - values[j]) <= max(dist * max(scale, big), least * max(1.0, big)):
+                root[find(j)] = find(i)
     groups: dict[int, list[complex]] = {}
-    for x, v in zip(label, values):
-        groups.setdefault(x, []).append(v)
+    for i, v in enumerate(values):
+        groups.setdefault(find(i), []).append(v)
     return list(groups.values())
 
 

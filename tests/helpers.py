@@ -4,10 +4,11 @@ Everything here is deliberately independent of the code under test:
 the exponential oracle is plain scaling-and-squaring on a truncated
 series, the wedge oracle is a direct scan of binomial coefficients, the
 annihilator oracle solves one Hankel system per candidate degree, the
-class-table oracle enumerates every tuple of eigenvalues, the root
-oracles scan every residue mod p or every quotient of divisors over Q,
-and the random matrices are Jordan assemblies conjugated by unimodular
-integer matrices so every expected invariant is known by construction.
+linkage oracle compares every pair of values, the class-table oracle
+enumerates every tuple of eigenvalues, the root oracles scan every
+residue mod p or every quotient of divisors over Q, and the random
+matrices are Jordan assemblies conjugated by unimodular integer
+matrices so every expected invariant is known by construction.
 """
 
 from __future__ import annotations
@@ -67,6 +68,25 @@ def naive_poly_mul(xs, ys) -> list:
         for j, y in enumerate(ys):
             out[i + j] = out[i + j] + x * y
     return out
+
+
+def linked_by_scan(values, dist: float, scale: float = 1.0,
+                   least: float = 0.0) -> list[list[complex]]:
+    """Single-linkage groups by relabelling over every pair, with the link
+    rule of scalar's `_linked`: each group in input order, the groups in
+    order of their first member."""
+    label = list(range(len(values)))
+    for i, v in enumerate(values):
+        for j, w in enumerate(values[:i]):
+            big = max(abs(v), abs(w))
+            if label[i] != label[j] and abs(v - w) <= max(
+                    dist * max(scale, big), least * max(1.0, big)):
+                old, new = label[i], label[j]
+                label = [new if x == old else x for x in label]
+    groups: dict[int, list[complex]] = {}
+    for x, v in zip(label, values):
+        groups.setdefault(x, []).append(v)
+    return list(groups.values())
 
 
 def roots_by_scan(f: Poly, p: int) -> list[int]:

@@ -400,6 +400,23 @@ def test_spectral_data_structure_golden():
                                      * Poly.from_roots(QQ, [2, 2]))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101), CC], ids=str)
+def test_derived_minimal_polynomial_is_minpoly(field):
+    # zero of index 2 beside a simple zero, 2 defective with index 3
+    blocks = [(2, 0), (1, 0), (3, 2), (1, 2), (1, -1)]
+    want = Poly.x(field) ** 2 * Poly.from_roots(field, [2, 2, 2, -1])
+    for seed in range(4):
+        a = conjugated_jordan(random.Random(seed), field, blocks)
+        sd = spectral_data(a)
+        assert sd.minimal_polynomial == minpoly(a)
+        assert sd.t0 == 2 and sorted(c.index for c in sd.components) == [1, 3]
+        if field.exact:
+            assert sd.minimal_polynomial == want
+        else:
+            assert all(abs(x - y) < 1e-8 for x, y in
+                       zip(sd.minimal_polynomial.coeffs, want.coeffs, strict=True))
+
+
 def test_spectral_projections_from_pairs():
     a = Matrix.diagonal(QQ, [1, 2, 2])
     pi1, pi2 = spectral_projections(a, [(Fraction(1), 1), (Fraction(2), 1)])

@@ -25,7 +25,7 @@ from pcanon.errors import (
     PrincipalUndefined,
     SingularMatrix,
 )
-from pcanon.linalg import Matrix, char_poly
+from pcanon.linalg import Matrix, char_poly, spectral_data
 from pcanon.matfun import (
     LogBranchSpec,
     closedform_eval,
@@ -57,6 +57,24 @@ def test_eval_at_zero_is_identity(semicirculant_4x4, mixed_spectrum_4x4):
         e = expm_closed(a)
         assert max_diff(closedform_eval(e, 0.0),
                         Matrix.identity(CC, a.n)) < 1e-14
+
+
+def test_constant_coefficients_are_the_projections():
+    # 0 of index 2, 2 defective, -1 simple; then a dense complex input
+    defective = [conjugated_jordan(random.Random(seed), QQ,
+                                   [(2, 0), (3, 2), (1, -1)]) for seed in (1, 2)]
+    gen = random.Random(7)
+    dense = Matrix(CC, [[complex(gen.gauss(0, 1), gen.gauss(0, 1)) for _ in range(6)]
+                        for _ in range(6)])
+    for a in defective + [dense]:
+        form, sd = expm_closed(a), spectral_data(a.to_field(CC))
+        assert [lam for lam, _ in form.exponential_terms] == [
+            c.value for c in sd.components]
+        for (_, coeffs), c in zip(form.exponential_terms, sd.components):
+            assert coeffs[0] == (0, c.projection)
+        if sd.t0:
+            assert form.polynomial_part[0] == (0, sd.zero_projection)
+        assert max_diff(closedform_eval(form, 0), Matrix.identity(CC, a.n)) < 1e-12
 
 
 def test_semicirculant_exponential_coefficients(semicirculant_4x4):

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import naive_poly_mul, rational_roots_by_divisors, roots_by_scan
+from helpers import (
+    linked_by_scan,
+    naive_poly_mul,
+    rational_roots_by_divisors,
+    roots_by_scan,
+)
 from pcanon.errors import (
     MixedFields,
     NonMonic,
@@ -22,6 +29,7 @@ from pcanon.scalar import (
     QQ,
     FpElement,
     Poly,
+    _linked,
     _times_powers,
     cluster_complex,
     format_complex,
@@ -364,6 +372,52 @@ def test_factor_complex_integer_and_repeated_roots():
 def test_cluster_complex_merges_near_duplicates():
     got = cluster_complex([1 + 0j, 1 + 1e-12j, 5 + 0j])
     assert [(round(z.real), m) for z, m in got] == [(1, 2), (5, 1)]
+
+
+def _linkage_case(rng):
+    """Seeded values and link rule (dist, scale, least) for single linkage:
+    chains of steps around the link distance, some with conjugate pairs,
+    purely imaginary spectra (one real-part window for every pair), and
+    grids whose step is the link distance exactly."""
+    dist = rng.choice([1e-2, 1e-3, 1e-8, 0.3])
+    scale = rng.choice([1.0, 1.0, 7.5, 1e3])
+    least = rng.choice([0.0, 0.0, 1e-8, 1e-3, 0.05])
+    kind = rng.choice(["chains", "chains", "conjugates", "imaginary", "grid"])
+    count = rng.randint(0, 24)
+    radius = rng.choice([1.0, 10.0, 1e4])
+    if kind == "grid":
+        step = dist * scale
+        values = [complex(rng.randint(-4, 4) * step, rng.randint(-1, 1) * step)
+                  for _ in range(count)]
+    else:
+        values = []
+        while len(values) < count:
+            c = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+            if kind == "imaginary":
+                c = complex(0, c.imag)
+            for _ in range(rng.randint(1, 4)):
+                reach = max(dist * max(scale, abs(c)), least * max(1.0, abs(c)))
+                d = reach * rng.uniform(0.5, 1.5)
+                c += 1j * d if kind == "imaginary" else cmath.rect(
+                    d, rng.uniform(0, 2 * math.pi))
+                values.append(c)
+                if kind == "conjugates":
+                    values.append(c.conjugate())
+    rng.shuffle(values)
+    return values, dist, scale, least
+
+
+def test_linked_matches_the_all_pairs_scan():
+    rng = random.Random(20260419)
+    cases = [([], 1e-2, 1.0, 0.0), ([3 + 4j], 1e-2, 1.0, 0.0), ([0j], 1e-8, 7.5, 1e-8)]
+    cases += [_linkage_case(rng) for _ in range(5000)]
+    merged = split = 0
+    for values, dist, scale, least in cases:
+        want = linked_by_scan(values, dist, scale, least)
+        assert _linked(values, dist, scale, least) == want, (values, dist, scale, least)
+        merged += any(len(g) > 1 for g in want)
+        split += len(want) > 1 and any(len(g) > 1 for g in want)
+    assert merged > 4000 and split > 3500
 
 
 # -- Stirling numbers --------------------------------------------------------
