@@ -14,7 +14,6 @@ from .errors import (
     CharPositive,
     DegreeZero,
     EmptyInput,
-    HorizonTooSmall,
     InsufficientData,
     MixedFields,
     NonMonic,
@@ -45,10 +44,8 @@ from .linalg import (
     EigenComponent,
     Matrix,
     SpectralData,
-    char_poly,
     companion,
     kron,
-    matrix_poly,
     minpoly,
     spectral_data,
     spectral_projections,
@@ -92,7 +89,6 @@ from .scalar import (
     Field,
     FpElement,
     Poly,
-    cluster_complex,
     format_complex,
     is_prime,
     poly_factor,
@@ -102,23 +98,23 @@ from .scalar import (
     stirling_first,
     stirling_second,
 )
-from .wedge import WedgeContext, wedge, wedge_fold, wedge_lambda, wedge_oracle_dim
+from .wedge import WedgeContext, wedge, wedge_fold, wedge_lambda
 
 __all__ = [
     # fields and polynomials
     "QQ", "CC", "GF", "Field", "FpElement", "Poly", "FactoredPoly",
     "poly_factor", "poly_gcd", "poly_lcm", "series_inverse",
-    "cluster_complex", "format_complex", "is_prime",
+    "format_complex", "is_prime",
     "stirling_first", "stirling_second",
     # matrices and spectra
-    "Matrix", "kron", "companion", "matrix_poly", "char_poly", "minpoly",
+    "Matrix", "kron", "companion", "minpoly",
     "spectral_data", "spectral_projections", "SpectralData", "EigenComponent",
     # canonical forms
     "Basis", "PCanonicalForm", "RealPCF", "RealTerm", "SpiralTerm",
     "pcf_build", "pcf_eval", "pcf_to_gamma", "pcf_to_lambda", "pcf_minpoly",
     "pcf_realify", "realpcf_eval", "realpcf_to_gamma", "realpcf_to_lambda",
     # wedge dimensions
-    "WedgeContext", "wedge", "wedge_lambda", "wedge_fold", "wedge_oracle_dim",
+    "WedgeContext", "wedge", "wedge_lambda", "wedge_fold",
     # Kronecker products and recurrences
     "EigSpec", "ProductClassTable", "eig_spec_of_poly", "eig_spec_of_matrix",
     "product_class_table", "kron_minpoly_symbolic", "kron_minpoly_direct",
@@ -130,7 +126,7 @@ __all__ = [
     "realclosedform_eval", "logm", "log_pcf", "logm_real_pcf",
     # errors
     "PcanonError", "MixedFields", "NumericFieldUnsupported", "ZeroPolynomial",
-    "NonMonic", "DegreeZero", "NonSplitField", "HorizonTooSmall",
+    "NonMonic", "DegreeZero", "NonSplitField",
     "CharPositive", "NotConjugateSymmetric", "OrderTooLarge", "EmptyInput",
     "AnnihilatorMismatch", "InsufficientData", "SingularMatrix",
     "ProjectionsInaccurate", "PrincipalUndefined", "ZeroLogClash", "NotReal",

@@ -310,13 +310,20 @@ def _emit(args, doc: dict, pretty: str) -> str:
     return json.dumps(doc) if args.json else pretty
 
 
-def _pcf_of(args, m: Matrix) -> PCanonicalForm:
+def _numeric_retry(args, build, *mats):
+    """build(*mats); when the exact spectrum does not split and --numeric
+    is given, build again on the matrices over C (inputs over Q only)."""
     try:
-        return pcf_build(m, args.tol)
+        return build(*mats)
     except NonSplitField:
-        if not (args.numeric and m.field.exact and m.field.char == 0):
+        f = mats[0].field
+        if not (args.numeric and f.exact and f.char == 0):
             raise
-        return pcf_build(m.to_field(CC), args.tol)
+        return build(*(m.to_field(CC) for m in mats))
+
+
+def _pcf_of(args, m: Matrix) -> PCanonicalForm:
+    return _numeric_retry(args, lambda a: pcf_build(a, args.tol), m)
 
 
 def _cmd_pcf(args) -> str:
@@ -358,15 +365,8 @@ def _cmd_logm(args) -> str:
 
 def _cmd_kron_minpoly(args) -> str:
     mats = [parse_matrix(tok, args) for tok in args.inputs]
-    try:
-        specs = [eig_spec_of_matrix(m, args.tol) for m in mats]
-        p = kron_minpoly_symbolic(specs)
-    except NonSplitField:
-        f = mats[0].field
-        if not (args.numeric and f.exact and f.char == 0):
-            raise
-        specs = [eig_spec_of_matrix(m.to_field(CC), args.tol) for m in mats]
-        p = kron_minpoly_symbolic(specs)
+    p = _numeric_retry(args, lambda *ms: kron_minpoly_symbolic(
+        [eig_spec_of_matrix(m, args.tol) for m in ms]), *mats)
     return _emit(args, _poly_doc(p), p.format())
 
 

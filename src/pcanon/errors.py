@@ -36,10 +36,6 @@ class NonSplitField(PcanonError):
     """The minimal polynomial does not factor into linear terms over the field."""
 
 
-class HorizonTooSmall(PcanonError):
-    """Not enough sequence values to decide the dimension being measured."""
-
-
 class CharPositive(PcanonError):
     """The power-basis form only exists in characteristic zero."""
 
@@ -99,7 +95,6 @@ __all__ = [
     "NonMonic",
     "DegreeZero",
     "NonSplitField",
-    "HorizonTooSmall",
     "CharPositive",
     "NotConjugateSymmetric",
     "OrderTooLarge",

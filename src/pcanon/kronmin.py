@@ -1,14 +1,15 @@
 """Minimal polynomials of Kronecker products, computed two ways.
 
 The symbolic route works purely on eigenvalue data: each factor is
-reduced to its spectrum-with-indices, and the nonzero eigenvalues are
-folded in one factor at a time into a table from product value to the
-largest iterated wedge of the indices; each class contributes
-(X - product) raised to that exponent, and a separate rule gives the
-exponent of X from the zero eigenvalues. The direct route builds the
-Kronecker product matrix and takes its minimal polynomial outright; it
-is the oracle the symbolic route is tested against, and the fallback
-when a factor's spectrum does not split over the base field.
+reduced to its spectrum-with-indices (linalg's `_eigendata`), and the
+nonzero eigenvalues are folded in one factor at a time into a table from
+product value to the largest iterated wedge of the indices; each class
+contributes (X - product) raised to that exponent, and a separate rule
+gives the exponent of X from the zero eigenvalues. The direct route
+builds the Kronecker product matrix, up to order DIRECT_ORDER_LIMIT, and
+takes its minimal polynomial outright; it is the oracle the symbolic
+route is tested against, and the fallback when a factor's spectrum does
+not split over the base field.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from .errors import (
     OrderTooLarge,
     PcanonError,
 )
-from .linalg import Matrix, companion, kron, minpoly
-from .scalar import CLUSTER_TOL, Field, Poly, _linked, _times_powers, poly_factor
+from .linalg import Matrix, _eigendata, _split, companion, kron, minpoly
+from .scalar import CLUSTER_TOL, Field, Poly, _linked, _times_powers
 from .wedge import WedgeContext, wedge
 
 #: Kronecker orders past this are rejected rather than ground through
@@ -61,23 +62,16 @@ def eig_spec_of_poly(p: Poly, tol: float = CLUSTER_TOL) -> EigSpec:
         raise NonMonic("eigenvalue spectrum needs a monic polynomial")
     if p.degree < 1:
         raise DegreeZero("eigenvalue spectrum needs degree >= 1")
-    fact = poly_factor(p, tol)
-    if fact.remainder.degree > 0:
-        raise NonSplitField(
-            f"{p.format()} does not split over {p.field}")
-    f = p.field
-    zero = 0
-    nonzero = []
-    for root, mult in fact.roots:
-        if f.is_zero(root):
-            zero = mult
-        else:
-            nonzero.append((root, mult))
-    return EigSpec(field=f, zero_index=zero, nonzero=tuple(nonzero))
+    zero, nonzero = _split(p, tol)
+    return EigSpec(field=p.field, zero_index=zero, nonzero=tuple(nonzero))
 
 
 def eig_spec_of_matrix(a: Matrix, tol: float = CLUSTER_TOL) -> EigSpec:
-    return eig_spec_of_poly(minpoly(a, tol), tol)
+    """Spectrum of a matrix, as `spectral_data` finds it: over Q and F_p
+    from its minimal polynomial, NonSplitField when that does not split;
+    over C from its eigenvalues, with no polynomial formed."""
+    zero, nonzero = _eigendata(a, tol)
+    return EigSpec(field=a.field, zero_index=zero, nonzero=tuple(nonzero))
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,8 @@ class ProductClassTable:
 def _merge_classes(items, f: Field) -> list:
     """(value, exponent) pairs with equal values merged, keeping the larger
     exponent: exact equality, or over complex doubles single linkage at
-    the clustering tolerance, as cluster_complex groups, where a class
-    takes the mean of its members."""
+    the clustering tolerance (scalar's `_linked`), where a class takes the
+    mean of its members."""
     top: dict = {}
     for value, e in items:
         if e > top.get(value, 0):
@@ -177,7 +171,9 @@ def lrs_product_poly(polys, ctx: WedgeContext | None = None) -> Poly:
 
     Uses the symbolic spectrum route when every factor splits over its
     field; otherwise computes the minimal polynomial of the Kronecker
-    product of the companion matrices directly (always available).
+    product of the companion matrices directly, which raises
+    OrderTooLarge when the product of the degrees exceeds
+    DIRECT_ORDER_LIMIT.
     """
     polys = list(polys)
     if not polys:

@@ -1,17 +1,21 @@
 """Square matrices over a scalar field and their spectral structure.
 
-Provides exact matrix arithmetic, a division-free characteristic
-polynomial, minimal polynomials by integer Krylov chains (exact fields)
-or from scalar's `_spectrum`, which merges numpy's eigenvalues and finds
-their indices by one rank rule (complex doubles), and the spectral
-projections: the unique family of commuting idempotents that resolves
-the identity and block-diagonalises the matrix by generalised
-eigenspace. On exact fields they are polynomials in the matrix, from
-partial fractions. Over C they are the oblique projectors onto invariant
-subspaces, built in numpy from the eigenvectors of A and A^T (simple
-eigenvalues) or the staircases of A - mu I, and checked before they are
-returned: a resolution that misses the identity or idempotence by more
-than tol, relative to the projections' size, raises ProjectionsInaccurate.
+Provides exact matrix arithmetic, minimal polynomials by integer Krylov
+chains (exact fields) or from scalar's `_spectrum`, which merges numpy's
+eigenvalues and finds their indices by one rank rule (complex doubles),
+and the spectral projections: the unique family of commuting idempotents
+that resolves the identity and block-diagonalises the matrix by
+generalised eigenspace. On exact fields they are polynomials in the
+matrix, from partial fractions. Over C they are the oblique projectors
+onto invariant subspaces, built in numpy from the eigenvectors of A and
+A^T (simple eigenvalues) or the staircases of A - mu I, and checked
+before they are returned: a resolution that misses the identity or
+idempotence by more than tol, relative to the projections' size, raises
+ProjectionsInaccurate.
+
+One function, `_eigendata`, gives a matrix's spectrum, t0 and the
+(eigenvalue, index) pairs of the nonzero eigenvalues: over Q and F_p the
+minimal polynomial split by `_split`, over C `_spectrum` read directly.
 
 Every matrix product goes through one kernel, `_product`. Over C it is
 one numpy complex matmul, in BLAS. Over Q and F_p it runs on lifted
@@ -29,11 +33,10 @@ matfun is one call of it.
 Row reduction has two implementations, one per row storage. Rows of field
 elements go through `_row_reduce`, the Gauss-Jordan elimination behind
 `Matrix.inverse`. Rows of plain integers, over Q or F_p, go through the
-Krylov echelon `_eliminate`, used by the minimal polynomial and by
-`_rank_int` for the wedge oracle. `_eliminate` stays separate: it is
-fraction-free, carries a tracking polynomial and does no back
-substitution, so folding it into `_row_reduce` would make the shared
-code branch on its caller.
+Krylov echelon `_eliminate` of the minimal polynomial. `_eliminate`
+stays separate: it is fraction-free, carries a tracking polynomial and
+does no back substitution, so folding it into `_row_reduce` would make
+the shared code branch on its caller.
 """
 from __future__ import annotations
 
@@ -60,7 +63,6 @@ from .scalar import (
     Field,
     Poly,
     PrimeField,
-    _convolve,
     _drop,
     _lift,
     _spectrum,
@@ -326,37 +328,6 @@ def companion(p: Poly) -> Matrix:
     return Matrix(f, rows)
 
 
-def matrix_poly(p: Poly, a: Matrix) -> Matrix:
-    """Evaluate a polynomial at a matrix (Horner)."""
-    if p.field != a.field:
-        raise MixedFields(f"polynomial over {p.field}, matrix over {a.field}")
-    acc = Matrix.zeros(a.field, a.n)
-    ident = Matrix.identity(a.field, a.n)
-    for c in reversed(p.coeffs):
-        acc = acc * a + ident * c
-    return acc
-
-
-def char_poly(a: Matrix) -> Poly:
-    """Characteristic polynomial det(X*I - A), monic, by the division-free
-    Samuelson-Berkowitz recursion (exact over any field, no pivoting)."""
-    f, n = a.field, a.n
-    c = [f.one]  # descending coefficients for the leading r x r block
-    for r in range(1, n + 1):
-        corner = a.rows[r - 1][r - 1]
-        rowv = a.rows[r - 1][:r - 1]
-        colv = [a.rows[i][r - 1] for i in range(r - 1)]
-        q = [f.one, -corner]
-        w = colv
-        for k in range(r - 1):
-            q.append(-sum(map(mul, rowv, w), f.zero))
-            if k < r - 2:
-                w = [sum(map(mul, a.rows[i][:r - 1], w), f.zero)
-                     for i in range(r - 1)]
-        c = _convolve(q, c)[:r + 1]
-    return Poly(f, list(reversed(c)))
-
-
 # ---------------------------------------------------------------------
 # minimal polynomial, exact fields: integer Krylov chains
 # ---------------------------------------------------------------------
@@ -417,18 +388,6 @@ def _insert_row(rows: list, entry) -> None:
     piv = entry[0]
     at = next((k for k, e in enumerate(rows) if e[0] > piv), len(rows))
     rows.insert(at, entry)
-
-
-def _rank_int(rows: list[list[int]], mod: int | None) -> int:
-    """Rank of an integer matrix over Q (mod None) or over F_mod."""
-    echelon: list[tuple[int, list[int]]] = []
-    for row in rows:
-        vec = list(row) if mod is None else [x % mod for x in row]
-        _eliminate(vec, None, echelon, mod)
-        piv = _first_nonzero(vec)
-        if piv is not None:
-            _insert_row(echelon, (piv, vec))
-    return len(echelon)
 
 
 def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
@@ -499,7 +458,7 @@ def _minpoly_exact(a: Matrix) -> Poly:
 
 
 # ---------------------------------------------------------------------
-# numeric spectra: eigenvalues and indices from scalar's `_spectrum`
+# spectra: t0 and the (eigenvalue, index) pairs of the nonzero eigenvalues
 # ---------------------------------------------------------------------
 
 def _numeric_spectrum(a: Matrix, tol: float):
@@ -510,10 +469,28 @@ def _numeric_spectrum(a: Matrix, tol: float):
     return arr, _spectrum(arr, tol)
 
 
-def _eigendata(spectrum):
-    """(t0, [(eigenvalue, index), ...]) of a spectrum."""
-    t0 = next((t for mu, _, t, _ in spectrum if not mu), 0)
-    return t0, [(mu, t) for mu, _, t, _ in spectrum if mu]
+def _split(p: Poly, tol: float):
+    """(multiplicity of the root 0, [(root, multiplicity), ...] of the
+    others) of a monic polynomial, by poly_factor at tol; NonSplitField
+    when its linear factors do not exhaust it."""
+    f = p.field
+    fact = poly_factor(p, tol)
+    if fact.remainder.degree > 0:
+        raise NonSplitField(f"{p.format()} does not split over {f}")
+    return (next((m for r, m in fact.roots if f.is_zero(r)), 0),
+            [(r, m) for r, m in fact.roots if not f.is_zero(r)])
+
+
+def _eigendata(a: Matrix, tol: float):
+    """(t0, [(eigenvalue, index), ...]) of a matrix, nonzero eigenvalues in
+    the field's order: over Q and F_p its minimal polynomial split by
+    `_split`, NonSplitField when it does not split; over C read off
+    scalar's `_spectrum`."""
+    if a.field.exact:
+        return _split(_minpoly_exact(a), tol)
+    spectrum = _numeric_spectrum(a, tol)[1]
+    return (next((t for mu, _, t, _ in spectrum if not mu), 0),
+            [(mu, t) for mu, _, t, _ in spectrum if mu])
 
 
 def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
@@ -523,7 +500,7 @@ def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
     `_spectrum`."""
     if a.field.exact:
         return _minpoly_exact(a)
-    t0, nz = _eigendata(_numeric_spectrum(a, tol)[1])
+    t0, nz = _eigendata(a, tol)
     return _times_powers(Poly.x(CC) ** t0, nz)
 
 
@@ -688,14 +665,15 @@ def _projectors(a, groups, tol: float):
 
 def _numeric_resolution(a: Matrix, arr, spectrum, tol: float) -> SpectralData:
     """spectral_data over C from A's array and `_spectrum`."""
-    t0 = _eigendata(spectrum)[0]
-    projs = [Matrix._of(CC, p.tolist()) for p in _projectors(arr, spectrum, tol)]
-    zero = (next((p for (mu, *_), p in zip(spectrum, projs) if not mu), None)
-            or Matrix._of(CC, [[0j] * a.n for _ in range(a.n)]))
-    comps = tuple(EigenComponent(mu, t, p) for (mu, _, t, _), p
-                  in zip(spectrum, projs) if mu)
+    t0, zero, comps = 0, Matrix._of(CC, [[0j] * a.n for _ in range(a.n)]), []
+    for (mu, _, t, _), p in zip(spectrum, _projectors(arr, spectrum, tol)):
+        p = Matrix._of(CC, p.tolist())
+        if mu:
+            comps.append(EigenComponent(mu, t, p))
+        else:
+            t0, zero = t, p
     return SpectralData(field=CC, order=a.n, t0=t0, zero_projection=zero,
-                        components=comps)
+                        components=tuple(comps))
 
 
 def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
@@ -706,25 +684,9 @@ def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
     f = a.field
     if not f.exact:
         return _numeric_resolution(a, *_numeric_spectrum(a, tol), tol)
-    mp = _minpoly_exact(a)
-    fact = poly_factor(mp)
-    if fact.remainder.degree > 0:
-        raise NonSplitField(
-            f"minimal polynomial {mp.format()} does not split over {f}")
-    t0 = 0
-    nz = []
-    for root, mult in fact.roots:
-        if f.is_zero(root):
-            t0 = mult
-        else:
-            nz.append((root, mult))
-    pairs = ([(f.zero, t0)] if t0 else []) + nz
-    projs = spectral_projections(a, pairs)
-    if t0:
-        zero_proj, rest = projs[0], projs[1:]
-    else:
-        zero_proj, rest = Matrix.zeros(f, a.n), projs
-    comps = tuple(EigenComponent(mu, t, pi)
-                  for (mu, t), pi in zip(nz, rest))
+    t0, nz = _eigendata(a, tol)
+    projs = spectral_projections(a, ([(f.zero, t0)] if t0 else []) + nz)
+    zero_proj = projs.pop(0) if t0 else Matrix.zeros(f, a.n)
+    comps = tuple(EigenComponent(mu, t, pi) for (mu, t), pi in zip(nz, projs))
     return SpectralData(field=f, order=a.n, t0=t0, zero_projection=zero_proj,
                         components=comps)

@@ -761,13 +761,6 @@ def _linked(values: list[complex], dist: float, scale: float = 1.0,
     return list(groups.values())
 
 
-def cluster_complex(values: list[complex], tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
-    """Merge nearly equal complex values by single linkage at relative
-    distance tol; returns (mean, count) per group, sorted."""
-    return sorted(((sum(g) / len(g), len(g)) for g in _linked(values, tol)),
-                  key=lambda t: (t[0].real, t[0].imag))
-
-
 #: distance, relative to max(1, largest entry, |value|), at which computed
 #: eigenvalues are first linked: a defective block of size m spreads them
 #: over about (eps ||A|| condition)^(1/m). Blocks of size 2 to 5 at 1 beside

@@ -5,17 +5,14 @@ space closed under the shift; multiplying two such spaces termwise yields
 another, whose dimension depends only on s, t, and the characteristic.
 wedge computes that dimension from the base-p digits of s - 1 and t - 1
 (by Kummer's criterion binom(i+j, i) is nonzero mod p exactly when adding
-i and j carries nowhere), in O(log_p max(s, t)) steps; wedge_oracle_dim
-recomputes it independently as the rank of an explicit value matrix.
+i and j carries nowhere), in O(log_p max(s, t)) steps.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import HorizonTooSmall, PcanonError
-from .linalg import _rank_int
+from .errors import PcanonError
 from .scalar import is_prime
 
 
@@ -75,23 +72,3 @@ def wedge_fold(orders, ctx: WedgeContext = WedgeContext(0)) -> int:
         raise ValueError("wedge_fold needs at least one order")
     return reduce(lambda a, b: wedge(a, b, ctx), items)
 
-
-def wedge_oracle_dim(s: int, t: int, ctx: WedgeContext = WedgeContext(0),
-                     horizon: int = 32) -> int:
-    """Independent recomputation of wedge(s, t) as a matrix rank.
-
-    Builds the (s*t) x horizon matrix whose rows sample the termwise
-    products binom(k, a) * binom(k, b) for a < s, b < t, k < horizon, and
-    returns its exact rank over Q or F_p. The horizon must be at least
-    s + t + 2 so no dimension is truncated away.
-    """
-    if s < 0 or t < 0:
-        raise ValueError("oracle arguments must be nonnegative")
-    if horizon < s + t + 2:
-        raise HorizonTooSmall(
-            f"horizon {horizon} < s + t + 2 = {s + t + 2}")
-    if s == 0 or t == 0:
-        return 0
-    rows = [[math.comb(k, a) * math.comb(k, b) for k in range(horizon)]
-            for a in range(s) for b in range(t)]
-    return _rank_int(rows, ctx.characteristic or None)

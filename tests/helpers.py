@@ -2,24 +2,30 @@
 
 Everything here is deliberately independent of the code under test:
 the exponential oracle is plain scaling-and-squaring on a truncated
-series, the wedge oracle is a direct scan of binomial coefficients, the
-annihilator oracle solves one Hankel system per candidate degree, the
-linkage oracle compares every pair of values, the class-table oracle
-enumerates every tuple of eigenvalues, the root oracles scan every
-residue mod p or every quotient of divisors over Q, and the random
-matrices are Jordan assemblies conjugated by unimodular integer
-matrices so every expected invariant is known by construction.
+series, the characteristic polynomial comes from the division-free
+Samuelson-Berkowitz recursion and `matrix_poly` evaluates a polynomial
+at a matrix by Horner's rule, the wedge oracles are a direct scan of
+binomial coefficients and the rank of the sampled product sequences
+(`wedge_oracle_dim`, by linalg's integer echelon `_eliminate`, not by
+the digit rule), the annihilator oracle solves one Hankel system per
+candidate degree, the linkage oracle compares every pair of values, the
+class-table oracle enumerates every tuple of eigenvalues, the root
+oracles scan every residue mod p or every quotient of divisors over Q,
+and the random matrices are Jordan assemblies conjugated by unimodular
+integer matrices so every expected invariant is known by construction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
+from pcanon.errors import MixedFields, PcanonError
 from pcanon.kronmin import ProductClassTable
-from pcanon.linalg import Matrix
-from pcanon.scalar import CC, CLUSTER_TOL, QQ, Poly
-from pcanon.wedge import wedge_fold
+from pcanon.linalg import Matrix, _eliminate, _first_nonzero, _insert_row
+from pcanon.scalar import CC, CLUSTER_TOL, QQ, Poly, _convolve
+from pcanon.wedge import WedgeContext, wedge_fold
 
 
 def max_diff(a: Matrix, b: Matrix) -> float:
@@ -68,6 +74,38 @@ def naive_poly_mul(xs, ys) -> list:
         for j, y in enumerate(ys):
             out[i + j] = out[i + j] + x * y
     return out
+
+
+
+def matrix_poly(p: Poly, a: Matrix) -> Matrix:
+    """Evaluate a polynomial at a matrix (Horner)."""
+    if p.field != a.field:
+        raise MixedFields(f"polynomial over {p.field}, matrix over {a.field}")
+    acc = Matrix.zeros(a.field, a.n)
+    ident = Matrix.identity(a.field, a.n)
+    for c in reversed(p.coeffs):
+        acc = acc * a + ident * c
+    return acc
+
+
+def char_poly(a: Matrix) -> Poly:
+    """Characteristic polynomial det(X*I - A), monic, by the division-free
+    Samuelson-Berkowitz recursion (exact over any field, no pivoting)."""
+    f, n = a.field, a.n
+    c = [f.one]  # descending coefficients for the leading r x r block
+    for r in range(1, n + 1):
+        corner = a.rows[r - 1][r - 1]
+        rowv = a.rows[r - 1][:r - 1]
+        colv = [a.rows[i][r - 1] for i in range(r - 1)]
+        q = [f.one, -corner]
+        w = colv
+        for k in range(r - 1):
+            q.append(-sum(map(mul, rowv, w), f.zero))
+            if k < r - 2:
+                w = [sum(map(mul, a.rows[i][:r - 1], w), f.zero)
+                     for i in range(r - 1)]
+        c = _convolve(q, c)[:r + 1]
+    return Poly(f, list(reversed(c)))
 
 
 def linked_by_scan(values, dist: float, scale: float = 1.0,
@@ -134,6 +172,44 @@ def binom_span_bruteforce(s: int, t: int, p: int) -> int:
             if (c % p if p else c) != 0:
                 best = max(best, i + j + 1)
     return best
+
+
+
+class HorizonTooSmall(PcanonError):
+    """Not enough sequence values to decide the dimension being measured."""
+
+
+def rank_int(rows: list[list[int]], mod: int | None) -> int:
+    """Rank of an integer matrix over Q (mod None) or over F_mod."""
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        vec = list(row) if mod is None else [x % mod for x in row]
+        _eliminate(vec, None, echelon, mod)
+        piv = _first_nonzero(vec)
+        if piv is not None:
+            _insert_row(echelon, (piv, vec))
+    return len(echelon)
+
+
+def wedge_oracle_dim(s: int, t: int, ctx: WedgeContext = WedgeContext(0),
+                     horizon: int = 32) -> int:
+    """Independent recomputation of wedge(s, t) as a matrix rank.
+
+    Builds the (s*t) x horizon matrix whose rows sample the termwise
+    products binom(k, a) * binom(k, b) for a < s, b < t, k < horizon, and
+    returns its exact rank over Q or F_p. The horizon must be at least
+    s + t + 2 so no dimension is truncated away.
+    """
+    if s < 0 or t < 0:
+        raise ValueError("oracle arguments must be nonnegative")
+    if horizon < s + t + 2:
+        raise HorizonTooSmall(
+            f"horizon {horizon} < s + t + 2 = {s + t + 2}")
+    if s == 0 or t == 0:
+        return 0
+    rows = [[math.comb(k, a) * math.comb(k, b) for k in range(horizon)]
+            for a in range(s) for b in range(t)]
+    return rank_int(rows, ctx.characteristic or None)
 
 
 def min_annihilator_hankel(prefix, field):

@@ -18,6 +18,7 @@ from helpers import (
     expm_series,
     max_diff,
     rational_spectrum_matrix,
+    wedge_oracle_dim,
 )
 from pcanon.kronmin import (
     eig_spec_of_matrix,
@@ -44,7 +45,7 @@ from pcanon.pcf import (
     realpcf_eval,
 )
 from pcanon.scalar import CC, GF, QQ, Poly, stirling_first, stirling_second
-from pcanon.wedge import WedgeContext, wedge, wedge_oracle_dim
+from pcanon.wedge import WedgeContext, wedge
 
 
 def test_criterion_01_semicirculant_canonical_form(semicirculant_4x4):

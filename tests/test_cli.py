@@ -317,6 +317,14 @@ def test_import_does_not_load_numpy():
         assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
 
+def test_public_names_resolve_once():
+    import pcanon
+
+    assert len(pcanon.__all__) == len(set(pcanon.__all__))
+    missing = [name for name in pcanon.__all__ if not hasattr(pcanon, name)]
+    assert missing == []
+
+
 def test_closed_pipe_exits_quietly():
     # `pcanon ... | grep -q` closes the pipe early; that is not an error
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -6,12 +6,13 @@ import cmath
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
-from helpers import class_table_enumerated, jordan_assembly
+from helpers import class_table_enumerated, conjugated_jordan, jordan_assembly
 from pcanon.errors import (
     EmptyInput,
     MixedFields,
@@ -29,8 +30,8 @@ from pcanon.kronmin import (
     lrs_product_poly,
     product_class_table,
 )
-from pcanon.linalg import Matrix, companion, kron, minpoly
-from pcanon.scalar import CC, GF, QQ, Poly, cluster_complex
+from pcanon.linalg import Matrix, companion, kron, minpoly, spectral_data
+from pcanon.scalar import CC, CLUSTER_TOL, GF, QQ, Poly, _linked
 from pcanon.wedge import WedgeContext
 
 
@@ -118,6 +119,29 @@ def test_complex_clustering_route(spiral_3x3):
                for i in range(sym.degree + 1))
 
 
+def test_complex_matrix_spectrum_is_read_off_the_matrix():
+    # eig_spec_of_matrix reads the spectrum spectral_data resolves. Blocks
+    # up to size 5 make the roots of a minimal polynomial rebuilt from it
+    # drift by up to 6e-10, past the 1e-10 asked for here
+    values = [1, -2, 3j, 1 + 2j, -1 - 1j, 0.5, 2, 0, -1j]
+    for seed in range(40):
+        rng = random.Random(seed)
+        blocks = [(rng.randint(1, 5), v) for v in rng.sample(values, 4)]
+        a = conjugated_jordan(rng, CC, blocks)
+        spec = eig_spec_of_matrix(a)
+        data = spectral_data(a)
+        assert spec.zero_index == data.t0
+        assert spec.nonzero == tuple((c.value, c.index) for c in data.components)
+        index = {}
+        for size, v in blocks:
+            index[v] = max(index.get(v, 0), size)
+        assert spec.zero_index == index.pop(0, 0), seed
+        assert len(spec.nonzero) == len(index), seed
+        for mu, t in spec.nonzero:
+            v = min(index, key=lambda w: abs(w - mu))
+            assert abs(mu - v) <= 1e-10 * abs(v) and t == index[v], (seed, mu, v)
+
+
 def test_eig_spec_validation():
     with pytest.raises(NonSplitField):
         eig_spec_of_poly(Poly(QQ, [1, 0, 1]))
@@ -174,9 +198,10 @@ def test_class_table_fold_matches_enumeration(field):
 
 def test_class_table_links_a_chain_of_near_values():
     # each value is within the clustering tolerance of the next but not
-    # of the far end: single linkage makes one class, as in cluster_complex
+    # of the far end: single linkage makes one class, as `_linked` groups
     values = [1 + 0j, 1 + 0.9e-8, 1 + 1.8e-8]
-    ((mean, _),) = cluster_complex(values)
+    (group,) = _linked(values, CLUSTER_TOL)
+    mean = sum(group) / len(group)
     chain = EigSpec(CC, 0, tuple(zip(values, (1, 3, 2))))
     for specs in ([chain], [chain, EigSpec(CC, 0, ((1 + 0j, 1),))]):
         ((value, e),) = product_class_table(specs, WedgeContext(0)).entries
@@ -239,6 +264,16 @@ def test_product_closure_with_a_huge_constant_term():
     # no rational roots, and a constant term far past a divisor scan
     p = Poly(QQ, [-(10 ** 24 + 7), -1, 1])
     assert lrs_product_poly([p, p]) == kron_minpoly_direct([companion(p)] * 2)
+
+
+def test_product_closure_refuses_a_direct_order_past_the_limit():
+    # X^65 - 2 does not split over Q, so the closure takes the direct route,
+    # whose Kronecker order 65 * 65 = 4225 exceeds DIRECT_ORDER_LIMIT
+    p = Poly.x(QQ) ** 65 - Poly(QQ, [2])
+    start = time.perf_counter()
+    with pytest.raises(OrderTooLarge):
+        lrs_product_poly([p, p])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_product_closure_validates_input():

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     blocks_minpoly_exponents,
+    char_poly,
     clustered_real,
     conjugated_jordan,
     jordan_assembly,
+    matrix_poly,
     max_diff,
     naive_matmul,
     rational_spectrum_matrix,
@@ -36,10 +38,8 @@ from pcanon.linalg import (
     _combine,
     _product,
     _projectors,
-    char_poly,
     companion,
     kron,
-    matrix_poly,
     minpoly,
     spectral_data,
     spectral_projections,

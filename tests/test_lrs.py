@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import fibonacci, min_annihilator_hankel
+from helpers import fibonacci, matrix_poly, min_annihilator_hankel
 
 from pcanon.errors import (
     AnnihilatorMismatch,
@@ -19,7 +19,7 @@ from pcanon.errors import (
     NonMonic,
 )
 from pcanon.kronmin import lrs_product_poly
-from pcanon.linalg import matrix_poly, companion
+from pcanon.linalg import companion
 from pcanon.lrs import (
     LinRecSeq,
     lrs_eval,

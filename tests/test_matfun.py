@@ -12,6 +12,7 @@ import pytest
 
 from conftest import spiral_3x3_at
 from helpers import (
+    char_poly,
     conjugated_jordan,
     expm_series,
     max_diff,
@@ -25,7 +26,7 @@ from pcanon.errors import (
     PrincipalUndefined,
     SingularMatrix,
 )
-from pcanon.linalg import Matrix, char_poly, spectral_data
+from pcanon.linalg import Matrix, spectral_data
 from pcanon.matfun import (
     LogBranchSpec,
     closedform_eval,

@@ -25,13 +25,13 @@ from pcanon.errors import (
 )
 from pcanon.scalar import (
     CC,
+    CLUSTER_TOL,
     GF,
     QQ,
     FpElement,
     Poly,
     _linked,
     _times_powers,
-    cluster_complex,
     format_complex,
     is_prime,
     poly_factor,
@@ -369,9 +369,9 @@ def test_factor_complex_integer_and_repeated_roots():
             assert abs(r - nearest) < 1e-6 and m == want[nearest]
 
 
-def test_cluster_complex_merges_near_duplicates():
-    got = cluster_complex([1 + 0j, 1 + 1e-12j, 5 + 0j])
-    assert [(round(z.real), m) for z, m in got] == [(1, 2), (5, 1)]
+def test_linked_merges_near_duplicates():
+    got = _linked([1 + 0j, 1 + 1e-12j, 5 + 0j], CLUSTER_TOL)
+    assert [[round(z.real) for z in g] for g in got] == [[1, 1], [5]]
 
 
 def _linkage_case(rng):
