@@ -11,6 +11,7 @@ routes.
 
 from .errors import (
     AnnihilatorMismatch,
+    AnswerTooLarge,
     CharPositive,
     DegreeZero,
     EmptyInput,
@@ -48,7 +49,6 @@ from .linalg import (
     kron,
     minpoly,
     spectral_data,
-    spectral_projections,
 )
 from .lrs import LinRecSeq, lrs_eval, lrs_min_annihilator, lrs_mul, lrs_prefix
 from .matfun import (
@@ -94,7 +94,6 @@ from .scalar import (
     poly_factor,
     poly_gcd,
     poly_lcm,
-    series_inverse,
     stirling_first,
     stirling_second,
 )
@@ -103,12 +102,12 @@ from .wedge import WedgeContext, wedge, wedge_fold, wedge_lambda
 __all__ = [
     # fields and polynomials
     "QQ", "CC", "GF", "Field", "FpElement", "Poly", "FactoredPoly",
-    "poly_factor", "poly_gcd", "poly_lcm", "series_inverse",
+    "poly_factor", "poly_gcd", "poly_lcm",
     "format_complex", "is_prime",
     "stirling_first", "stirling_second",
     # matrices and spectra
     "Matrix", "kron", "companion", "minpoly",
-    "spectral_data", "spectral_projections", "SpectralData", "EigenComponent",
+    "spectral_data", "SpectralData", "EigenComponent",
     # canonical forms
     "Basis", "PCanonicalForm", "RealPCF", "RealTerm", "SpiralTerm",
     "pcf_build", "pcf_eval", "pcf_to_gamma", "pcf_to_lambda", "pcf_minpoly",
@@ -130,5 +129,5 @@ __all__ = [
     "CharPositive", "NotConjugateSymmetric", "OrderTooLarge", "EmptyInput",
     "AnnihilatorMismatch", "InsufficientData", "SingularMatrix",
     "ProjectionsInaccurate", "PrincipalUndefined", "ZeroLogClash", "NotReal",
-    "ParseError",
+    "AnswerTooLarge", "ParseError",
 ]

@@ -15,12 +15,14 @@ treated as a file path otherwise.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
-from .errors import NonSplitField, ParseError, PcanonError
+from .errors import AnswerTooLarge, NonSplitField, ParseError, PcanonError
 from .kronmin import eig_spec_of_matrix, kron_minpoly_symbolic, lrs_product_poly
 from .linalg import Matrix
 from .lrs import LinRecSeq, lrs_eval, lrs_prefix
@@ -28,6 +30,9 @@ from .matfun import ClosedFormExp, LogBranchSpec, expm_closed, logm
 from .pcf import Basis, PCanonicalForm, pcf_build, pcf_eval, pcf_to_gamma
 from .scalar import CC, GF, QQ, Field, Poly, PrimeField, format_complex
 from .wedge import WedgeContext, wedge_fold
+
+#: the most bits an exact answer may take, summed over its numbers
+ANSWER_BITS = 1 << 20
 
 # ---------------------------------------------------------------------------
 # input documents
@@ -48,7 +53,7 @@ def _read_source(token: str) -> str:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
@@ -166,6 +171,8 @@ def _entry_json(field: Field, x):
         return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(field, PrimeField):
         return x.res
+    if not cmath.isfinite(x):  # JSON has no inf or nan
+        raise AnswerTooLarge(f"a complex double overflowed to {x}")
     return {"re": x.real, "im": x.imag}
 
 
@@ -268,37 +275,43 @@ def render_closed_form(obj, mode: str = "pretty") -> str:
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
-def _matrix_from_rows(field: Field, rows) -> Matrix:
-    if not isinstance(rows, list):
-        raise ParseError("matrix rows must be an array")
+def _matrix_from_rows(field: Field, rows, order: int) -> Matrix:
+    if len(rows) != order or any(len(r) != order for r in rows):
+        raise ParseError(f"coefficient matrices must be {order} x {order}")
     return Matrix(field, [[_parse_entry(field, v) for v in row] for row in rows])
 
 
 def parse_closed_form(text: str):
-    """Inverse of `render_closed_form`'s JSON mode."""
+    """Inverse of `render_closed_form`'s JSON mode; ParseError otherwise."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("closed-form document must be an object")
     kind = doc.get("type")
-    if kind == "pcf":
-        field = _resolve_field(doc, None)
-        basis = {v: k for k, v in _BASIS_NAME.items()}.get(doc.get("basis"))
-        if basis is None:
-            raise ParseError(f"unknown basis {doc.get('basis')!r}")
-        nil = tuple((t["i"], _matrix_from_rows(field, t["matrix"]))
-                    for t in doc.get("nilpotent", ()))
-        geo = tuple((_parse_entry(field, t["value"]),
-                     tuple(_matrix_from_rows(field, c) for c in t["coeffs"]))
-                    for t in doc.get("geometric", ()))
-        return PCanonicalForm(field, doc["order"], basis, nil, geo)
-    if kind == "closed_form_exp":
-        poly = tuple((t["i"], _matrix_from_rows(CC, t["matrix"]))
-                     for t in doc.get("polynomial", ()))
-        expt = tuple((_parse_entry(CC, t["value"]),
-                      tuple((c["i"], _matrix_from_rows(CC, c["matrix"]))
-                            for c in t["coeffs"]))
-                     for t in doc.get("exponential", ()))
-        return ClosedFormExp(doc["order"], poly, expt)
+    try:  # a missing key or a value of the wrong JSON type
+        order = doc["order"]
+        if type(order) is not int or order < 1:
+            raise ParseError(f'"order" must be a positive integer, got {order!r}')
+        if kind == "pcf":
+            field = _resolve_field(doc, None)
+            basis = {v: k for k, v in _BASIS_NAME.items()}.get(doc.get("basis"))
+            if basis is None:
+                raise ParseError(f"unknown basis {doc.get('basis')!r}")
+            nil = tuple((t["i"], _matrix_from_rows(field, t["matrix"], order))
+                        for t in doc.get("nilpotent", ()))
+            geo = tuple((_parse_entry(field, t["value"]),
+                         tuple(_matrix_from_rows(field, c, order) for c in t["coeffs"]))
+                        for t in doc.get("geometric", ()))
+            return PCanonicalForm(field, order, basis, nil, geo)
+        if kind == "closed_form_exp":
+            poly = tuple((t["i"], _matrix_from_rows(CC, t["matrix"], order))
+                         for t in doc.get("polynomial", ()))
+            expt = tuple((_parse_entry(CC, t["value"]),
+                          tuple((c["i"], _matrix_from_rows(CC, c["matrix"], order))
+                                for c in t["coeffs"]))
+                         for t in doc.get("exponential", ()))
+            return ClosedFormExp(order, poly, expt)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed closed-form document: {exc!r}") from None
     raise ParseError(f"unknown closed-form type {kind!r}")
 
 
@@ -308,6 +321,29 @@ def parse_closed_form(text: str):
 
 def _emit(args, doc: dict, pretty: str) -> str:
     return json.dumps(doc) if args.json else pretty
+
+
+def _refuse_past(bits: float, what: str) -> None:
+    if bits > ANSWER_BITS:
+        raise AnswerTooLarge(f"{what} needs about {bits:.3g} bits, over {ANSWER_BITS}")
+
+
+def _bits(values) -> int:
+    return max((x.numerator.bit_length() + x.denominator.bit_length()
+                for x in values), default=0)
+
+
+def _term_bits(seq: LinRecSeq, n: int) -> int:
+    """Estimated bits of a term of index up to n: over Q the initial terms'
+    plus n/m times those of X^m mod P, which lrs_eval squares through, for
+    the largest power of two m <= n, or the first past ANSWER_BITS / 2."""
+    f, p = seq.field, seq.char
+    if f.char or not f.exact:
+        return f.char.bit_length() or 128  # a residue, or two doubles over C
+    r, m = Poly.x(f) % p, 1
+    while 2 * m <= n and 2 * _bits(r.coeffs) <= ANSWER_BITS:
+        r, m = r * r % p, 2 * m
+    return _bits(r.coeffs) * n // m + _bits(seq.initial)
 
 
 def _numeric_retry(args, build, *mats):
@@ -336,7 +372,16 @@ def _cmd_pcf(args) -> str:
 def _cmd_power(args) -> str:
     if args.k < 0:
         raise ParseError("the exponent must be a non-negative integer")
-    m = pcf_eval(_pcf_of(args, parse_matrix(args.input, args)), args.k)
+    form = _pcf_of(args, parse_matrix(args.input, args))
+    if form.field == QQ:  # each entry a sum of lambda^k C(k, i) C_i
+        grow = max((math.log2(abs(lam.numerator) * lam.denominator)
+                    for lam, _ in form.geometric_terms), default=0)
+        bits = args.k * grow + form.order * args.k.bit_length()
+        _refuse_past(form.order ** 2 * bits, f"A^{args.k}")
+    try:
+        m = pcf_eval(form, args.k)
+    except OverflowError:  # lambda^k over C
+        raise AnswerTooLarge(f"A^{args.k} overflows a complex double") from None
     return _emit(args, _matrix_doc(m), m.format())
 
 
@@ -381,10 +426,12 @@ def _cmd_lrs_eval(args) -> str:
     if args.n < 0:
         raise ParseError("the index must be a non-negative integer")
     if args.prefix:
+        _refuse_past(args.n * _term_bits(seq, args.n), f"the first {args.n} terms")
         values = lrs_prefix(seq, args.n)
         doc = {"type": "values", **_field_doc(f),
                "values": [_entry_json(f, v) for v in values]}
         return _emit(args, doc, "\n".join(f.format(v) for v in values))
+    _refuse_past(_term_bits(seq, args.n), f"term {args.n}")
     v = lrs_eval(seq, args.n)
     return _emit(args, {"type": "value", **_field_doc(f),
                         "value": _entry_json(f, v)}, f.format(v))
@@ -500,6 +547,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # answers within ANSWER_BITS print whole, past the default 4300 digits
+    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), ANSWER_BITS // 3))
     try:
         out = args.handler(args)
     except ParseError as exc:

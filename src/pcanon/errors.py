@@ -66,9 +66,7 @@ class SingularMatrix(PcanonError):
 
 class ProjectionsInaccurate(PcanonError):
     """Numeric spectral projections fail their own check: they do not sum
-    to the identity, or are not idempotent, to the tolerance asked for; or
-    the (eigenvalue, index) pairs they were asked for are not the
-    matrix's spectrum."""
+    to the identity, or are not idempotent, to the tolerance asked for."""
 
 
 class PrincipalUndefined(PcanonError):
@@ -83,28 +81,9 @@ class NotReal(PcanonError):
     """A real matrix (or real-representable form) was required."""
 
 
+class AnswerTooLarge(PcanonError):
+    """The answer passes the CLI's size bound or a complex double's range."""
+
+
 class ParseError(PcanonError):
     """Malformed input document or inline payload."""
-
-
-__all__ = [
-    "PcanonError",
-    "MixedFields",
-    "NumericFieldUnsupported",
-    "ZeroPolynomial",
-    "NonMonic",
-    "DegreeZero",
-    "NonSplitField",
-    "CharPositive",
-    "NotConjugateSymmetric",
-    "OrderTooLarge",
-    "EmptyInput",
-    "AnnihilatorMismatch",
-    "InsufficientData",
-    "SingularMatrix",
-    "ProjectionsInaccurate",
-    "PrincipalUndefined",
-    "ZeroLogClash",
-    "NotReal",
-    "ParseError",
-]

@@ -132,19 +132,19 @@ def product_class_table(specs, ctx: WedgeContext | None = None) -> ProductClassT
     return ProductClassTable(field=f, entries=tuple(acc))
 
 
-def kron_minpoly_symbolic(specs, ctx: WedgeContext | None = None) -> Poly:
+def kron_minpoly_symbolic(specs) -> Poly:
     """Minimal polynomial of a Kronecker product from factor spectra alone.
 
-    X^rho times the product-class polynomial, where rho is: the smallest
-    zero index among pure-nilpotent factors if any factor is nilpotent
-    (such a factor annihilates the whole product, and leaves the class
-    table empty); otherwise 0 when no factor is singular; otherwise the
-    largest zero index across factors (a singular factor's zero block,
-    paired with any nonzero eigenvalue elsewhere, keeps its full
-    nilpotency order).
+    X^rho times the product-class polynomial, wedges in the field's
+    characteristic, where rho is: the smallest zero index among
+    pure-nilpotent factors if any factor is nilpotent (such a factor
+    annihilates the whole product, and leaves the class table empty);
+    otherwise 0 when no factor is singular; otherwise the largest zero
+    index across factors (a singular factor's zero block, paired with any
+    nonzero eigenvalue elsewhere, keeps its full nilpotency order).
     """
     specs = list(specs)
-    table = product_class_table(specs, ctx)
+    table = product_class_table(specs)
     nilpotent = [s.zero_index for s in specs if s.is_nilpotent]
     rho = min(nilpotent) if nilpotent else max(s.zero_index for s in specs)
     return Poly.x(table.field) ** rho * table.poly()
@@ -164,16 +164,16 @@ def kron_minpoly_direct(mats) -> Poly:
     return minpoly(reduce(kron, mats))
 
 
-def lrs_product_poly(polys, ctx: WedgeContext | None = None) -> Poly:
+def lrs_product_poly(polys) -> Poly:
     """Characteristic polynomial closing termwise products of recurrence
     sequences: every product of sequences annihilated by the given monic
     polynomials is annihilated by the result.
 
-    Uses the symbolic spectrum route when every factor splits over its
-    field; otherwise computes the minimal polynomial of the Kronecker
-    product of the companion matrices directly, which raises
-    OrderTooLarge when the product of the degrees exceeds
-    DIRECT_ORDER_LIMIT.
+    Uses the symbolic spectrum route, with wedges in the field's
+    characteristic, when every factor splits over its field; otherwise
+    computes the minimal polynomial of the Kronecker product of the
+    companion matrices directly, which raises OrderTooLarge when the
+    product of the degrees exceeds DIRECT_ORDER_LIMIT.
     """
     polys = list(polys)
     if not polys:
@@ -190,4 +190,4 @@ def lrs_product_poly(polys, ctx: WedgeContext | None = None) -> Poly:
         specs = [eig_spec_of_poly(p) for p in polys]
     except NonSplitField:
         return kron_minpoly_direct([companion(p) for p in polys])
-    return kron_minpoly_symbolic(specs, ctx)
+    return kron_minpoly_symbolic(specs)

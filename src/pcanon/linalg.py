@@ -5,8 +5,8 @@ chains (exact fields) or from scalar's `_spectrum`, which merges numpy's
 eigenvalues and finds their indices by one rank rule (complex doubles),
 and the spectral projections: the unique family of commuting idempotents
 that resolves the identity and block-diagonalises the matrix by
-generalised eigenspace. On exact fields they are polynomials in the
-matrix, from partial fractions. Over C they are the oblique projectors
+generalised eigenspace, all asked for through `spectral_data`. Over Q and
+F_p they are polynomials in the matrix. Over C they are the oblique projectors
 onto invariant subspaces, built in numpy from the eigenvectors of A and
 A^T (simple eigenvalues) or the staircases of A - mu I, and checked
 before they are returned: a resolution that misses the identity or
@@ -26,7 +26,7 @@ too. Matrices built from such results, and from sums, differences and
 scalar multiples, skip the constructor's coercion (`Matrix._of`).
 `_combine` forms weighted sums sum_j W[r][j] M_j of matrices as one
 product of the weight rows with the flattened matrices: over Q and F_p
-`spectral_projections` combines every projection from one power table
+`spectral_data` combines every projection from one power table
 A^0 ... A^(d-1) with it, and every closed-form evaluation in pcf and
 matfun is one call of it.
 
@@ -57,7 +57,6 @@ from .errors import (
 )
 from .scalar import (
     CC,
-    CLUSTER_TOL,
     GF,
     QQ,
     Field,
@@ -65,12 +64,12 @@ from .scalar import (
     PrimeField,
     _drop,
     _lift,
+    _powmod,
     _spectrum,
     _staircase,
     _times_powers,
     poly_factor,
     poly_lcm,
-    series_inverse,
 )
 
 
@@ -549,55 +548,22 @@ class SpectralData:
         return out
 
 
-def spectral_projections(a: Matrix, pairs) -> list[Matrix]:
-    """Projections onto generalised eigenspaces, one per (eigenvalue,
-    exponent) pair; the pairs must cover the minimal polynomial exactly.
-
-    Over Q and F_p each projection is a polynomial in the matrix, produced
-    by partial fractions: invert the complementary factor as a power
-    series around the eigenvalue, truncate at the exponent, and reduce
-    modulo the minimal polynomial. The powers A^0 ... A^(d-1) are computed
-    once and every projection is combined from them, the last one
-    included.
-
-    Over C the pairs must be the matrix's spectrum as `spectral_data`
-    finds it: each names the eigenvalue its value lies within relative
-    CLUSTER_TOL of, with that eigenvalue's index, and each eigenvalue is
-    named once; otherwise ProjectionsInaccurate is raised. The
-    projections are then `spectral_data`'s, checked in the same way.
-    """
+def _exact_projections(a: Matrix, pairs) -> list[Matrix]:
+    """Spectral projections over Q or F_p, one per (eigenvalue mu, index t)
+    of the minimal polynomial m: with c = m / (X - mu)^t, e = 1 - (1 - c/c(mu))^t
+    mod m is 1 mod (X - mu)^t and 0 mod c, so e(A) is mu's projection."""
     f, n = a.field, a.n
-    if not f.exact:
-        arr, spectrum = _numeric_spectrum(a, CLUSTER_TOL)
-        named = []
-        for mu, t in pairs:
-            mu = complex(mu)
-            j = min(range(len(spectrum)), key=lambda i: abs(spectrum[i][0] - mu))
-            near, _, index, _ = spectrum[j]
-            if (abs(near - mu) > CLUSTER_TOL * max(1.0, abs(near), abs(mu))
-                    or index != t):
-                raise ProjectionsInaccurate(
-                    f"({mu!r}, {t}) is not an (eigenvalue, index) pair of the "
-                    f"matrix; its spectrum is "
-                    f"{[(v, i) for v, _, i, _ in spectrum]}")
-            named.append(j)
-        if sorted(named) != list(range(len(spectrum))):
-            raise ProjectionsInaccurate(
-                "the pairs do not name each eigenvalue of the matrix once")
-        return [Matrix._of(CC, p.tolist()) for p in _projectors(
-            arr, [spectrum[j] for j in named], CLUSTER_TOL)]
-    pairs = [(f.coerce(mu), t) for mu, t in pairs]
     mp = _times_powers(Poly.one(f), pairs)
     d = mp.degree
     powers = [Matrix.identity(f, n), a][:d]
     while len(powers) < d:
         powers.append(powers[-1] * a)
+    one = Poly.one(f)
     coeffs = []
     for mu, t in pairs:
         cofactor = mp // Poly(f, (-mu, 1)) ** t
-        inv = series_inverse(cofactor.shifted(mu), t).shifted(-mu)
-        reduced = (inv * cofactor) % mp
-        coeffs.append([reduced.coeff(i) for i in range(d)])
+        e = one - _powmod(one - cofactor * (f.one / cofactor.evaluate(mu)), t, mp)
+        coeffs.append([e.coeff(i) for i in range(d)])
     return _combine(f, n, coeffs, powers)
 
 
@@ -685,7 +651,7 @@ def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
     if not f.exact:
         return _numeric_resolution(a, *_numeric_spectrum(a, tol), tol)
     t0, nz = _eigendata(a, tol)
-    projs = spectral_projections(a, ([(f.zero, t0)] if t0 else []) + nz)
+    projs = _exact_projections(a, ([(f.zero, t0)] if t0 else []) + nz)
     zero_proj = projs.pop(0) if t0 else Matrix.zeros(f, a.n)
     comps = tuple(EigenComponent(mu, t, pi) for (mu, t), pi in zip(nz, projs))
     return SpectralData(field=f, order=a.n, t0=t0, zero_projection=zero_proj,

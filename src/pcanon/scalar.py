@@ -9,11 +9,12 @@ image of an integer exists in any field).
 
 Exact products, and division of polynomials, run on plain integers converted
 once per operation by `_lift` and `_drop`. `_powmod` (repeated squaring
-modulo a polynomial) serves lrs and the F_p root finder. Roots come from
-Cantor-Zassenhaus over F_p and Hensel lifting over Q. Over C, `_spectrum`
-takes a matrix's eigenvalues from numpy and one rank rule decides which of
-them are one eigenvalue and what its index is; the roots of a polynomial
-are the eigenvalues of its companion matrix. numpy is imported there only.
+modulo a polynomial) serves lrs, the F_p root finder and the exact spectral
+projections. Roots come from Cantor-Zassenhaus over F_p and Hensel lifting
+over Q. Over C, `_spectrum` takes a matrix's eigenvalues from numpy and one
+rank rule decides which of them are one eigenvalue and what its index is;
+the roots of a polynomial are the eigenvalues of its companion matrix.
+numpy is imported there only.
 """
 from __future__ import annotations
 
@@ -382,10 +383,6 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def constant(cls, field: Field, c) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
     def from_roots(cls, field: Field, roots) -> "Poly":
         return _times_powers(cls.one(field), [(r, 1) for r in roots])
 
@@ -516,20 +513,6 @@ class Poly:
         return Poly(self.field,
                     [self.field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
 
-    def shifted(self, c) -> "Poly":
-        """The polynomial p(X + c)."""
-        c = self.field.coerce(c)
-        out: list = []
-        for a in reversed(self.coeffs):
-            # out <- out * (X + c) + a
-            nxt = [self.field.zero] * (len(out) + 1)
-            for i, v in enumerate(out):
-                nxt[i + 1] = nxt[i + 1] + v
-                nxt[i] = nxt[i] + c * v
-            nxt[0] = nxt[0] + a
-            out = nxt
-        return Poly(self.field, out)
-
     def to_field(self, field: Field) -> "Poly":
         return Poly(field, [field.coerce(c) for c in self.coeffs])
 
@@ -562,22 +545,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.field}]({self.format()})"
-
-
-def series_inverse(p: Poly, order: int) -> Poly:
-    """Power series inverse of p modulo X**order (needs p(0) != 0)."""
-    f = p.field
-    c0 = p.coeff(0)
-    if f.is_zero(c0):
-        raise ZeroDivisionError("series inverse needs a nonzero constant term")
-    inv0 = f.one / c0
-    out = [inv0]
-    for k in range(1, order):
-        s = f.zero
-        for i in range(1, k + 1):
-            s = s + p.coeff(i) * out[k - i]
-        out.append(-inv0 * s)
-    return Poly(f, out)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,6 +187,43 @@ def test_expm_json_roundtrip(capsys):
     assert max_diff(pcf_like_eval(form, 1.0), pcf_like_eval(direct, 1.0)) == 0
 
 
+PCF_DOC = {"type": "pcf", "field": "Q", "order": 2, "basis": "lambda",
+           "nilpotent": [{"i": 0, "matrix": [[1, 0], [0, 0]]}],
+           "geometric": [{"value": 2, "coeffs": [[[0, 0], [0, 1]]]}]}
+EXP_DOC = {"type": "closed_form_exp", "order": 1,
+           "polynomial": [{"i": 0, "matrix": [[{"re": 1, "im": 0}]]}],
+           "exponential": []}
+
+
+def _parse_doc(doc):
+    return cli.parse_closed_form(json.dumps(doc))
+
+
+def test_closed_form_without_order_is_a_parse_error():
+    assert pcf_eval(_parse_doc(PCF_DOC), 3) == Matrix.diagonal(QQ, [0, 8])
+    assert _parse_doc(EXP_DOC).order == 1
+    for doc in (PCF_DOC, EXP_DOC):
+        with pytest.raises(cli.ParseError, match="order"):
+            _parse_doc({k: v for k, v in doc.items() if k != "order"})
+
+
+def test_closed_form_term_without_matrix_is_a_parse_error():
+    with pytest.raises(cli.ParseError, match="matrix"):
+        _parse_doc({**PCF_DOC, "nilpotent": [{"i": 0}]})
+    with pytest.raises(cli.ParseError, match="matrix"):
+        _parse_doc({**EXP_DOC, "polynomial": [{"i": 0}]})
+
+
+def test_closed_form_polynomial_that_is_no_array_is_a_parse_error():
+    with pytest.raises(cli.ParseError):
+        _parse_doc({**EXP_DOC, "polynomial": 5})
+
+
+def test_closed_form_coefficient_of_the_wrong_order_is_a_parse_error():
+    with pytest.raises(cli.ParseError, match="2 x 2"):
+        _parse_doc({**PCF_DOC, "geometric": [{"value": 2, "coeffs": [[[1]]]}]})
+
+
 def pcf_like_eval(e, t):
     from pcanon.matfun import closedform_eval
 
@@ -272,6 +310,54 @@ def test_lrs_eval_mod_p(capsys):
     doc = '{"field": "Fp", "p": 5, "poly": [-1, -1, 1], "initials": [0, 1]}'
     code, out, _ = run_cli(capsys, "lrs-eval", doc, "30")
     assert (code, out.strip()) == (0, "0")  # 832040 = 0 mod 5
+
+
+BIG = "1000000000000000000"  # 10^18
+
+
+def _timed(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    return code, out, err, time.perf_counter() - start
+
+
+def test_power_refuses_answers_it_cannot_print(capsys):
+    # 2^(10^18) has 10^18 bits; over C it overflows a double
+    for doc, k in (("[[2]]", BIG), ('{"field": "C", "matrix": [[2]]}', BIG),
+                   ('{"field": "C", "matrix": [[1e200]]}', "50")):  # nan, no error
+        for mode in ("--json", "--pretty"):
+            code, out, err, took = _timed(capsys, "power", doc, k, mode)
+            assert (code, out) == (1, "") and took < 1.0
+            assert err.startswith("AnswerTooLarge: ") and "Traceback" not in err
+    # |lambda| = 1: the answer has 60-bit entries and is printed
+    code, out, _, took = _timed(capsys, "power", "[[1,1],[0,1]]", BIG, "--json")
+    assert code == 0 and took < 1.0
+    assert json.loads(out)["matrix"] == [[1, 10 ** 18], [0, 1]]
+    # 6021 digits: past the interpreter's default limit of 4300, which
+    # the CLI lifts as far as ANSWER_BITS needs
+    code, out, _ = run_cli(capsys, "power", "[[2]]", "20000")
+    digits = out.strip().removeprefix("[ ").removesuffix(" ]")
+    assert code == 0 and digits.isdigit() and len(digits) == 6021
+    assert digits.startswith("398027684033796659") and digits.endswith("309376")
+
+
+def test_lrs_eval_refuses_answers_it_cannot_print(capsys):
+    fib_mod_p = ('{"field": "Fp", "p": 1000000007, "poly": [-1, -1, 1], '
+                 '"initials": [0, 1]}')
+    fib_c = '{"field": "C", "poly": [-1, -1, 1], "initials": [0, 1]}'
+    # 10^18 residues; F_(10^18) over Q has about 7 * 10^17 bits; over C
+    # F_3000 overflows a double
+    for argv in ((fib_mod_p, BIG, "--prefix"), (FIB_SEQ, BIG),
+                 (FIB_SEQ, BIG, "--prefix"), (fib_c, "3000")):
+        code, out, err, took = _timed(capsys, "lrs-eval", *argv)
+        assert (code, out) == (1, "") and took < 1.0
+        assert err.startswith("AnswerTooLarge: ") and "Traceback" not in err
+    # bounded terms still answer: one residue, a +-1 period, the index itself
+    for doc, want in ((fib_mod_p, "209783453"),
+                      ('{"poly": [-1, 0, 1], "initials": [0, 1]}', "0"),
+                      ('{"poly": [1, -2, 1], "initials": [0, 1]}', BIG)):
+        code, out, _, took = _timed(capsys, "lrs-eval", doc, BIG)
+        assert (code, out.strip()) == (0, want) and took < 1.0
 
 
 def test_lrs_product_json(capsys):

@@ -42,11 +42,10 @@ from pcanon.linalg import (
     kron,
     minpoly,
     spectral_data,
-    spectral_projections,
 )
 from pcanon.matfun import closedform_eval, expm_closed, logm
 from pcanon.pcf import pcf_build, pcf_eval, pcf_to_gamma
-from pcanon.scalar import CC, GF, QQ, FpElement, Poly, series_inverse
+from pcanon.scalar import CC, GF, QQ, FpElement, Poly
 
 # -- strategies ---------------------------------------------------------------
 
@@ -221,8 +220,7 @@ def test_returned_matrices_hold_field_elements(field):
     a = a.to_field(field)
     b = Matrix(field, [[rng.randint(-4, 4) for _ in range(a.n)] for _ in range(a.n)])
     out = [a + b, a - b, -a, a * b, a * 3, 2 * a, a ** 5, a ** 0]
-    sd = spectral_data(a)  # a has no eigenvalue 0
-    out += spectral_projections(a, [(c.value, c.index) for c in sd.components])
+    out += spectral_data(a).all_projections
     form = pcf_build(a)
     out += [pcf_eval(form, k) for k in (0, 1, 6)]
     if field.char == 0:
@@ -418,35 +416,36 @@ def test_derived_minimal_polynomial_is_minpoly(field):
 
 
 def test_spectral_projections_from_pairs():
-    a = Matrix.diagonal(QQ, [1, 2, 2])
-    pi1, pi2 = spectral_projections(a, [(Fraction(1), 1), (Fraction(2), 1)])
+    sd = spectral_data(Matrix.diagonal(QQ, [1, 2, 2]))
+    assert [(c.value, c.index) for c in sd.components] == [(1, 1), (2, 1)]
+    pi1, pi2 = sd.all_projections
     assert pi1 == Matrix.diagonal(QQ, [1, 0, 0])
     assert pi2 == Matrix.diagonal(QQ, [0, 1, 1])
 
 
-def _horner_projections(a: Matrix, pairs) -> list[Matrix]:
-    """Oracle: each projection's partial-fraction polynomial evaluated at
-    the matrix on its own, by Horner's rule."""
-    f = a.field
-    mp = Poly.one(f)
-    for mu, t in pairs:
-        mp = mp * Poly(f, (-mu, 1)) ** t
-    out = []
-    for mu, t in pairs:
-        cofactor = mp // Poly(f, (-mu, 1)) ** t
-        inv = series_inverse(cofactor.shifted(mu), t).shifted(-mu)
-        out.append(matrix_poly((inv * cofactor) % mp, a))
-    return out
-
-
-def _seeded_resolutions(field, values, seed, count=6):
+def _seeded_resolutions(field, values, seed, count=6, largest=3):
+    """(S J S^-1, {eigenvalue: index}, {eigenvalue: S E S^-1}) for random
+    Jordan assemblies J and unimodular S, E the identity on that
+    eigenvalue's blocks and zero elsewhere: the spectral projections by
+    construction, with no polynomial in the matrix formed."""
     rng = random.Random(seed)
     for _ in range(count):
-        blocks = [(rng.randint(1, 3), field.coerce(rng.choice(values)))
+        blocks = [(rng.randint(1, largest), field.coerce(rng.choice(values)))
                   for _ in range(rng.randint(1, 4))]
-        a = conjugated_jordan(rng, field, blocks)
-        pairs = list(blocks_minpoly_exponents(blocks).items())
-        yield a, pairs, spectral_projections(a, pairs)
+        s = unimodular(rng, sum(size for size, _ in blocks))
+        s, si = s.to_field(field), s.inverse().to_field(field)
+        diagonal = [lam for size, lam in blocks for _ in range(size)]
+        projections = {mu: s * Matrix.diagonal(field, [int(lam == mu) for lam in diagonal])
+                       * si for mu in diagonal}
+        yield (s * jordan_assembly(field, blocks) * si,
+               blocks_minpoly_exponents(blocks), projections)
+
+
+def _resolution(sd) -> tuple[dict, dict]:
+    """{eigenvalue: index} and {eigenvalue: projection} of spectral_data."""
+    zero = [(sd.field.zero, sd.t0, sd.zero_projection)] if sd.t0 else []
+    comps = zero + [(c.value, c.index, c.projection) for c in sd.components]
+    return {mu: t for mu, t, _ in comps}, {mu: p for mu, _, p in comps}
 
 
 @pytest.mark.parametrize("field, values", [
@@ -455,24 +454,25 @@ def _seeded_resolutions(field, values, seed, count=6):
     (GF(3), (0, 1, 2)),
     (GF(101), (0, 1, 5, 50, 100)),
 ], ids=str)
-def test_projections_match_horner_oracle(field, values):
-    for a, pairs, projs in _seeded_resolutions(field, values, field.char + 7):
-        assert projs == _horner_projections(a, pairs)
-        total = Matrix.zeros(field, a.n)
-        for p in projs:
-            total = total + p
-        assert total == Matrix.identity(field, a.n)
+def test_projections_match_the_jordan_oracle(field, values):
+    # blocks up to 5 long, so that over F_2 and F_3 indices pass p
+    indices = set()
+    for a, index, want in _seeded_resolutions(field, values, field.char + 7,
+                                              count=8, largest=5):
+        assert _resolution(spectral_data(a)) == (index, want)
+        indices.update(index.values())
+    assert max(indices) == 5
 
 
-def test_projections_match_horner_oracle_complex():
+def test_complex_projections_match_the_jordan_oracle():
     values = (0, 2, -1, 1 + 2j, 0.5j)
-    for a, pairs, projs in _seeded_resolutions(CC, values, 11):
-        for got, want in zip(projs, _horner_projections(a, pairs)):
-            assert max_diff(got, want) < 1e-10
-        total = Matrix.zeros(CC, a.n)
-        for p in projs:
-            total = total + p
-        assert max_diff(total, Matrix.identity(CC, a.n)) < 1e-10
+    for a, index, want in _seeded_resolutions(CC, values, 11):
+        got_index, got = _resolution(spectral_data(a))
+        assert len(got) == len(want)
+        for mu, p in got.items():
+            near = min(want, key=lambda v: abs(v - mu))
+            assert abs(near - mu) < 1e-8 and got_index[mu] == index[near]
+            assert max_diff(p, want[near]) < 1e-10
 
 
 def test_spectral_projections_share_one_power_table(monkeypatch):
@@ -489,7 +489,7 @@ def test_spectral_projections_share_one_power_table(monkeypatch):
         return real_mul(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
-    spectral_projections(a, pairs)
+    spectral_data(a)
     assert len(pairs) >= 4
     assert len(calls) <= degree - 1
 
@@ -716,27 +716,6 @@ def test_conjugate_projections_of_a_real_matrix_are_exact_conjugates():
         partner = by_value[c.value.conjugate()]
         assert partner.rows == tuple(tuple(e.conjugate() for e in row)
                                      for row in c.projection.rows)
-
-
-def test_spectral_data_pairs_give_back_its_projections():
-    np = pytest.importorskip("numpy")
-    inputs = [Matrix.diagonal(CC, [1e6, 1e6 * (1 + 1e-9)]),  # one merged group
-              Matrix(CC, [[1, 3], [-3, -5]]),
-              Matrix(CC, [[1, 1], [0, 1 + 1e-5]]),
-              Matrix(CC, [[0, 1, 0], [0, 0, 0], [0, 0, 2]]),
-              Matrix(CC, clustered_real(np.random.default_rng(7)).tolist())]
-    inputs += [conjugated_jordan(random.Random(seed), CC, [(3, 1), (1, 10 ** 6)])
-               for seed in range(3)]
-    for a in inputs:
-        sd = spectral_data(a)
-        pairs = ([(0, sd.t0)] if sd.t0 else []) + [(c.value, c.index)
-                                                   for c in sd.components]
-        for got, want in zip(spectral_projections(a, pairs), sd.all_projections):
-            assert np.abs(np.array(got.rows) - np.array(want.rows)).max() <= 1e-12
-    a = Matrix(CC, [[1, 3], [-3, -5]])  # (X + 2)^2
-    for pairs in ([(-2, 1)], [(-2, 2), (1, 1)], [(-2.001, 2)], [(-2, 2), (-2, 2)]):
-        with pytest.raises(ProjectionsInaccurate):
-            spectral_projections(a, pairs)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 24, 32])

@@ -37,7 +37,6 @@ from pcanon.scalar import (
     poly_factor,
     poly_gcd,
     poly_lcm,
-    series_inverse,
     stirling_first,
     stirling_second,
 )
@@ -138,12 +137,6 @@ def test_poly_divmod_roundtrip_rational(a, b):
     assert r.is_zero or r.degree < b.degree
 
 
-@given(_q_polys, st.fractions(min_value=-9, max_value=9, max_denominator=4),
-       st.fractions(min_value=-9, max_value=9, max_denominator=4))
-def test_poly_shift_is_composition(p, c, x):
-    assert p.shifted(c).evaluate(x) == p.evaluate(x + c)
-
-
 def _elements(field):
     if field == QQ:
         return st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -163,8 +156,6 @@ def test_plain_kernel_matches_field_arithmetic(field, data):
     if not pb.is_zero:
         q, r = divmod(pa, pb)
         assert q * pb + r == pa and r.degree < pb.degree
-    c, x = data.draw(_elements(field)), data.draw(_elements(field))
-    assert pa.shifted(c).evaluate(x) == pa.evaluate(x + c)
 
 
 @_exact_fields
@@ -200,16 +191,6 @@ def test_derivative_of_product_rule(p):
     lhs = (p * q).derivative()
     rhs = p.derivative() * q + p * q.derivative()
     assert lhs == rhs
-
-
-def test_series_inverse_is_multiplicative_inverse():
-    p = Poly(QQ, [1, 3, Fraction(-1, 2), 5])
-    for order in range(1, 7):
-        inv = series_inverse(p, order)
-        prod = p * inv
-        assert prod.coeff(0) == 1
-        for i in range(1, order):
-            assert prod.coeff(i) == 0
 
 
 def test_poly_gcd_and_lcm():
