@@ -97,7 +97,7 @@ from .scalar import (
     stirling_first,
     stirling_second,
 )
-from .wedge import WedgeContext, wedge, wedge_fold, wedge_lambda
+from .wedge import WedgeContext, wedge, wedge_fold
 
 __all__ = [
     # fields and polynomials
@@ -113,7 +113,7 @@ __all__ = [
     "pcf_build", "pcf_eval", "pcf_to_gamma", "pcf_to_lambda", "pcf_minpoly",
     "pcf_realify", "realpcf_eval", "realpcf_to_gamma", "realpcf_to_lambda",
     # wedge dimensions
-    "WedgeContext", "wedge", "wedge_lambda", "wedge_fold",
+    "WedgeContext", "wedge", "wedge_fold",
     # Kronecker products and recurrences
     "EigSpec", "ProductClassTable", "eig_spec_of_poly", "eig_spec_of_matrix",
     "product_class_table", "kron_minpoly_symbolic", "kron_minpoly_direct",

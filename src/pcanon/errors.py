@@ -16,8 +16,8 @@ class MixedFields(PcanonError):
 
 class NumericFieldUnsupported(PcanonError):
     """The scalar field cannot carry this operation (exact-only routine
-    handed floating scalars, or a numeric routine handed a field with no
-    complex embedding)."""
+    handed floating scalars, a numeric routine handed a field with no
+    complex embedding, or numpy failing on complex doubles)."""
 
 
 class ZeroPolynomial(PcanonError):
@@ -82,7 +82,7 @@ class NotReal(PcanonError):
 
 
 class AnswerTooLarge(PcanonError):
-    """The answer passes the CLI's size bound or a complex double's range."""
+    """The answer passes the CLI's size bound or is no finite complex double."""
 
 
 class ParseError(PcanonError):

@@ -6,13 +6,14 @@ nonzero eigenvalues are folded in one factor at a time into a table from
 product value to the largest iterated wedge of the indices; each class
 contributes (X - product) raised to that exponent, and a separate rule
 gives the exponent of X from the zero eigenvalues. The direct route
-builds the Kronecker product matrix, up to order DIRECT_ORDER_LIMIT, and
-takes its minimal polynomial outright; it is the oracle the symbolic
-route is tested against, and the fallback when a factor's spectrum does
-not split over the base field.
+takes the minimal polynomial of the Kronecker product, up to order
+DIRECT_ORDER_LIMIT, over Q and F_p from the factors' lifted integer rows
+with no Matrix built; it is the oracle the symbolic route is tested
+against, and the fallback when a factor's spectrum does not split.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -25,8 +26,9 @@ from .errors import (
     OrderTooLarge,
     PcanonError,
 )
-from .linalg import Matrix, _eigendata, _split, companion, kron, minpoly
-from .scalar import CLUSTER_TOL, Field, Poly, _linked, _times_powers
+from .linalg import (Matrix, _eigendata, _kron_rows, _minpoly_exact, _split,
+                     companion, kron, minpoly)
+from .scalar import CLUSTER_TOL, Field, Poly, _lift, _linked, _times_powers
 from .wedge import WedgeContext, wedge
 
 #: Kronecker orders past this are rejected rather than ground through
@@ -70,7 +72,7 @@ def eig_spec_of_matrix(a: Matrix, tol: float = CLUSTER_TOL) -> EigSpec:
     """Spectrum of a matrix, as `spectral_data` finds it: over Q and F_p
     from its minimal polynomial, NonSplitField when that does not split;
     over C from its eigenvalues, with no polynomial formed."""
-    zero, nonzero = _eigendata(a, tol)
+    zero, nonzero, _ = _eigendata(a, tol)
     return EigSpec(field=a.field, zero_index=zero, nonzero=tuple(nonzero))
 
 
@@ -151,7 +153,8 @@ def kron_minpoly_symbolic(specs) -> Poly:
 
 
 def kron_minpoly_direct(mats) -> Poly:
-    """Oracle: minimal polynomial of the actual Kronecker product matrix."""
+    """Oracle: minimal polynomial of the actual Kronecker product matrix,
+    over Q and F_p of the factors' lifted integer rows, no Matrix built."""
     mats = list(mats)
     if not mats:
         raise EmptyInput("need at least one matrix")
@@ -161,7 +164,11 @@ def kron_minpoly_direct(mats) -> Poly:
     if total > DIRECT_ORDER_LIMIT:
         raise OrderTooLarge(
             f"Kronecker order {total} exceeds {DIRECT_ORDER_LIMIT}")
-    return minpoly(reduce(kron, mats))
+    f = mats[0].field
+    if not f.exact or any(m.field != f for m in mats):
+        return minpoly(reduce(kron, mats))  # kron refuses mixed fields
+    rows, dens = zip(*(_lift(f, m.rows) for m in mats))
+    return _minpoly_exact(f, reduce(_kron_rows, rows), math.prod(dens))
 
 
 def lrs_product_poly(polys) -> Poly:

@@ -18,17 +18,16 @@ One function, `_eigendata`, gives a matrix's spectrum, t0 and the
 minimal polynomial split by `_split`, over C `_spectrum` read directly.
 
 Every matrix product goes through one kernel, `_product`. Over C it is
-one numpy complex matmul, in BLAS. Over Q and F_p it runs on lifted
-rows: scalar's `_lift` turns entries into plain integers (over one
-common denominator over Q, residues over F_p) and `_drop` turns results
-back; only these two know the field, and `Poly` arithmetic uses them
-too. Matrices built from such results, and from sums, differences and
-scalar multiples, skip the constructor's coercion (`Matrix._of`).
-`_combine` forms weighted sums sum_j W[r][j] M_j of matrices as one
-product of the weight rows with the flattened matrices: over Q and F_p
-`spectral_data` combines every projection from one power table
-A^0 ... A^(d-1) with it, and every closed-form evaluation in pcf and
-matfun is one call of it.
+one numpy complex matmul, in BLAS. Over Q and F_p scalar's `_lift` turns
+entries into plain integers (over one common denominator over Q,
+residues over F_p), `_drop` turns results back, and between them runs
+`_dots`, the one product loop on plain numbers, shared with the Krylov
+step and the power tables. `_combine` forms weighted sums sum_j W[r][j]
+M_j of matrices as one product of the weight rows with the flattened
+matrices; every closed-form evaluation in pcf and matfun is one call of
+it. Over Q and F_p, every projection and every chain matrix of pcf is
+one row of one product of integer weight rows with the power table of
+S = den A (`_exact_chains`).
 
 Row reduction has two implementations, one per row storage. Rows of field
 elements go through `_row_reduce`, the Gauss-Jordan elimination behind
@@ -44,6 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 from .errors import (
@@ -61,10 +61,13 @@ from .scalar import (
     QQ,
     Field,
     Poly,
-    PrimeField,
+    _convolve,
     _drop,
     _lift,
+    _long_division,
+    _numpy_refusal,
     _powmod,
+    _residue_rem,
     _spectrum,
     _staircase,
     _times_powers,
@@ -274,9 +277,14 @@ def _product(field: Field, xs, ys):
                 ).tolist()
     xs, dx = _lift(field, xs)
     ys, dy = _lift(field, ys)
-    cols = list(zip(*ys))
-    return _drop(field, [[sum(map(mul, r, c)) for c in cols] for r in xs],
-                 dx * dy)
+    return _drop(field, _dots(xs, list(zip(*ys))), dx * dy)
+
+
+def _dots(xs, cols, mod: int | None = None):
+    """Rows of xs dotted with the columns in cols on plain numbers, mod `mod` if given."""
+    if mod:
+        return [[sum(map(mul, r, c)) % mod for c in cols] for r in xs]
+    return [[sum(map(mul, r, c)) for c in cols] for r in xs]
 
 
 def _combine(field: Field, n: int, weight_rows, mats) -> list[Matrix]:
@@ -293,16 +301,12 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, row-major block layout."""
     if a.field != b.field:
         raise MixedFields(f"Kronecker factors over {a.field} and {b.field}")
-    m = b.n
-    out = []
-    for i in range(a.n):
-        for k in range(m):
-            row = []
-            for j in range(a.n):
-                aij = a.rows[i][j]
-                row.extend(aij * b.rows[k][l] for l in range(m))
-            out.append(row)
-    return Matrix(a.field, out)
+    return Matrix._of(a.field, _kron_rows(a.rows, b.rows))
+
+
+def _kron_rows(xs, ys):
+    """Kronecker product of two square blocks of rows of any number type."""
+    return [[x * y for x in rx for y in ry] for rx in xs for ry in ys]
 
 
 def companion(p: Poly) -> Matrix:
@@ -423,10 +427,7 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
             if piv is None:
                 break
             _insert_row(local, (piv, vec, pol))
-            nxt = [sum(map(mul, row, vec)) for row in int_rows]
-            if mod is not None:
-                nxt = [x % mod for x in nxt]
-            vec, pol = nxt, [0] + pol
+            vec, pol = _dots([vec], int_rows, mod)[0], [0] + pol
         local_min = Poly(field, pol).monic()
         acc = poly_lcm(acc, local_min)
         for _, v, _p in local:
@@ -441,19 +442,14 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
     return acc
 
 
-def _minpoly_exact(a: Matrix) -> Poly:
-    f = a.field
-    if not f.exact:
-        raise MixedFields(f"exact minimal polynomial over {f} is not supported")
-    scaled, den = _lift(f, a.rows)
-    if isinstance(f, PrimeField):
-        return _int_minpoly(scaled, f.char)
-    mb = _int_minpoly(scaled, None)
+def _minpoly_exact(f: Field, scaled, den: int) -> Poly:
+    """Minimal polynomial over Q or F_p of `_lift`'s (scaled, den) of A."""
+    mb = _int_minpoly(scaled, f.char or None)
     if den == 1:
         return mb
-    d = mb.degree
     # minpoly of A recovered from minpoly of den*A by X -> den*X rescaling
-    return Poly(QQ, [mb.coeff(i) / Fraction(den) ** (d - i) for i in range(d + 1)])
+    return Poly(QQ, [c / Fraction(den) ** (mb.degree - i)
+                     for i, c in enumerate(mb.coeffs)])
 
 
 # ---------------------------------------------------------------------
@@ -481,15 +477,17 @@ def _split(p: Poly, tol: float):
 
 
 def _eigendata(a: Matrix, tol: float):
-    """(t0, [(eigenvalue, index), ...]) of a matrix, nonzero eigenvalues in
-    the field's order: over Q and F_p its minimal polynomial split by
-    `_split`, NonSplitField when it does not split; over C read off
-    scalar's `_spectrum`."""
-    if a.field.exact:
-        return _split(_minpoly_exact(a), tol)
+    """(t0, [(eigenvalue, index), ...], lifted) of a matrix, nonzero
+    eigenvalues in the field's order: over Q and F_p its minimal polynomial
+    split by `_split`, NonSplitField when it does not split, lifted `_lift`'s
+    (rows, den) of A; over C read off scalar's `_spectrum`, lifted None."""
+    f = a.field
+    if f.exact:
+        lifted = _lift(f, a.rows)
+        return (*_split(_minpoly_exact(f, *lifted), tol), lifted)
     spectrum = _numeric_spectrum(a, tol)[1]
     return (next((t for mu, _, t, _ in spectrum if not mu), 0),
-            [(mu, t) for mu, _, t, _ in spectrum if mu])
+            [(mu, t) for mu, _, t, _ in spectrum if mu], None)
 
 
 def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
@@ -498,8 +496,8 @@ def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
     eigenvalues and the null-space staircase of A - mu I by scalar's
     `_spectrum`."""
     if a.field.exact:
-        return _minpoly_exact(a)
-    t0, nz = _eigendata(a, tol)
+        return _minpoly_exact(a.field, *_lift(a.field, a.rows))
+    t0, nz, _ = _eigendata(a, tol)
     return _times_powers(Poly.x(CC) ** t0, nz)
 
 
@@ -548,25 +546,50 @@ class SpectralData:
         return out
 
 
-def _exact_projections(a: Matrix, pairs) -> list[Matrix]:
-    """Spectral projections over Q or F_p, one per (eigenvalue mu, index t)
-    of the minimal polynomial m: with c = m / (X - mu)^t, e = 1 - (1 - c/c(mu))^t
-    mod m is 1 mod (X - mu)^t and 0 mod c, so e(A) is mu's projection."""
-    f, n = a.field, a.n
-    mp = _times_powers(Poly.one(f), pairs)
-    d = mp.degree
-    powers = [Matrix.identity(f, n), a][:d]
-    while len(powers) < d:
-        powers.append(powers[-1] * a)
-    one = Poly.one(f)
-    coeffs = []
-    for mu, t in pairs:
-        cofactor = mp // Poly(f, (-mu, 1)) ** t
-        e = one - _powmod(one - cofactor * (f.one / cofactor.evaluate(mu)), t, mp)
-        coeffs.append([e.coeff(i) for i in range(d)])
-    return _combine(f, n, coeffs, powers)
+def _exact_chains(a: Matrix, tol: float, full: bool = True):
+    """(t0, [(eigenvalue, index), ...], nil, chains) over Q or F_p: nil is
+    A^i pi_0 for i < t0; chains holds lambda^(-i) (A - lambda I)^i pi for
+    i < t per nonzero eigenvalue lambda of index t, only i = 0 unless full.
+
+    S = den A has a monic integral minimal polynomial M, so nu = den lambda
+    is an integer and lambda^-i (A - lambda I)^i pi = nu^-i (S - nu I)^i pi.
+    For c = M / (Y - nu)^t, E = c(nu)^t - (c(nu) - c)^t is c(nu)^t mod
+    (Y - nu)^t and 0 mod c, so E(S) = c(nu)^t pi. Matrix i, never zero as M
+    is minimal, is (Y - nu)^i E mod M at S over nu^i c(nu)^t (den^i c(0)^t0
+    at nu = 0): one row of one integer product with S^0 ... S^(d-1).
+    """
+    f, n, p = a.field, a.n, a.field.char
+    t0, nz, (rows, den) = _eigendata(a, tol)
+    pairs = ([(0, t0)] if t0 else []) + [(mu.res if p else int(mu * den), t)
+                                         for mu, t in nz]
+    rem = partial(_residue_rem, p=p)
+    big = _lift(f, (_times_powers(Poly.one(f), pairs).coeffs,))[0][0]  # M
+    weights, dens = [], []
+    for nu, t in pairs:
+        c = big
+        for _ in range(t):  # exact over Z; over F_p rem reduces it below
+            c = _long_division(list(c), [-nu, 1], int)
+        (cv,) = rem(c, [-nu, 1])
+        e = [-x for x in _powmod([cv - c[0], *(-x for x in c[1:])], t, big,
+                                  _convolve, rem)] or [0]
+        e[0] += cv ** t
+        for i in range(t if full else 1):
+            weights.append(e)
+            dens.append((nu or den) ** i * cv ** t)
+            e = rem(_convolve(e, [-nu, 1]), big)
+    cols, d = list(zip(*rows)), len(big) - 1
+    table = [[[int(i == j) for j in range(n)] for i in range(n)], rows][:d]
+    while len(table) < d:
+        table.append(_dots(table[-1], cols, p))
+    flat = list(zip(*([x for row in m for x in row] for m in table)))
+    mats = iter(Matrix._of(f, [r[i:i + n] for i in range(0, n * n, n)])
+                for row, den_i in zip(_dots(weights, flat, p), dens)
+                for r in _drop(f, [row], den_i))
+    chains = [[next(mats) for _ in range(t if full else 1)] for _, t in pairs]
+    return t0, nz, chains.pop(0) if t0 else [], chains
 
 
+@_numpy_refusal
 def _projectors(a, groups, tol: float):
     """Stacked numpy array of the spectral projections of the complex
     array a, one per `_spectrum` group (eigenvalue, size m, index,
@@ -650,9 +673,8 @@ def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
     f = a.field
     if not f.exact:
         return _numeric_resolution(a, *_numeric_spectrum(a, tol), tol)
-    t0, nz = _eigendata(a, tol)
-    projs = _exact_projections(a, ([(f.zero, t0)] if t0 else []) + nz)
-    zero_proj = projs.pop(0) if t0 else Matrix.zeros(f, a.n)
-    comps = tuple(EigenComponent(mu, t, pi) for (mu, t), pi in zip(nz, projs))
-    return SpectralData(field=f, order=a.n, t0=t0, zero_projection=zero_proj,
+    t0, nz, nil, chains = _exact_chains(a, tol, full=False)
+    comps = tuple(EigenComponent(mu, t, ch[0]) for (mu, t), ch in zip(nz, chains))
+    return SpectralData(field=f, order=a.n, t0=t0,
+                        zero_projection=nil[0] if t0 else Matrix.zeros(f, a.n),
                         components=comps)

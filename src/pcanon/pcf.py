@@ -3,9 +3,10 @@
 The power sequence k -> A^k of a matrix whose minimal polynomial splits
 decomposes uniquely as a finitely supported part (one matrix per power
 below the index of the eigenvalue zero) plus, per nonzero eigenvalue, a
-polynomial-times-geometric part. Its coefficients, like those of e^(tA)
-and log A in matfun, are weights times one set of chains, A^i pi_0 and
-(A - lambda I)^i pi, built once by _chains. Two scalar bases are
+polynomial-times-geometric part. Its coefficients are the chains A^i pi_0
+and lambda^(-i) (A - lambda I)^i pi: over Q and F_p rows of linalg's
+`_exact_chains`, over C built once by _chains, whose chains e^(tA) and
+log A in matfun weight too. Two scalar bases are
 supported for the polynomial factor: binomial coefficients binom(k, i)
 (any field) and pure powers k^i (characteristic zero only), with one
 exact Stirling conversion between them. Evaluating a form at k, and
@@ -22,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import CharPositive, NotConjugateSymmetric, PcanonError
-from .linalg import Matrix, SpectralData, _combine, spectral_data
+from .linalg import Matrix, SpectralData, _combine, _exact_chains, spectral_data
 from .scalar import CC, Field, Poly, _times_powers, stirling_first, stirling_second
 
 
@@ -108,10 +109,10 @@ def _chain(step: Matrix, start: Matrix, length: int) -> list:
 
 
 def _chains(a: Matrix, sd: SpectralData) -> tuple[list, list]:
-    """The chains every closed form is weighted from: A^i pi_0 for i below
-    the index of zero, and per nonzero eigenvalue (lambda, [(A - lambda
-    I)^i pi for i below its index]). A - lambda I is formed only for an
-    index above 1."""
+    """The chains every complex closed form is weighted from: A^i pi_0 for
+    i below the index of zero, and per nonzero eigenvalue (lambda,
+    [(A - lambda I)^i pi for i below its index]). A - lambda I is formed
+    only for an index above 1."""
     def chain(c):
         if c.index == 1:
             return [c.projection]
@@ -131,17 +132,21 @@ def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
     coefficient field.
     """
     f = a.field
-    nil, chains = _chains(a, spectral_data(a, tol))
-    geo = []
-    for lam, chain in chains:
-        inv = f.one / lam
-        coeffs, factor = [], f.one
-        for i, c in enumerate(chain):
-            coeffs.append(c * factor if i else c)
-            factor = factor * inv
-        _trim(coeffs)
-        if coeffs:
-            geo.append((lam, tuple(coeffs)))
+    if f.exact:
+        _, nz, nil, chains = _exact_chains(a, tol)
+        geo = [(mu, tuple(chain)) for (mu, _), chain in zip(nz, chains)]
+    else:
+        nil, chains = _chains(a, spectral_data(a, tol))
+        geo = []
+        for lam, chain in chains:
+            inv = f.one / lam
+            coeffs, factor = [], f.one
+            for i, c in enumerate(chain):
+                coeffs.append(c * factor if i else c)
+                factor = factor * inv
+            _trim(coeffs)
+            if coeffs:
+                geo.append((lam, tuple(coeffs)))
     return PCanonicalForm(field=f, order=a.n, basis=Basis.LAMBDA,
                           nilpotent_terms=tuple(enumerate(nil)),
                           geometric_terms=tuple(geo))

@@ -18,14 +18,16 @@ numpy is imported there only.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 
 from .errors import (
+    AnswerTooLarge,
     MixedFields,
     NonMonic,
     NumericFieldUnsupported,
@@ -247,10 +249,10 @@ class ComplexField(Field):
     label = "C"
 
     def coerce(self, x):
-        if isinstance(x, complex):
-            return x
-        if isinstance(x, (int, float)):
-            return complex(x)
+        if isinstance(x, (int, float, complex)):
+            if not cmath.isfinite(x):
+                raise AnswerTooLarge(f"{x} is not a finite complex double")
+            return x if isinstance(x, complex) else complex(x)
         if isinstance(x, Fraction):
             return self.from_fraction(x)
         raise MixedFields(f"cannot place {type(x).__name__} in C")
@@ -326,7 +328,8 @@ def _drop(field: Field, rows, den: int):
         return [[Fraction(x, den) if den != 1 else Fraction(x) for x in row]
                 for row in rows]
     if isinstance(field, PrimeField):
-        return [[FpElement(x, field.char) for x in row] for row in rows]
+        inv = pow(den, -1, field.char)
+        return [[FpElement(x * inv, field.char) for x in row] for row in rows]
     return rows
 
 
@@ -581,10 +584,10 @@ def _powmod(base, n: int, mod, mul=operator.mul, rem=operator.mod):
 
 
 def _residue_rem(a: list, m: list, p: int) -> list:
-    """Residues of a modulo a monic residue polynomial m, trimmed."""
+    """Residues of a modulo a monic residue polynomial m (integers at p = 0), trimmed."""
     a = list(a)
-    _long_division(a, m, lambda c: c % p)
-    a = [x % p for x in a[:len(m) - 1]]
+    _long_division(a, m, (lambda c: c % p) if p else (lambda c: c))
+    a = [x % p for x in a[:len(m) - 1]] if p else a[:len(m) - 1]
     while a and not a[-1]:
         a.pop()
     return a
@@ -745,6 +748,19 @@ _LINK_DISTANCE = 1e-2
 _RANK_SLACK = 100
 
 
+def _numpy_refusal(fn):
+    """fn with numpy's LinAlgError, no PcanonError, as NumericFieldUnsupported."""
+    @wraps(fn)
+    def refusing(*args, **kwargs):
+        import numpy as np
+        try:
+            return fn(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFieldUnsupported(f"numpy failed: {exc}") from None
+    return refusing
+
+
+@_numpy_refusal
 def _spectrum(rows, tol: float) -> list[tuple[complex, int, int, tuple | None]]:
     """(eigenvalue, algebraic multiplicity, index, staircase) of a complex
     matrix, sorted; staircase is `_staircase`'s (counts, basis) of

@@ -54,17 +54,6 @@ def wedge(s: int, t: int, ctx: WedgeContext = WedgeContext(0)) -> int:
     return best + 1
 
 
-def wedge_lambda(t: int, s: int, lambda_is_zero: bool) -> int:
-    """Dimension rule for multiplying a pure-shift space of dimension t by
-    a geometric-times-binomial space of dimension s with ratio lambda:
-    min(t, s) when lambda = 0, else t when s > 0, else 0."""
-    if t < 0 or s < 0:
-        raise ValueError("wedge_lambda arguments must be nonnegative")
-    if lambda_is_zero:
-        return min(t, s)
-    return t if s != 0 else 0
-
-
 def wedge_fold(orders, ctx: WedgeContext = WedgeContext(0)) -> int:
     """Left-to-right fold of wedge over a nonempty sequence of orders."""
     items = list(orders)

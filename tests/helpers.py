@@ -2,7 +2,11 @@
 
 Everything here is deliberately independent of the code under test:
 the exponential oracle is plain scaling-and-squaring on a truncated
-series, the characteristic polynomial comes from the division-free
+series, the exact canonical-form oracle builds its power table, chains
+and scalings from Matrix products (`pcf_build_by_products`), the
+Kronecker oracle fills entries block by block (`kron_by_blocks`),
+`wedge_lambda` is a dimension rule no library code uses, the
+characteristic polynomial comes from the division-free
 Samuelson-Berkowitz recursion and `matrix_poly` evaluates a polynomial
 at a matrix by Horner's rule, the wedge oracles are a direct scan of
 binomial coefficients and the rank of the sampled product sequences
@@ -23,8 +27,17 @@ from operator import mul
 
 from pcanon.errors import MixedFields, PcanonError
 from pcanon.kronmin import ProductClassTable
-from pcanon.linalg import Matrix, _eliminate, _first_nonzero, _insert_row
-from pcanon.scalar import CC, CLUSTER_TOL, QQ, Poly, _convolve
+from pcanon.linalg import (
+    Matrix,
+    _combine,
+    _eliminate,
+    _first_nonzero,
+    _insert_row,
+    _split,
+    minpoly,
+)
+from pcanon.pcf import Basis, PCanonicalForm, _trim
+from pcanon.scalar import CC, CLUSTER_TOL, QQ, Poly, _convolve, _powmod
 from pcanon.wedge import WedgeContext, wedge_fold
 
 
@@ -86,6 +99,66 @@ def matrix_poly(p: Poly, a: Matrix) -> Matrix:
     for c in reversed(p.coeffs):
         acc = acc * a + ident * c
     return acc
+
+
+def kron_by_blocks(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product, row-major block layout, entry by entry."""
+    m = b.n
+    out = []
+    for i in range(a.n):
+        for k in range(m):
+            row = []
+            for j in range(a.n):
+                aij = a.rows[i][j]
+                row.extend(aij * b.rows[k][l] for l in range(m))
+            out.append(row)
+    return Matrix(a.field, out)
+
+
+def pcf_build_by_products(a: Matrix, tol: float = 1e-8):
+    """(projections, form) of a matrix over Q or F_p by Matrix products.
+
+    The power table A^0 ... A^(d-1) comes from repeated products. For each
+    (eigenvalue mu, index t) of the minimal polynomial m, zero first, the
+    projection is e(A) with e = 1 - (1 - c/c(mu))^t mod m, c = m / (X - mu)^t,
+    all of them as one `_combine` of the table; the chains (A - mu I)^i pi
+    come from more products and are scaled by mu^(-i), and trailing zero
+    coefficients are trimmed.
+    """
+    f, n = a.field, a.n
+    m = minpoly(a)
+    t0, nz = _split(m, tol)
+    pairs = ([(f.zero, t0)] if t0 else []) + nz
+    d = m.degree
+    powers = [Matrix.identity(f, n), a][:d]
+    while len(powers) < d:
+        powers.append(powers[-1] * a)
+    one = Poly.one(f)
+    weights = []
+    for mu, t in pairs:
+        cofactor = m // Poly(f, (-mu, 1)) ** t
+        e = one - _powmod(one - cofactor * (f.one / cofactor.evaluate(mu)), t, m)
+        weights.append([e.coeff(i) for i in range(d)])
+    projections = _combine(f, n, weights, powers)
+    chains = []
+    for (mu, t), pi in zip(pairs, projections):
+        step = a - Matrix.identity(f, n) * mu
+        chain = [pi]
+        while len(chain) < t:
+            chain.append(step * chain[-1])
+        chains.append(chain)
+    nil = chains.pop(0) if t0 else []
+    geo = []
+    for (mu, _), chain in zip(nz, chains):
+        coeffs, factor = [], f.one
+        for c in chain:
+            coeffs.append(c * factor)
+            factor = factor / mu
+        if _trim(coeffs):
+            geo.append((mu, tuple(coeffs)))
+    return projections, PCanonicalForm(
+        field=f, order=n, basis=Basis.LAMBDA,
+        nilpotent_terms=tuple(enumerate(nil)), geometric_terms=tuple(geo))
 
 
 def char_poly(a: Matrix) -> Poly:
@@ -160,6 +233,17 @@ def rational_roots_by_divisors(f: Poly) -> list[Fraction]:
                 if f.evaluate(cand) == 0:
                     found.add(cand)
     return sorted(found)
+
+
+def wedge_lambda(t: int, s: int, lambda_is_zero: bool) -> int:
+    """Dimension rule for multiplying a pure-shift space of dimension t by
+    a geometric-times-binomial space of dimension s with ratio lambda:
+    min(t, s) when lambda = 0, else t when s > 0, else 0."""
+    if t < 0 or s < 0:
+        raise ValueError("wedge_lambda arguments must be nonnegative")
+    if lambda_is_zero:
+        return min(t, s)
+    return t if s != 0 else 0
 
 
 def binom_span_bruteforce(s: int, t: int, p: int) -> int:

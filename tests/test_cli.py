@@ -321,6 +321,19 @@ def _timed(capsys, *argv):
     return code, out, err, time.perf_counter() - start
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("power", '{"field": "C", "matrix": [[NaN]]}', "2"), "AnswerTooLarge"),
+    (("pcf", '{"field": "C", "matrix": [[Infinity]]}'), "AnswerTooLarge"),
+    (("expm", '{"field": "C", "matrix": [[1e308, 1], [0, 1e308]]}'),
+     "NumericFieldUnsupported"),
+], ids=["nan", "infinity", "near-overflow"])
+def test_complex_inputs_numpy_cannot_take_are_refused(capsys, argv, error):
+    # each once ended in a numpy LinAlgError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{error}: ") and "Traceback" not in err
+
+
 def test_power_refuses_answers_it_cannot_print(capsys):
     # 2^(10^18) has 10^18 bits; over C it overflows a double
     for doc, k in (("[[2]]", BIG), ('{"field": "C", "matrix": [[2]]}', BIG),

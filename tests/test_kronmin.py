@@ -12,7 +12,7 @@ from functools import reduce
 
 import pytest
 
-from helpers import class_table_enumerated, conjugated_jordan, jordan_assembly
+from helpers import class_table_enumerated, conjugated_jordan, jordan_assembly, kron_by_blocks
 from pcanon.errors import (
     EmptyInput,
     MixedFields,
@@ -104,9 +104,24 @@ def test_three_factor_product():
 
 
 def test_direct_route_is_a_real_kronecker_minpoly():
-    mats = [_jordan(QQ, 2, 1), _jordan(QQ, 3, 2)]
-    big = reduce(kron, mats)
-    assert kron_minpoly_direct(mats) == minpoly(big)
+    # entries over Q with denominators up to 6 (one per factor), and
+    # residues over F_p, with two and three factors
+    rng = random.Random(1606)
+    cases = [[_jordan(QQ, 2, 1), _jordan(QQ, 3, 2)]]
+    for field, values in ((QQ, [0, 1, -2, Fraction(1, 2), Fraction(-2, 3)]),
+                          (GF(2), [0, 1]), (GF(3), [0, 1, 2]), (GF(101), [0, 1, 3, 100])):
+        for count in (2, 2, 3):
+            mats = []
+            for _ in range(count):
+                blocks = [(rng.randint(1, 2), rng.choice(values))
+                          for _ in range(rng.randint(1, 2))]
+                a = conjugated_jordan(rng, field, blocks)
+                mats.append(a * Fraction(1, rng.choice([1, 2, 3])) if field == QQ else a)
+            cases.append(mats)
+    for mats in cases:
+        big = reduce(kron_by_blocks, mats)
+        assert reduce(kron, mats) == big
+        assert kron_minpoly_direct(mats) == minpoly(big)
 
 
 def test_complex_clustering_route(spiral_3x3):

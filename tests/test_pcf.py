@@ -15,6 +15,7 @@ from helpers import (
     conjugated_jordan,
     jordan_assembly,
     max_diff,
+    pcf_build_by_products,
     rational_spectrum_matrix,
     real_with_spectrum,
 )
@@ -23,7 +24,7 @@ from pcanon.errors import (
     NonSplitField,
     NotConjugateSymmetric,
 )
-from pcanon.linalg import Matrix, minpoly
+from pcanon.linalg import Matrix, minpoly, spectral_data
 from pcanon.pcf import (
     Basis,
     PCanonicalForm,
@@ -309,6 +310,31 @@ def test_eval_matches_repeated_products_in_both_bases():
         for k in sorted({0, *range(form.t0 + 1), big}):
             want = a ** k
             assert all(pcf_eval(f, k) == want for f in forms), (a, k)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 101, 65537])
+def test_build_and_projections_match_the_product_route(p):
+    # over Q the entries have denominators 1, 2, 3 and 6 (from the values
+    # and a scaling by 1/2, 1/3 or 1/6), where den * lambda orders the
+    # eigenvalues differently from lambda (1/3 beside 1 over 3); the fixed
+    # cases are nilpotent, have t0 > 0, or one eigenvalue of index n
+    field = GF(p) if p else QQ
+    values = ([0, 1, -1, 2, Fraction(1, 3), Fraction(1, 2), Fraction(-5, 6)] if not p
+              else sorted({0, 1, 2 % p, 5 % p, p - 1}))
+    rng = random.Random(1600 + p)
+    cases = [[(4, 0)], [(3, 0), (2, 0), (1, 0)], [(5, values[-1])],
+             [(2, 0), (3, values[1]), (1, values[-1])]]
+    if not p:
+        cases += [[(2, Fraction(1, 3)), (2, 1)], [(1, Fraction(1, 3)), (3, 1), (1, 0)]]
+    cases += [[(rng.randint(1, 4), rng.choice(values)) for _ in range(rng.randint(1, 4))]
+              for _ in range(10)]
+    for k, blocks in enumerate(cases):
+        a = conjugated_jordan(rng, field, blocks)
+        if not p and k % 2:
+            a = a * Fraction(1, rng.choice([2, 3, 6]))
+        projections, form = pcf_build_by_products(a)
+        assert pcf_build(a) == form, blocks
+        assert spectral_data(a).all_projections == projections, blocks
 
 
 def test_negative_power_index_is_refused():

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import HorizonTooSmall, binom_span_bruteforce, wedge_oracle_dim
+from helpers import HorizonTooSmall, binom_span_bruteforce, wedge_lambda, wedge_oracle_dim
 from pcanon.errors import PcanonError
-from pcanon.wedge import WedgeContext, wedge, wedge_fold, wedge_lambda
+from pcanon.wedge import WedgeContext, wedge, wedge_fold
 
 _CHAR0 = WedgeContext(0)
 
