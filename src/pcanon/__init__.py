@@ -62,7 +62,6 @@ from .matfun import (
     expm_real,
     log_pcf,
     logm,
-    logm_real_pcf,
     realclosedform_eval,
 )
 from .pcf import (
@@ -78,8 +77,6 @@ from .pcf import (
     pcf_to_gamma,
     pcf_to_lambda,
     realpcf_eval,
-    realpcf_to_gamma,
-    realpcf_to_lambda,
 )
 from .scalar import (
     CC,
@@ -111,7 +108,7 @@ __all__ = [
     # canonical forms
     "Basis", "PCanonicalForm", "RealPCF", "RealTerm", "SpiralTerm",
     "pcf_build", "pcf_eval", "pcf_to_gamma", "pcf_to_lambda", "pcf_minpoly",
-    "pcf_realify", "realpcf_eval", "realpcf_to_gamma", "realpcf_to_lambda",
+    "pcf_realify", "realpcf_eval",
     # wedge dimensions
     "WedgeContext", "wedge", "wedge_fold",
     # Kronecker products and recurrences
@@ -122,7 +119,7 @@ __all__ = [
     # exponentials and logarithms
     "ClosedFormExp", "RealClosedForm", "RealExpTerm", "SpiralExpTerm",
     "LogBranchSpec", "expm_closed", "closedform_eval", "expm_real",
-    "realclosedform_eval", "logm", "log_pcf", "logm_real_pcf",
+    "realclosedform_eval", "logm", "log_pcf",
     # errors
     "PcanonError", "MixedFields", "NumericFieldUnsupported", "ZeroPolynomial",
     "NonMonic", "DegreeZero", "NonSplitField",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import AnswerTooLarge, NonSplitField, ParseError, PcanonError
 from .kronmin import eig_spec_of_matrix, kron_minpoly_symbolic, lrs_product_poly
 from .linalg import Matrix
-from .lrs import LinRecSeq, lrs_eval, lrs_prefix
+from .lrs import LinRecSeq, lrs_eval, lrs_min_annihilator, lrs_prefix
 from .matfun import ClosedFormExp, LogBranchSpec, expm_closed, logm
 from .pcf import Basis, PCanonicalForm, pcf_build, pcf_eval, pcf_to_gamma
 from .scalar import CC, GF, QQ, Field, Poly, PrimeField, format_complex
@@ -333,10 +333,20 @@ def _bits(values) -> int:
                 for x in values), default=0)
 
 
+def _minimal(seq: LinRecSeq) -> LinRecSeq:
+    """The same sequence under its own minimal annihilator Q, which
+    Berlekamp-Massey reads off 2d + 2 terms since deg Q <= d = deg P. Its
+    terms grow like X^n mod Q, however large X^n mod P grows."""
+    prefix = lrs_prefix(seq, 2 * seq.char.degree + 2)
+    q = lrs_min_annihilator(prefix, seq.field)
+    return LinRecSeq(q, tuple(prefix[:q.degree]))
+
+
 def _term_bits(seq: LinRecSeq, n: int) -> int:
     """Estimated bits of a term of index up to n: over Q the initial terms'
     plus n/m times those of X^m mod P, which lrs_eval squares through, for
-    the largest power of two m <= n, or the first past ANSWER_BITS / 2."""
+    the largest power of two m <= n, or the first past ANSWER_BITS / 2.
+    Over Q, seq should be `_minimal`, so that P is the sequence's own."""
     f, p = seq.field, seq.char
     if f.char or not f.exact:
         return f.char.bit_length() or 128  # a residue, or two doubles over C
@@ -425,6 +435,8 @@ def _cmd_lrs_eval(args) -> str:
     f = seq.field
     if args.n < 0:
         raise ParseError("the index must be a non-negative integer")
+    if f == QQ:
+        seq = _minimal(seq)
     if args.prefix:
         _refuse_past(args.n * _term_bits(seq, args.n), f"the first {args.n} terms")
         values = lrs_prefix(seq, args.n)

@@ -1,14 +1,16 @@
-"""Closed-form matrix exponentials and logarithms via spectral projections.
+"""Closed-form matrix exponentials and logarithms read off the P-canonical form.
 
-Every closed form weights the chains (A - lambda_j I)^i pi_j of
-pcf._chains (Higham, Functions of Matrices, ch. 1): by lambda^(-i) for
-the power sequence, by 1/i! for e^(tA), which is a polynomial in t times
-e^(lambda t) per eigenvalue, and by (-1)^(i-1) / (i lambda^i) for log A,
-a terminating series added to sum_j z_j pi_j. A branch choice per
+The complex P-canonical form of A (pcf's `_complex_form`) holds
+C_i = lambda_j^(-i) (A - lambda_j I)^i pi_j per eigenvalue and V_i = A^i pi_0
+for the eigenvalue zero; both functions reweight those coefficients
+(Higham, Functions of Matrices, ch. 1). e^(tA) is a polynomial in t times
+e^(lambda t) per eigenvalue: V_i / i! on t^i and lambda^i C_i / i! on
+e^(lambda t) t^i. log A is sum_j z_j pi_j plus the terminating series
+((-1)^(i-1) / i) C_i, i >= 1. A branch choice per
 eigenvalue (principal or explicit winding integers) fixes z_j =
-log|lambda_j| + i(Arg lambda_j + 2 pi k_j). Both directions also exist at
-the level of closed forms for the full power sequence. log A, and e^(tA)
-at a given t, is one weighted sum of the chains or the stored matrices
+log|lambda_j| + i(Arg lambda_j + 2 pi k_j). The logarithm also exists at
+the level of closed forms for the full power sequence (`log_pcf`).
+log A, and e^(tA) at a given t, is one weighted sum of the stored matrices
 through linalg's `_combine`. All arithmetic here is on complex doubles;
 exact inputs are converted once at the boundary.
 """
@@ -27,24 +29,16 @@ from .errors import (
     SingularMatrix,
     ZeroLogClash,
 )
-from .linalg import (
-    Matrix,
-    _combine,
-    _numeric_resolution,
-    _numeric_spectrum,
-    spectral_data,
-)
+from .linalg import Matrix, _combine, _numeric_resolution, _numeric_spectrum
 from .pcf import (
     Basis,
     PCanonicalForm,
-    RealPCF,
-    RealTerm,
-    _chains,
+    _complex_form,
     _merge_conjugates,
     _real_matrix,
     _trim,
+    pcf_build,
     pcf_to_gamma,
-    realpcf_to_gamma,
 )
 from .scalar import CC, CLUSTER_TOL
 
@@ -126,18 +120,21 @@ def _to_cc(a: Matrix) -> Matrix:
     return a.to_field(CC)
 
 
-def _exp_weights(chain) -> tuple:
-    return tuple((i, c * complex(1 / math.factorial(i)) if i else c)
-                 for i, c in enumerate(chain))
+def _exp_weights(lam, coeffs) -> tuple:
+    """(i, lambda^i C_i / i!) for the coefficients C_i of one term; lambda
+    is 1 for the polynomial part."""
+    return tuple((i, c * (lam ** i / math.factorial(i)) if i else c)
+                 for i, c in enumerate(coeffs))
 
 
 def expm_closed(a: Matrix, tol: float = 1e-8) -> ClosedFormExp:
-    """Exact-form matrix exponential from the spectral resolution."""
-    a = _to_cc(a)
-    nil, chains = _chains(a, spectral_data(a, tol))
-    return ClosedFormExp(order=a.n, polynomial_part=_exp_weights(nil),
-                         exponential_terms=tuple((lam, _exp_weights(chain))
-                                                 for lam, chain in chains))
+    """Exact-form matrix exponential, reweighted from the complex
+    P-canonical form of A."""
+    form = pcf_build(_to_cc(a), tol)
+    nil = [v for _, v in form.nilpotent_terms]
+    return ClosedFormExp(order=form.order, polynomial_part=_exp_weights(1.0, nil),
+                         exponential_terms=tuple((lam, _exp_weights(lam, coeffs))
+                                                 for lam, coeffs in form.geometric_terms))
 
 
 def _exp_at(order: int, t, scaled) -> Matrix:
@@ -219,55 +216,24 @@ def logm(a: Matrix, branch: LogBranchSpec = LogBranchSpec.principal(),
          tol: float = 1e-8) -> Matrix:
     """A matrix logarithm: exp of the result is the input.
 
-    Built as sum_j z_j pi_j plus the terminating alternating series
-    sum_j sum_(i>=1) ((-1)^(i-1)/i) lambda_j^(-i) (A - lambda_j I)^i pi_j.
-    The eigenvalues of the result are exactly the chosen z_j.
+    Built from the complex P-canonical form of A as sum_j z_j C_0 plus
+    the terminating alternating series sum_j sum_(i>=1) ((-1)^(i-1)/i) C_i,
+    with C_i = lambda_j^(-i) (A - lambda_j I)^i pi_j. The eigenvalues of
+    the result are exactly the chosen z_j.
     """
     a = _to_cc(a)
     arr, spectrum = _numeric_spectrum(a, tol)
+    values = [mu for mu, *_ in spectrum]
     # refuse from the eigenvalues alone, before any projection is built
-    if any(not mu for mu, *_ in spectrum):
+    if not all(values):
         raise SingularMatrix("singular matrices have no logarithm")
-    zs = _branch_logs([mu for mu, *_ in spectrum], branch, tol)
+    zs = _branch_logs(values, branch, tol)
     weights, mats = [], []
-    _, chains = _chains(a, _numeric_resolution(a, arr, spectrum, tol))
-    for (lam, chain), z in zip(chains, zs):
-        weights += [z] + [(-1) ** (i - 1) / (i * lam ** i)
-                          for i in range(1, len(chain))]
-        mats += chain
+    form = _complex_form(a, _numeric_resolution(a, arr, spectrum, tol))
+    for z, (_, coeffs) in zip(zs, form.geometric_terms):
+        weights += [z] + [(-1) ** (i - 1) / i for i in range(1, len(coeffs))]
+        mats += coeffs
     return _combine(CC, a.n, [weights], mats)[0]
-
-
-def _log_form(order: int, pairs) -> PCanonicalForm:
-    """Closed form of the powers of log A from the power-basis terms of A.
-
-    pairs lists (z, coefficients), z the chosen log of the eigenvalue the
-    coefficients belong to. Each coefficient of lambda^k k^i becomes i!
-    z^(-i) times a binomial-basis coefficient at z; z = 0 (eigenvalue
-    exactly 1, principal branch) routes to the finitely supported slots
-    with the same i! weight. Raises ZeroLogClash when two logs coincide.
-    """
-    for (zi, _), (zj, _) in itertools.combinations(pairs, 2):
-        if abs(zi - zj) <= CLUSTER_TOL * max(1.0, abs(zi), abs(zj)):
-            raise ZeroLogClash(
-                f"branch maps two eigenvalues to the same logarithm {zi!r}")
-    nil: list = []
-    geo: list = []
-    for z, coeffs in pairs:
-        zinv = 1.0 / z if z else 1.0   # z = 0 keeps the bare i! weight
-        new = []
-        factor = 1.0 + 0j
-        for i, c in enumerate(coeffs):
-            new.append(c * (factor * math.factorial(i)))
-            factor = factor * zinv
-        if z:
-            geo.append((z, tuple(_trim(new))))
-        else:
-            nil.extend(enumerate(new))
-    nil.sort(key=lambda t: t[0])
-    geo.sort(key=lambda t: (t[0].real, t[0].imag))
-    return PCanonicalForm(field=CC, order=order, basis=Basis.LAMBDA,
-                          nilpotent_terms=tuple(nil), geometric_terms=tuple(geo))
 
 
 def log_pcf(form: PCanonicalForm, branch: LogBranchSpec = LogBranchSpec.principal(),
@@ -278,7 +244,8 @@ def log_pcf(form: PCanonicalForm, branch: LogBranchSpec = LogBranchSpec.principa
     converted); each coefficient of lambda_j^k k^i becomes i! z_j^(-i)
     times a binomial-basis coefficient at eigenvalue z_j, except that a
     z_j = 0 (eigenvalue exactly 1, principal branch) routes to the
-    finitely supported slots with the same i! weight.
+    finitely supported slots with the same i! weight. Raises ZeroLogClash
+    when the branch maps two eigenvalues to one logarithm.
     """
     if form.field != CC:
         raise PcanonError("logarithm closed forms work on complex-double forms")
@@ -287,36 +254,21 @@ def log_pcf(form: PCanonicalForm, branch: LogBranchSpec = LogBranchSpec.principa
     if form.basis is Basis.LAMBDA:
         form = pcf_to_gamma(form)
     zs = _branch_logs([lam for lam, _ in form.geometric_terms], branch, tol)
-    return _log_form(form.order, [(z, coeffs) for z, (_, coeffs)
-                                  in zip(zs, form.geometric_terms)])
-
-
-def logm_real_pcf(form: RealPCF, branch: LogBranchSpec = LogBranchSpec.principal(),
-                  tol: float = 1e-8) -> PCanonicalForm:
-    """Closed form of the power sequence of the log of a real matrix,
-    from its real closed form: spiral terms unmerge into a conjugate pair
-    mu, conj(mu) whose logs are chosen conjugate (w and conj(w), the
-    spiral's winding integer applying with opposite signs), so the result
-    agrees with log_pcf of the complex form.
-
-    The branch list carries one integer per term of the real form, in
-    stored order (real terms first ascending, then spirals).
-    """
-    if form.nilpotent_terms:
-        raise SingularMatrix("singular matrices have no logarithm")
-    if form.basis is Basis.LAMBDA:
-        form = realpcf_to_gamma(form)
-    values = [complex(t.value) if isinstance(t, RealTerm)
-              else cmath.rect(t.modulus, t.angle) for t in form.terms]
-    pairs: list[tuple[complex, tuple]] = []
-    for term, w in zip(form.terms, _branch_logs(values, branch, tol)):
-        if isinstance(term, RealTerm):
-            pairs.append((w, term.coeffs))
-        else:
-            up = tuple((cc * complex(0.5) + sc * complex(0, -0.5))
-                       for cc, sc in zip(term.cos_coeffs, term.sin_coeffs))
-            down = tuple(Matrix(CC, [[e.conjugate() for e in row] for row in m.rows])
-                         for m in up)
-            pairs.append((w, up))
-            pairs.append((w.conjugate(), down))
-    return _log_form(form.order, pairs)
+    for zi, zj in itertools.combinations(zs, 2):
+        if abs(zi - zj) <= CLUSTER_TOL * max(1.0, abs(zi), abs(zj)):
+            raise ZeroLogClash(
+                f"branch maps two eigenvalues to the same logarithm {zi!r}")
+    nil, geo = (), []
+    for z, (_, coeffs) in zip(zs, form.geometric_terms):
+        zinv = 1.0 / z if z else 1.0   # z = 0 keeps the bare i! weight
+        new, factor = [], 1.0 + 0j
+        for i, c in enumerate(coeffs):
+            new.append(c * (factor * math.factorial(i)))
+            factor = factor * zinv
+        if z:
+            geo.append((z, tuple(_trim(new))))
+        else:   # at most one z is 0: two would clash
+            nil = tuple(enumerate(new))
+    geo.sort(key=lambda t: (t[0].real, t[0].imag))
+    return PCanonicalForm(field=CC, order=form.order, basis=Basis.LAMBDA,
+                          nilpotent_terms=nil, geometric_terms=tuple(geo))

@@ -5,15 +5,18 @@ decomposes uniquely as a finitely supported part (one matrix per power
 below the index of the eigenvalue zero) plus, per nonzero eigenvalue, a
 polynomial-times-geometric part. Its coefficients are the chains A^i pi_0
 and lambda^(-i) (A - lambda I)^i pi: over Q and F_p rows of linalg's
-`_exact_chains`, over C built once by _chains, whose chains e^(tA) and
-log A in matfun weight too. Two scalar bases are
+`_exact_chains`, over C built once by `_complex_form` from the spectral
+resolution. matfun reads e^(tA) and log A off that complex form by
+reweighting its coefficients. Two scalar bases are
 supported for the polynomial factor: binomial coefficients binom(k, i)
 (any field) and pure powers k^i (characteristic zero only), with one
 exact Stirling conversion between them. Evaluating a form at k, and
 the Stirling conversion, is one weighted sum of the stored matrices
 through linalg's `_combine`. Complex forms of real matrices
 can be rewritten over the reals with r^k cos(k theta) / r^k sin(k theta)
-spirals by the conjugate-pair merger that e^(tA) shares.
+spirals by the conjugate-pair merger that e^(tA) shares. The Stirling
+weights are real, so a real form in the power basis is the merger of the
+complex form in that basis.
 """
 from __future__ import annotations
 
@@ -101,26 +104,32 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _chain(step: Matrix, start: Matrix, length: int) -> list:
-    out = [start][:length]
-    while len(out) < length:
-        out.append(step * out[-1])
-    return out
-
-
-def _chains(a: Matrix, sd: SpectralData) -> tuple[list, list]:
-    """The chains every complex closed form is weighted from: A^i pi_0 for
-    i below the index of zero, and per nonzero eigenvalue (lambda,
-    [(A - lambda I)^i pi for i below its index]). A - lambda I is formed
-    only for an index above 1."""
-    def chain(c):
-        if c.index == 1:
-            return [c.projection]
-        step = a - Matrix.identity(a.field, a.n) * c.value
-        return _chain(step, c.projection, c.index)
-
-    return (_chain(a, sd.zero_projection, sd.t0),
-            [(c.value, chain(c)) for c in sd.components])
+def _complex_form(a: Matrix, sd: SpectralData) -> PCanonicalForm:
+    """The form over C from A's spectral resolution: V_i = A^i pi_0 for i
+    below the index of zero, and per nonzero eigenvalue, in the order of
+    sd.components, C_i = lambda^(-i) (A - lambda I)^i pi below its index,
+    trailing zero matrices trimmed. A - lambda I is formed only for an
+    index above 1. Each product is scaled after it is taken: folding
+    1/lambda into the step rounds its entries, which the cancellation in
+    (A - lambda I)^i amplifies."""
+    nil = [sd.zero_projection][:sd.t0]
+    while len(nil) < sd.t0:
+        nil.append(a * nil[-1])
+    geo = []
+    for c in sd.components:
+        lam, chain, coeffs = c.value, c.projection, [c.projection]
+        if c.index > 1:
+            step = Matrix._of(CC, [[e - lam if i == j else e for j, e in enumerate(row)]
+                                   for i, row in enumerate(a.rows)])
+            inv, factor = 1 / lam, 1
+            for _ in range(1, c.index):
+                chain, factor = step * chain, factor * inv
+                coeffs.append(chain * factor)
+            _trim(coeffs)   # never down to the projection, which is not zero
+        geo.append((lam, tuple(coeffs)))
+    return PCanonicalForm(field=CC, order=a.n, basis=Basis.LAMBDA,
+                          nilpotent_terms=tuple(enumerate(nil)),
+                          geometric_terms=tuple(geo))
 
 
 def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
@@ -132,24 +141,13 @@ def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
     coefficient field.
     """
     f = a.field
-    if f.exact:
-        _, nz, nil, chains = _exact_chains(a, tol)
-        geo = [(mu, tuple(chain)) for (mu, _), chain in zip(nz, chains)]
-    else:
-        nil, chains = _chains(a, spectral_data(a, tol))
-        geo = []
-        for lam, chain in chains:
-            inv = f.one / lam
-            coeffs, factor = [], f.one
-            for i, c in enumerate(chain):
-                coeffs.append(c * factor if i else c)
-                factor = factor * inv
-            _trim(coeffs)
-            if coeffs:
-                geo.append((lam, tuple(coeffs)))
+    if not f.exact:
+        return _complex_form(a, spectral_data(a, tol))
+    _, nz, nil, chains = _exact_chains(a, tol)
     return PCanonicalForm(field=f, order=a.n, basis=Basis.LAMBDA,
                           nilpotent_terms=tuple(enumerate(nil)),
-                          geometric_terms=tuple(geo))
+                          geometric_terms=tuple((mu, tuple(chain)) for (mu, _), chain
+                                                in zip(nz, chains)))
 
 
 def _eval_at(form, field: Field, k: int, scaled) -> Matrix:
@@ -313,28 +311,3 @@ def realpcf_eval(form: RealPCF, k: int) -> Matrix:
                 yield rk * math.sin(k * term.angle), term.sin_coeffs
 
     return _eval_at(form, CC, k, scaled())
-
-
-def _rebase_real(form: RealPCF, basis: Basis) -> RealPCF:
-    if form.basis is basis:
-        return form
-
-    def conv(coeffs):
-        return tuple(_rebase(CC, form.order, coeffs, basis is Basis.GAMMA))
-
-    terms = tuple(RealTerm(t.value, conv(t.coeffs)) if isinstance(t, RealTerm)
-                  else SpiralTerm(t.modulus, t.angle, conv(t.cos_coeffs),
-                                  conv(t.sin_coeffs))
-                  for t in form.terms)
-    return replace(form, basis=basis, terms=terms)
-
-
-def realpcf_to_gamma(form: RealPCF) -> RealPCF:
-    """Power-basis rewrite of a real closed form (same Stirling identity,
-    applied to cos and sin coefficient lists independently)."""
-    return _rebase_real(form, Basis.GAMMA)
-
-
-def realpcf_to_lambda(form: RealPCF) -> RealPCF:
-    """Inverse of realpcf_to_gamma."""
-    return _rebase_real(form, Basis.LAMBDA)

@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the code under test:
 the exponential oracle is plain scaling-and-squaring on a truncated
 series, the exact canonical-form oracle builds its power table, chains
-and scalings from Matrix products (`pcf_build_by_products`), the
+and scalings from Matrix products (`pcf_build_by_products`), the complex
+chains (A - lambda I)^i pi that e^(tA) and log A weight come from Matrix
+products on a spectral resolution (`chains_by_products`), the
 Kronecker oracle fills entries block by block (`kron_by_blocks`),
 `wedge_lambda` is a dimension rule no library code uses, the
 characteristic polynomial comes from the division-free
@@ -159,6 +161,22 @@ def pcf_build_by_products(a: Matrix, tol: float = 1e-8):
     return projections, PCanonicalForm(
         field=f, order=n, basis=Basis.LAMBDA,
         nilpotent_terms=tuple(enumerate(nil)), geometric_terms=tuple(geo))
+
+
+def chains_by_products(a: Matrix, sd) -> tuple[list, list]:
+    """(nil, chains) of a complex matrix from its SpectralData sd: nil is
+    A^i pi_0 for i below the index of zero, and chains lists per nonzero
+    eigenvalue (lambda, [(A - lambda I)^i pi for i below its index]),
+    every matrix a product of the one before it, unscaled and untrimmed."""
+    def chain(step, start, length):
+        out = [start][:length]
+        while len(out) < length:
+            out.append(step * out[-1])
+        return out
+
+    return (chain(a, sd.zero_projection, sd.t0),
+            [(c.value, chain(a - Matrix.identity(a.field, a.n) * c.value,
+                             c.projection, c.index)) for c in sd.components])
 
 
 def char_poly(a: Matrix) -> Poly:

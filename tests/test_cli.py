@@ -373,6 +373,24 @@ def test_lrs_eval_refuses_answers_it_cannot_print(capsys):
         assert (code, out.strip()) == (0, want) and took < 1.0
 
 
+def test_lrs_eval_sizes_by_the_sequence_not_its_polynomial(capsys):
+    # X^n mod (X - 1)(X - 2) has n-bit coefficients, but the constant 1 it
+    # carries is annihilated by X - 1 alone
+    const = '{"poly": [2, -3, 1], "initials": [1, 1]}'
+    for argv in ((const, BIG), (const, "10000", "--prefix")):
+        code, out, _, took = _timed(capsys, "lrs-eval", *argv)
+        assert code == 0 and set(out.split()) == {"1"} and took < 1.0
+    # the sequence 2^n shares that polynomial and is still refused
+    code, out, err, took = _timed(capsys, "lrs-eval",
+                                  '{"poly": [2, -3, 1], "initials": [1, 2]}', BIG)
+    assert (code, out) == (1, "") and took < 1.0
+    assert err.startswith("AnswerTooLarge: ")
+    # Fibonacci is its own minimal recurrence: still refused
+    code, out, err, took = _timed(capsys, "lrs-eval", FIB_SEQ, BIG)
+    assert (code, out) == (1, "") and took < 1.0
+    assert err.startswith("AnswerTooLarge: ")
+
+
 def test_lrs_product_json(capsys):
     code, out, _ = run_cli(capsys, "lrs-product", FIB_POLY, "[-2,1]", "--json")
     assert code == 0

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import spiral_3x3_at
 from helpers import (
+    chains_by_products,
     char_poly,
     conjugated_jordan,
     expm_series,
@@ -34,10 +35,9 @@ from pcanon.matfun import (
     expm_real,
     log_pcf,
     logm,
-    logm_real_pcf,
     realclosedform_eval,
 )
-from pcanon.pcf import pcf_build, pcf_eval, pcf_realify
+from pcanon.pcf import pcf_build, pcf_eval
 from pcanon.scalar import CC, GF, QQ, Poly
 
 # -- exponentials -------------------------------------------------------------
@@ -181,6 +181,59 @@ def test_exponential_is_deduced_from_canonical_form(
                     assert m.maxnorm() <= 1e-12 * max(1.0, ms[0][1].maxnorm())
 
 
+def _reference_inputs():
+    """Complex Gaussians (n <= 20), conjugated Jordan assemblies with
+    indices up to 4 (some with the eigenvalue 0) and real matrices of a
+    known spectrum, all over C."""
+    np = pytest.importorskip("numpy")
+    for n in (2, 5, 9, 14, 20):
+        gen = np.random.default_rng([n, 17])
+        x = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        yield Matrix(CC, x.tolist())
+    rng = random.Random(23)
+    for blocks in ([(4, 2), (2, 0.5)], [(4, 1 + 1j), (1, 1 - 1j), (2, 3)],
+                   [(3, -1 + 2j), (4, 0.5j), (1, 2)], [(3, 0), (4, 2), (1, 1)],
+                   [(2, 0), (3, 1.5), (2, -2j)]):
+        yield conjugated_jordan(rng, CC, blocks)
+    gen = np.random.default_rng(41)
+    for reals, pairs in (((0.5, 2.0), ((1.2, 1.0),)),
+                         ((-1.5, 0.3, 2.0), ((1.0, 1.0), (0.6, 2.5))),
+                         ((0.4, 1.1, 3.0), ((1.8, 0.5), (1.0, 1.6), (0.6, 2.6)))):
+        yield Matrix(CC, real_with_spectrum(gen, reals, pairs).tolist())
+
+
+def test_forms_reweight_the_reference_chains():
+    # pcf_build, expm_closed and logm against the chains (A - lambda I)^i pi
+    # built by Matrix products on the same spectral resolution
+    def close(got, want):
+        return max_diff(got, want) <= 1e-13 * max(1.0, want.maxnorm())
+
+    for a in _reference_inputs():
+        nil, chains = chains_by_products(a, spectral_data(a))
+        form, e = pcf_build(a), expm_closed(a)
+        assert [v for _, v in form.nilpotent_terms] == nil
+        for (i, m), v in zip(e.polynomial_part, nil, strict=True):
+            assert close(m, v * (1 / math.factorial(i)))
+        assert [lam for lam, _ in form.geometric_terms] == [lam for lam, _ in chains]
+        for (lam, cs), (_, ms), (_, ch) in zip(form.geometric_terms, e.exponential_terms,
+                                               chains, strict=True):
+            assert len(cs) == len(ms) <= len(ch)
+            assert all(m.is_zero for m in ch[len(cs):])
+            for i, (c, (_, m), r) in enumerate(zip(cs, ms, ch)):
+                assert close(c, r * lam ** -i)
+                assert close(m, r * (1 / math.factorial(i)))
+        if nil or any(lam.real < 0 and not lam.imag for lam, _ in chains):
+            with pytest.raises(SingularMatrix if nil else PrincipalUndefined):
+                logm(a)
+            continue
+        want = Matrix.zeros(CC, a.n)
+        for lam, ch in chains:
+            want = want + ch[0] * cmath.log(lam)
+            for i, r in enumerate(ch[1:], 1):
+                want = want + r * ((-1) ** (i - 1) / (i * lam ** i))
+        assert close(logm(a), want)
+
+
 def test_exp_needs_complex_embedding():
     f5 = GF(5)
     with pytest.raises(NumericFieldUnsupported):
@@ -231,6 +284,22 @@ def test_real_exponential_rejects_complex_input():
 
 
 # -- logarithms -----------------------------------------------------------------
+
+
+def test_log_refuses_before_building_projections(monkeypatch, negative_pair_2x2):
+    import pcanon.matfun
+
+    def unreachable(*args):
+        raise AssertionError("projections built for a refused logarithm")
+
+    monkeypatch.setattr(pcanon.matfun, "_numeric_resolution", unreachable)
+    principal = LogBranchSpec.principal()
+    for a, branch, error in ((negative_pair_2x2, principal, PrincipalUndefined),
+                             (Matrix.jordan_block(QQ, 2, 0), principal, SingularMatrix),
+                             (Matrix.identity(QQ, 2), LogBranchSpec.branches([0, 1]),
+                              PcanonError)):
+        with pytest.raises(error):
+            logm(a, branch)
 
 
 def test_principal_log_of_positive_diagonal():
@@ -389,13 +458,14 @@ def _eig_with_mult(m: Matrix):
 
 
 def test_real_pcf_log_unmerges_conjugate_pairs():
+    # the log of a real matrix's form keeps the conjugate pair unmerged:
+    # its powers are those of logm, and its logs are conjugate
     e = spiral_3x3_at(3.0)
-    rf = pcf_realify(pcf_build(e))
-    lf = logm_real_pcf(rf)
-    direct = log_pcf(pcf_build(e))
+    lf = log_pcf(pcf_build(e))
+    el = logm(e)
     for k in range(1, 7):
         got = pcf_eval(lf, k)
-        want = pcf_eval(direct, k)
+        want = el ** k
         assert max_diff(got, want) < 1e-9 * max(1.0, want.maxnorm()), k
     # log eigenvalues carried by the form
     vals = sorted((z for z, _ in lf.geometric_terms), key=_spectrum_order)
@@ -407,7 +477,7 @@ def test_real_pcf_log_unmerges_conjugate_pairs():
 
 def test_real_pcf_log_sequences_are_real():
     e = spiral_3x3_at(3.0)
-    lf = logm_real_pcf(pcf_realify(pcf_build(e)))
+    lf = log_pcf(pcf_build(e))
     w = complex(math.log(2), math.pi / 6)
     for k in range(1, 7):
         got = pcf_eval(lf, k)
@@ -418,9 +488,9 @@ def test_real_pcf_log_sequences_are_real():
 
 
 def test_real_pcf_log_refuses_negative_real_eigenvalue(negative_pair_2x2):
-    rf = pcf_realify(pcf_build(negative_pair_2x2.to_field(CC)))
+    form = pcf_build(negative_pair_2x2.to_field(CC))
     with pytest.raises(PrincipalUndefined):
-        logm_real_pcf(rf)
+        log_pcf(form)
 
 
 def test_real_exponential_and_log_match_scipy():

@@ -36,8 +36,6 @@ from pcanon.pcf import (
     pcf_to_gamma,
     pcf_to_lambda,
     realpcf_eval,
-    realpcf_to_gamma,
-    realpcf_to_lambda,
 )
 from pcanon.scalar import CC, GF, QQ
 
@@ -247,9 +245,13 @@ def test_realify_holds_the_exact_real_and_imaginary_parts():
 
 
 def test_real_basis_conversions_roundtrip(spiral_3x3):
-    rf = pcf_realify(pcf_build(spiral_3x3))
-    gamma = realpcf_to_gamma(rf)
-    back = realpcf_to_lambda(gamma)
+    # the Stirling weights are real: a real form's power basis is the
+    # merger of the complex form in that basis
+    form = pcf_build(spiral_3x3)
+    rf = pcf_realify(form)
+    gamma = pcf_realify(pcf_to_gamma(form))
+    back = pcf_realify(pcf_to_lambda(pcf_to_gamma(form)))
+    assert gamma.basis is Basis.GAMMA and back.basis is Basis.LAMBDA
     for k in range(1, 9):
         want = realpcf_eval(rf, k)
         assert max_diff(realpcf_eval(gamma, k), want) < 1e-9 * 2.0 ** k
