@@ -14,8 +14,12 @@ idempotence by more than tol, relative to the projections' size, raises
 ProjectionsInaccurate.
 
 One function, `_eigendata`, gives a matrix's spectrum, t0 and the
-(eigenvalue, index) pairs of the nonzero eigenvalues: over Q and F_p the
-minimal polynomial split by `_split`, over C `_spectrum` read directly.
+(eigenvalue, index) pairs of the nonzero eigenvalues. Over Q and F_p it
+runs on the plain integer coefficients of the monic minimal polynomial M
+of S = den A (residues over F_p): the Krylov lcm of `_int_minpoly`, then
+scalar's `_int_split` (squarefree part, Hensel or Cantor-Zassenhaus roots
+nu, multiplicities by synthetic division), eigenvalues nu / den. Over C
+it reads `_spectrum` directly.
 
 Every matrix product goes through one kernel, `_product`. Over C it is
 one numpy complex matmul, in BLAS. Over Q and F_p scalar's `_lift` turns
@@ -57,22 +61,22 @@ from .errors import (
 )
 from .scalar import (
     CC,
-    GF,
-    QQ,
     Field,
     Poly,
     _convolve,
     _drop,
+    _int_split,
     _lift,
     _long_division,
     _numpy_refusal,
     _powmod,
+    _rescaled,
+    _residue_gcd,
     _residue_rem,
     _spectrum,
     _staircase,
     _times_powers,
     poly_factor,
-    poly_lcm,
 )
 
 
@@ -393,24 +397,27 @@ def _insert_row(rows: list, entry) -> None:
     rows.insert(at, entry)
 
 
-def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
-    """Minimal polynomial of an integer matrix, exact over Z (mod None,
-    result over Q with integer coefficients) or over F_mod.
+def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> list[int]:
+    """Minimal polynomial M of an integer matrix, exact over Z (mod None)
+    or over F_mod, as ascending plain coefficients: monic and integral over
+    Z, residues over F_mod.
 
     Per starting basis vector, a Krylov chain is reduced against a local
     echelon basis while a companion polynomial records the combination;
-    the first dependency yields that vector's exact annihilator, and the
-    answer is the least common multiple across starting vectors. Basis
-    vectors already inside the span swept so far are skipped, since their
-    annihilators divide the running lcm.
+    the first dependency yields that vector's annihilator g, the companion
+    polynomial over its lead (exactly over Z, as g divides the monic
+    integral characteristic polynomial). M is the least common multiple of
+    the g: one that divides it so far leaves it, another multiplies it by
+    g / gcd(M, g) (scalar's `_residue_gcd`). Basis vectors already inside
+    the span swept so far are skipped, since their annihilators divide M.
     """
-    n = len(int_rows)
-    field = QQ if mod is None else GF(mod)
+    n, p = len(int_rows), mod or 0
+    divide = (lambda c: c % p) if p else (lambda c: c)
     glob: list[tuple[int, list[int]]] = []
-    acc = Poly.one(field)
+    acc = [1]
     rank = 0
     for start in range(n):
-        if acc.degree == n or rank == n:
+        if len(acc) > n or rank == n:
             break
         probe = [0] * n
         probe[start] = 1
@@ -428,8 +435,11 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
                 break
             _insert_row(local, (piv, vec, pol))
             vec, pol = _dots([vec], int_rows, mod)[0], [0] + pol
-        local_min = Poly(field, pol).monic()
-        acc = poly_lcm(acc, local_min)
+        lead = pol[-1]
+        g = [x * pow(lead, -1, p) % p for x in pol] if p else [x // lead for x in pol]
+        if _residue_rem(acc, g, p):
+            common = _residue_gcd(acc, g, p)
+            acc = [divide(x) for x in _convolve(acc, _long_division(g, common, divide))]
         for _, v, _p in local:
             w = list(v)
             _eliminate(w, None, glob, mod)
@@ -444,12 +454,7 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> Poly:
 
 def _minpoly_exact(f: Field, scaled, den: int) -> Poly:
     """Minimal polynomial over Q or F_p of `_lift`'s (scaled, den) of A."""
-    mb = _int_minpoly(scaled, f.char or None)
-    if den == 1:
-        return mb
-    # minpoly of A recovered from minpoly of den*A by X -> den*X rescaling
-    return Poly(QQ, [c / Fraction(den) ** (mb.degree - i)
-                     for i, c in enumerate(mb.coeffs)])
+    return _rescaled(f, _int_minpoly(scaled, f.char or None), den)
 
 
 # ---------------------------------------------------------------------
@@ -478,13 +483,21 @@ def _split(p: Poly, tol: float):
 
 def _eigendata(a: Matrix, tol: float):
     """(t0, [(eigenvalue, index), ...], lifted) of a matrix, nonzero
-    eigenvalues in the field's order: over Q and F_p its minimal polynomial
-    split by `_split`, NonSplitField when it does not split, lifted `_lift`'s
-    (rows, den) of A; over C read off scalar's `_spectrum`, lifted None."""
+    eigenvalues in the field's order. Over Q and F_p, lifted is (rows, den,
+    M): `_lift`'s (rows, den) of A and the monic integral minimal
+    polynomial M of S = den A from `_int_minpoly`, whose split by
+    scalar's `_int_split` gives the eigenvalues nu / den; NonSplitField,
+    naming A's own minimal polynomial, when M does not split. Over C the
+    spectrum is read off scalar's `_spectrum`, lifted None."""
     f = a.field
     if f.exact:
-        lifted = _lift(f, a.rows)
-        return (*_split(_minpoly_exact(f, *lifted), tol), lifted)
+        rows, den = _lift(f, a.rows)
+        big = _int_minpoly(rows, f.char or None)
+        t0, nz, rest = _int_split(f, big, den)
+        if len(rest) > 1:
+            raise NonSplitField(
+                f"{_rescaled(f, big, den).format()} does not split over {f}")
+        return t0, nz, (rows, den, big)
     spectrum = _numeric_spectrum(a, tol)[1]
     return (next((t for mu, _, t, _ in spectrum if not mu), 0),
             [(mu, t) for mu, _, t, _ in spectrum if mu], None)
@@ -559,11 +572,10 @@ def _exact_chains(a: Matrix, tol: float, full: bool = True):
     at nu = 0): one row of one integer product with S^0 ... S^(d-1).
     """
     f, n, p = a.field, a.n, a.field.char
-    t0, nz, (rows, den) = _eigendata(a, tol)
+    t0, nz, (rows, den, big) = _eigendata(a, tol)
     pairs = ([(0, t0)] if t0 else []) + [(mu.res if p else int(mu * den), t)
                                          for mu, t in nz]
     rem = partial(_residue_rem, p=p)
-    big = _lift(f, (_times_powers(Poly.one(f), pairs).coeffs,))[0][0]  # M
     weights, dens = [], []
     for nu, t in pairs:
         c = big

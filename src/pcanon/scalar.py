@@ -10,11 +10,12 @@ image of an integer exists in any field).
 Exact products, and division of polynomials, run on plain integers converted
 once per operation by `_lift` and `_drop`. `_powmod` (repeated squaring
 modulo a polynomial) serves lrs, the F_p root finder and the exact spectral
-projections. Roots come from Cantor-Zassenhaus over F_p and Hensel lifting
-over Q. Over C, `_spectrum` takes a matrix's eigenvalues from numpy and one
-rank rule decides which of them are one eigenvalue and what its index is;
-the roots of a polynomial are the eigenvalues of its companion matrix.
-numpy is imported there only.
+projections. Over Q and F_p, `_int_split` finds roots on plain integer
+coefficients: Cantor-Zassenhaus over F_p, Hensel lifting over Q. Over C,
+`_spectrum` takes a matrix's eigenvalues from numpy and one rank rule
+decides which of them are one eigenvalue and what its index is; the
+roots of a polynomial are the eigenvalues of its companion matrix. numpy
+is imported there only.
 """
 from __future__ import annotations
 
@@ -584,9 +585,11 @@ def _powmod(base, n: int, mod, mul=operator.mul, rem=operator.mod):
 
 
 def _residue_rem(a: list, m: list, p: int) -> list:
-    """Residues of a modulo a monic residue polynomial m (integers at p = 0), trimmed."""
+    """Residues of a modulo a monic residue polynomial m, trimmed; at p = 0
+    the integer remainder by an integral m whose lead divides each quotient
+    coefficient: a monic m, or one that a pseudo-division scaled a for."""
     a = list(a)
-    _long_division(a, m, (lambda c: c % p) if p else (lambda c: c))
+    _long_division(a, m, (lambda c: c % p) if p else (lambda c: c // m[-1]))
     a = [x % p for x in a[:len(m) - 1]] if p else a[:len(m) - 1]
     while a and not a[-1]:
         a.pop()
@@ -594,12 +597,20 @@ def _residue_rem(a: list, m: list, p: int) -> list:
 
 
 def _residue_gcd(a: list, b: list, p: int) -> list:
-    """gcd of residue polynomials by Euclid, monic unless b is zero ([])."""
+    """gcd of residue polynomials by Euclid, monic unless b is zero ([]).
+    At p = 0, gcd of a monic integral a and an integral b by a primitive
+    pseudo-remainder sequence, with a positive lead: monic, as by Gauss's
+    lemma the primitive gcd divides a in Z[X]."""
     while b:
-        inv = pow(b[-1], -1, p)
-        b = [x * inv % p for x in b]
+        if p:
+            inv = pow(b[-1], -1, p)
+            b = [x * inv % p for x in b]
+        else:
+            content = math.gcd(*b)
+            b = [x // content for x in b]
+            a = [x * b[-1] ** max(len(a) - len(b) + 1, 0) for x in a]
         a, b = b, _residue_rem(a, b, p)
-    return a
+    return [-x for x in a] if a and a[-1] < 0 else a
 
 
 def _times_powers(p: Poly, pairs) -> Poly:
@@ -618,6 +629,14 @@ def _times_powers(p: Poly, pairs) -> Poly:
             if q:
                 cs = [x % q for x in cs]
     return p * Poly(f, _drop(f, (cs,), den)[0])
+
+
+def _rescaled(f: Field, cs: list, den: int) -> Poly:
+    """den^-e c(den X) over Q or F_p of the monic plain polynomial c of
+    degree e: the monic polynomial whose roots are those of c over den."""
+    e = len(cs) - 1
+    return Poly(f, [Fraction(x, den ** (e - i)) for i, x in enumerate(cs)]
+                if den != 1 else cs)
 
 
 @dataclass(frozen=True)
@@ -669,30 +688,49 @@ def _cz_roots(f: list, p: int) -> list[int]:
     return roots
 
 
-def _hensel_roots(p: Poly):
-    """Candidates including every rational root of a nonzero polynomial over
-    Q, by Hensel lifting (Loos, SIAM J. Comput. 1983); callers confirm each
-    by exact division. The squarefree part, lifted to integers h, stays
-    squarefree mod the first prime q not dividing lc = lc(h). Newton's step
-    lifts each root r mod q to a modulus M > 2 |lc| B, B = 1 + max |h_i/lc|
-    bounding every root. A root a/b has b | lc, so lc a/b is the symmetric
-    residue of lc r mod M."""
-    (h,), _ = _lift(QQ, ((p // poly_gcd(p, p.derivative())).coeffs,))
-    lead = h[-1]
+def _hensel_roots(w: list):
+    """Candidates including every rational root of a monic integral
+    polynomial w, plain ascending coefficients, by Hensel lifting (Loos,
+    SIAM J. Comput. 1983); callers confirm each by exact division. As w is
+    monic, every rational root is an integer, so every candidate is one.
+    The squarefree part h = w / gcd(w, w') stays squarefree mod the first
+    prime q. Newton's step lifts each root r mod q to a modulus M > 2B,
+    B = 1 + max |h_i| bounding every root, which is then the symmetric
+    residue of r mod M."""
+    h = _long_division(list(w), _residue_gcd(w, [i * c for i, c in enumerate(w)][1:], 0),
+                       lambda c: c)
     dh = [i * c for i, c in enumerate(h)][1:]
     q = 2
-    while (not is_prime(q) or lead % q == 0
-           or poly_gcd(Poly(GF(q), h), Poly(GF(q), dh)).degree):
+    while not is_prime(q) or len(_residue_gcd(h, _residue_rem(dh, h, q), q)) > 1:
         q += 1
-    bound = 2 * (lead + max(abs(c) for c in h))
-    for r in _cz_roots([c * pow(lead, -1, q) % q for c in h], q):
+    bound = 2 * (1 + max(abs(c) for c in h))
+    for r in _cz_roots([c % q for c in h], q):
         m = q
         while m <= bound:
             m *= m
             slope = pow(sum(c * r ** i for i, c in enumerate(dh)), -1, m)
             r = (r - sum(c * r ** i for i, c in enumerate(h)) * slope) % m
-        v = lead * r % m
-        yield Fraction(v - m if 2 * v > m else v, lead)
+        yield r - m if 2 * r > m else r
+
+
+def _int_split(f: Field, m: list, den: int):
+    """(multiplicity of 0, [(root, multiplicity), ...] of the others in the
+    field's order, rest) over Q or F_p of the monic polynomial whose roots
+    are those of m over den, m plain coefficients: monic integral over Q,
+    residues over F_p. Roots of m come from Cantor-Zassenhaus over F_p and
+    `_hensel_roots` over Q; synthetic division by X - r confirms each and
+    counts its multiplicity. rest, m's quotient by them, has no root."""
+    p = f.char
+    divide = (lambda c: c % p) if p else (lambda c: c)
+    zeros = next(i for i, c in enumerate(m) if c)
+    rest, roots = m[zeros:], []
+    for r in _cz_roots(rest, p) if p else _hensel_roots(rest):
+        mult = 0
+        while not _residue_rem(rest, [-r, 1], p):
+            rest, mult = _long_division(list(rest), [-r, 1], divide), mult + 1
+        if mult:
+            roots.append((f.coerce(r) if p else Fraction(r, den), mult))
+    return zeros, sorted(roots, key=lambda t: f.sort_key(t[0])), rest
 
 
 def _linked(values: list[complex], dist: float, scale: float = 1.0,
@@ -855,55 +893,44 @@ def _staircase(b, m: int, least: float = 0.0, counts=None):
 def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
     """Split linear factors off a nonzero monic polynomial.
 
-    Over F_p, for any p, Cantor-Zassenhaus finds the distinct roots of the
-    whole polynomial, keeping a root whose multiplicity is a multiple of p.
-    Over Q, Hensel lifting from one prime finds those of the squarefree
-    part. Both confirm each root and take its multiplicity by repeated
-    division; what has no root in the field stays in the remainder. Over C
-    the exactly zero low coefficients give the root 0, and the roots of the
-    rest are the eigenvalues of its companion matrix, as numpy.roots takes
-    them, grouped by `_spectrum` at relative tolerance tol, a root within
-    tol of 0 counting as 0; the remainder is always 1.
+    Over Q and F_p, p is scaled once to the monic integral den^d p(X / den),
+    den the common denominator of its coefficients, and split by
+    `_int_split`: Cantor-Zassenhaus over F_p finds the distinct roots of
+    the whole polynomial, keeping a root whose multiplicity is a multiple
+    of p, Hensel lifting over Q those of the squarefree part; what has no
+    root in the field stays in the remainder. Over C the exactly zero low
+    coefficients give the root 0, and the roots of the rest are the
+    eigenvalues of its companion matrix, as numpy.roots takes them,
+    grouped by `_spectrum` at relative tolerance tol, a root within tol of
+    0 counting as 0; the remainder is always 1.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     f = p.field
-    if not f.exact:
-        if abs(p.lead - 1) > 1e-9 * max(1.0, max(abs(c) for c in p.coeffs)):
-            raise NonMonic("complex factorisation expects a monic polynomial")
-        p = p.monic()
-    elif not p.is_monic:
-        raise NonMonic("factorisation expects a monic polynomial")
-
+    if f.exact:
+        if not p.is_monic:
+            raise NonMonic("factorisation expects a monic polynomial")
+        (cs,), den = _lift(f, (p.coeffs,))
+        zeros, roots, rest = _int_split(
+            f, [x * den ** (p.degree - 1 - i) for i, x in enumerate(cs[:-1])] + [1], den)
+        roots = ([(f.zero, zeros)] if zeros else []) + roots
+        roots.sort(key=lambda t: f.sort_key(t[0]))
+        return FactoredPoly(tuple(roots), _rescaled(f, rest, den))
+    if abs(p.lead - 1) > 1e-9 * max(1.0, max(abs(c) for c in p.coeffs)):
+        raise NonMonic("complex factorisation expects a monic polynomial")
     zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    work = Poly(f, p.coeffs[zeros:])
-    if not f.exact:
-        cs = work.coeffs
-        rows = [[float(j == i - 1) for j in range(len(cs) - 2)] + [-c]
-                for i, c in enumerate(cs[:-1])]
-        # a root of the rest within tol of 0 joins the stripped zeros,
-        # as values within relative distance tol are one eigenvalue
-        found = {f.zero: zeros}
-        for mu, m, *_ in _spectrum(rows, tol) if rows else ():
-            mu = f.zero if abs(mu) <= tol else mu
-            found[mu] = found.get(mu, 0) + m
-        roots = [(mu, m) for mu, m in found.items() if m]
-        work = Poly.one(f)
-    else:
-        roots = [(f.zero, zeros)] if zeros else []
-        candidates = (_cz_roots([c.res for c in work.coeffs], f.char) if f.char
-                      else _hensel_roots(work))
-        for r in map(f.coerce, candidates):
-            lin = Poly(f, (-r, 1))
-            mult = 0
-            q, rem = divmod(work, lin)
-            while rem.is_zero:
-                work, mult = q, mult + 1
-                q, rem = divmod(work, lin)
-            if mult:
-                roots.append((r, mult))
-    roots.sort(key=lambda t: f.sort_key(t[0]))
-    return FactoredPoly(tuple(roots), work)
+    cs = p.monic().coeffs[zeros:]
+    rows = [[float(j == i - 1) for j in range(len(cs) - 2)] + [-c]
+            for i, c in enumerate(cs[:-1])]
+    # a root of the rest within tol of 0 joins the stripped zeros,
+    # as values within relative distance tol are one eigenvalue
+    found = {f.zero: zeros}
+    for mu, m, *_ in _spectrum(rows, tol) if rows else ():
+        mu = f.zero if abs(mu) <= tol else mu
+        found[mu] = found.get(mu, 0) + m
+    roots = sorted(((mu, m) for mu, m in found.items() if m),
+                   key=lambda t: f.sort_key(t[0]))
+    return FactoredPoly(tuple(roots), Poly.one(f))
 
 
 @lru_cache(maxsize=None)

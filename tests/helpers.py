@@ -17,6 +17,10 @@ the digit rule), the annihilator oracle solves one Hankel system per
 candidate degree, the linkage oracle compares every pair of values, the
 class-table oracle enumerates every tuple of eigenvalues, the root
 oracles scan every residue mod p or every quotient of divisors over Q,
+the minimal polynomial oracle merges its Krylov annihilators by
+`poly_lcm` on Poly objects (`minpoly_by_poly_lcm`), the factorisation
+oracle confirms and counts roots by Poly division
+(`factor_by_poly_division`),
 and the random matrices are Jordan assemblies conjugated by unimodular
 integer matrices so every expected invariant is known by construction.
 """
@@ -39,7 +43,20 @@ from pcanon.linalg import (
     minpoly,
 )
 from pcanon.pcf import Basis, PCanonicalForm, _trim
-from pcanon.scalar import CC, CLUSTER_TOL, QQ, Poly, _convolve, _powmod
+from pcanon.scalar import (
+    CC,
+    CLUSTER_TOL,
+    GF,
+    QQ,
+    FactoredPoly,
+    Poly,
+    _convolve,
+    _cz_roots,
+    _powmod,
+    is_prime,
+    poly_gcd,
+    poly_lcm,
+)
 from pcanon.wedge import WedgeContext, wedge_fold
 
 
@@ -291,6 +308,90 @@ def rank_int(rows: list[list[int]], mod: int | None) -> int:
         if piv is not None:
             _insert_row(echelon, (piv, vec))
     return len(echelon)
+
+
+def minpoly_by_poly_lcm(int_rows: list[list[int]], mod: int | None) -> Poly:
+    """Minimal polynomial of an integer matrix over Q (mod None) or F_mod,
+    by one integer Krylov chain per start vector outside the span swept so
+    far, the chains' annihilators merged by `poly_lcm` on Poly objects."""
+    n = len(int_rows)
+    field = QQ if mod is None else GF(mod)
+    glob: list = []
+    acc = Poly.one(field)
+    rank = 0
+    for start in range(n):
+        if acc.degree == n or rank == n:
+            break
+        probe = [int(i == start) for i in range(n)]
+        _eliminate(probe, None, glob, mod)
+        if _first_nonzero(probe) is None:
+            continue
+        local: list = []
+        vec, pol = [int(i == start) for i in range(n)], [1]
+        while True:
+            _eliminate(vec, pol, local, mod)
+            piv = _first_nonzero(vec)
+            if piv is None:
+                break
+            _insert_row(local, (piv, vec, pol))
+            vec, pol = [sum(map(mul, row, vec)) for row in int_rows], [0] + pol
+            if mod is not None:
+                vec = [x % mod for x in vec]
+        acc = poly_lcm(acc, Poly(field, pol).monic())
+        for _, v, _p in local:
+            w = list(v)
+            _eliminate(w, None, glob, mod)
+            piv = _first_nonzero(w)
+            if piv is not None:
+                if mod is None:
+                    g = math.gcd(*w)
+                    w = [x // g for x in w]
+                _insert_row(glob, (piv, w))
+                rank += 1
+    return acc
+
+
+def factor_by_poly_division(p: Poly) -> FactoredPoly:
+    """poly_factor of a monic polynomial over Q or F_p on Poly objects.
+    Candidate roots come from Cantor-Zassenhaus over F_p, and over Q from
+    Hensel lifting the squarefree part p / gcd(p, p') cleared to integers
+    h: a root a/b has b | lc(h), so lc(h) a/b is the symmetric residue of
+    lc(h) r for r lifted past 2 |lc(h)| (1 + max |h_i / lc(h)|). Each is
+    confirmed, and counted, by Poly division by X - r."""
+    f = p.field
+    zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    work = Poly(f, p.coeffs[zeros:])
+    roots = [(f.zero, zeros)] if zeros else []
+    if f.char:
+        candidates = _cz_roots([c.res for c in work.coeffs], f.char)
+    else:
+        sqfree = work // poly_gcd(work, work.derivative())
+        den = math.lcm(*(c.denominator for c in sqfree.coeffs))
+        h = [int(c * den) for c in sqfree.coeffs]
+        lead, dh = h[-1], [i * c for i, c in enumerate(h)][1:]
+        q = 2
+        while (not is_prime(q) or lead % q == 0
+               or poly_gcd(Poly(GF(q), h), Poly(GF(q), dh)).degree):
+            q += 1
+        candidates = []
+        for r in _cz_roots([c * pow(lead, -1, q) % q for c in h], q):
+            m = q
+            while m <= 2 * (lead + max(map(abs, h))):
+                m *= m
+                slope = pow(sum(c * r ** i for i, c in enumerate(dh)), -1, m)
+                r = (r - sum(c * r ** i for i, c in enumerate(h)) * slope) % m
+            v = lead * r % m
+            candidates.append(Fraction(v - m if 2 * v > m else v, lead))
+    for r in map(f.coerce, candidates):
+        lin, mult = Poly(f, (-r, 1)), 0
+        q, rem = divmod(work, lin)
+        while rem.is_zero:
+            work, mult = q, mult + 1
+            q, rem = divmod(work, lin)
+        if mult:
+            roots.append((r, mult))
+    roots.sort(key=lambda t: f.sort_key(t[0]))
+    return FactoredPoly(tuple(roots), work)
 
 
 def wedge_oracle_dim(s: int, t: int, ctx: WedgeContext = WedgeContext(0),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from helpers import (
     char_poly,
     clustered_real,
     conjugated_jordan,
+    factor_by_poly_division,
     jordan_assembly,
     matrix_poly,
     max_diff,
+    minpoly_by_poly_lcm,
     naive_matmul,
     rational_spectrum_matrix,
     real_with_spectrum,
@@ -33,9 +36,11 @@ from pcanon.errors import (
     ProjectionsInaccurate,
     SingularMatrix,
 )
+from pcanon.kronmin import eig_spec_of_matrix, eig_spec_of_poly
 from pcanon.linalg import (
     Matrix,
     _combine,
+    _int_minpoly,
     _product,
     _projectors,
     companion,
@@ -45,7 +50,7 @@ from pcanon.linalg import (
 )
 from pcanon.matfun import closedform_eval, expm_closed, logm
 from pcanon.pcf import pcf_build, pcf_eval, pcf_to_gamma
-from pcanon.scalar import CC, GF, QQ, FpElement, Poly
+from pcanon.scalar import CC, GF, QQ, FpElement, Poly, _lift, poly_factor
 
 # -- strategies ---------------------------------------------------------------
 
@@ -347,6 +352,29 @@ def test_minpoly_prime_field():
     assert minpoly(companion(p)) == p
 
 
+@pytest.mark.parametrize("field, values, scale", [
+    (QQ, (0, 1, -1, 2, 3), 1),
+    (QQ, (0, 1, -1, 2, 3), Fraction(1, 3)),
+    (GF(2), (0, 1), 1),
+    (GF(3), (0, 1, 2), 1),
+    (GF(101), (0, 1, 5, 50, 100), 1),
+], ids=["Q", "Q/3", "F2", "F3", "F101"])
+def test_int_minpoly_matches_the_poly_lcm_oracle(field, values, scale):
+    # Kronecker products of conjugated Jordan matrices: their start vectors'
+    # annihilators share factors without dividing one another
+    rng = random.Random(f"{field}/{scale}")
+    for k in range(10):
+        factors = [conjugated_jordan(rng, field, [
+            (rng.randint(1, 3), rng.choice(values)) for _ in range(rng.randint(1, 3))])
+            for _ in range(1 if k < 3 else 2)]
+        a = factors[0] if k < 3 else kron(*factors)
+        rows, _ = _lift(field, (a * scale).rows)
+        want = minpoly_by_poly_lcm(rows, field.char or None)
+        got = _int_minpoly(rows, field.char or None)
+        assert got == [c.res if field.char else int(c) for c in want.coeffs], k
+        assert all(type(c) is int for c in got)
+
+
 def test_minpoly_numeric_rotation_and_defective():
     rot = Matrix(CC, [[0, -1], [1, 0]])
     mp = minpoly(rot)
@@ -492,6 +520,40 @@ def test_spectral_projections_share_one_power_table(monkeypatch):
     spectral_data(a)
     assert len(pairs) >= 4
     assert len(calls) <= degree - 1
+
+
+_REFUSAL_BAND_CONSTANT = 3 * 10 ** 12 + 7
+
+
+def test_split_refuses_a_constant_term_in_the_band_quickly():
+    # (X - 2)(X^7 + X + c), c in the exact benchmark's refusal band: Hensel
+    # lifting needs no divisor of c
+    p = Poly.from_roots(QQ, [2]) * Poly(QQ, [_REFUSAL_BAND_CONSTANT, 1] + [0] * 5 + [1])
+    s = unimodular(random.Random(3), 8)
+    a = s * companion(p) * s.inverse()
+    start = time.perf_counter()
+    got = poly_factor(p)
+    for call in (lambda: eig_spec_of_poly(p), lambda: spectral_data(a),
+                 lambda: pcf_build(a * Fraction(1, 3))):
+        with pytest.raises(NonSplitField):
+            call()
+    assert time.perf_counter() - start < 0.5
+    assert got == factor_by_poly_division(p)
+    assert got.roots == ((Fraction(2), 1),)
+
+
+@pytest.mark.parametrize("field, rows, message", [
+    (QQ, [[0, -1], [1, Fraction(1, 2)]], "X^2 + (-1/2)X + 1 does not split over Q"),
+    (QQ, [[0, -4], [1, 1]], "X^2 - X + 4 does not split over Q"),
+    (QQ, [[0, Fraction(-4, 9)], [1, Fraction(1, 3)]],
+     "X^2 + (-1/3)X + 4/9 does not split over Q"),
+    (GF(3), [[0, -1], [1, 0]], "X^2 + 1 does not split over F3"),
+], ids=["half", "integral", "thirds", "F3"])
+def test_refusal_names_the_matrix_minimal_polynomial(field, rows, message):
+    for call in (spectral_data, pcf_build, eig_spec_of_matrix):
+        with pytest.raises(NonSplitField) as err:
+            call(Matrix(field, rows))
+        assert str(err.value) == message
 
 
 def test_spectral_data_raises_when_spectrum_is_not_rational():

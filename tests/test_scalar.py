@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
+    factor_by_poly_division,
     linked_by_scan,
     naive_poly_mul,
     rational_roots_by_divisors,
@@ -305,6 +306,35 @@ def test_factor_large_prime_field():
     got = poly_factor(Poly.from_roots(f, [1, 2, 2, 2]) * quad)
     assert _residue_roots(got) == [(1, 1), (2, 3)]
     assert got.remainder == quad
+
+
+_BAND = 3 * 10 ** 12 + 7  # a constant term in the exact benchmark's refusal band
+
+
+@pytest.mark.parametrize("field, values", [
+    (QQ, (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 6))),
+    (GF(2), (0, 1)),
+    (GF(3), (0, 1, 2)),
+    (GF(101), (0, 1, 5, 50, 100)),
+], ids=["Q", "F2", "F3", "F101"])
+def test_split_matches_the_poly_division_route(field, values):
+    rng = random.Random(f"split/{field}")
+    rests = [[], [1, 0], [1, 1], [2, 0, 1], [_BAND, 1, 0, 0, 0, 0, 0, 0]]
+    if not field.char:
+        rests += [[Fraction(1, 3), Fraction(-1, 2)], [_BAND, Fraction(1, 5)]]
+    covered, floor = [], field.char if field.char in (2, 3) else 2
+    for k in range(24):
+        # up to 7 equal roots, so multiplicities reach and pass p over F_2 and F_3
+        roots = [rng.choice(values[:2]) for _ in range(rng.randint(0, 7))]
+        roots += [rng.choice(values) for _ in range(rng.randint(0, 3))]
+        p = Poly.from_roots(field, roots) * Poly(field, rests[k % len(rests)] + [1])
+        got = poly_factor(p)
+        assert got == factor_by_poly_division(p), (k, p)
+        assert got.reassemble() == p
+        covered.append((max((m for _, m in got.roots), default=0) >= floor,
+                        any(r == 0 for r, _ in got.roots), got.remainder.degree > 0))
+    # a root of multiplicity >= floor, the root 0 and a non-split rest
+    assert all(map(any, zip(*covered)))
 
 
 def test_factor_requires_monic_nonzero():
