@@ -20,7 +20,6 @@ from pcanon import (
     GF,
     QQ,
     LinRecSeq,
-    LogBranchSpec,
     Matrix,
     Poly,
     WedgeContext,
@@ -103,7 +102,7 @@ def main() -> None:
     c = Matrix(QQ, [[1, 3], [-3, -5]])
     print("matrix (single eigenvalue -2, defective):")
     print(c.format())
-    ell = logm(c, LogBranchSpec.branches([0]))
+    ell = logm(c, [0])
     print("\nlog on the branch z = ln2 + i*pi:")
     print(ell.format())
     back = expm_closed(ell)

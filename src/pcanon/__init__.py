@@ -53,7 +53,6 @@ from .linalg import (
 from .lrs import LinRecSeq, lrs_eval, lrs_min_annihilator, lrs_mul, lrs_prefix
 from .matfun import (
     ClosedFormExp,
-    LogBranchSpec,
     RealClosedForm,
     RealExpTerm,
     SpiralExpTerm,
@@ -118,8 +117,8 @@ __all__ = [
     "lrs_min_annihilator",
     # exponentials and logarithms
     "ClosedFormExp", "RealClosedForm", "RealExpTerm", "SpiralExpTerm",
-    "LogBranchSpec", "expm_closed", "closedform_eval", "expm_real",
-    "realclosedform_eval", "logm", "log_pcf",
+    "expm_closed", "closedform_eval", "expm_real", "realclosedform_eval",
+    "logm", "log_pcf",
     # errors
     "PcanonError", "MixedFields", "NumericFieldUnsupported", "ZeroPolynomial",
     "NonMonic", "DegreeZero", "NonSplitField",

@@ -26,7 +26,7 @@ from .errors import AnswerTooLarge, NonSplitField, ParseError, PcanonError
 from .kronmin import eig_spec_of_matrix, kron_minpoly_symbolic, lrs_product_poly
 from .linalg import Matrix
 from .lrs import LinRecSeq, lrs_eval, lrs_min_annihilator, lrs_prefix
-from .matfun import ClosedFormExp, LogBranchSpec, expm_closed, logm
+from .matfun import ClosedFormExp, expm_closed, logm
 from .pcf import Basis, PCanonicalForm, pcf_build, pcf_eval, pcf_to_gamma
 from .scalar import CC, GF, QQ, Field, Poly, PrimeField, format_complex
 from .wedge import WedgeContext, wedge_fold
@@ -400,9 +400,9 @@ def _cmd_expm(args) -> str:
     return render_closed_form(form, "json" if args.json else "pretty")
 
 
-def _branch_spec(args) -> LogBranchSpec:
+def _branch(args) -> list[int] | None:
     if args.branch is None:
-        return LogBranchSpec.principal()
+        return None
     try:
         ks = [int(s) for s in args.branch.split(",") if s.strip() != ""]
     except ValueError:
@@ -410,11 +410,11 @@ def _branch_spec(args) -> LogBranchSpec:
                          f"{args.branch!r}") from None
     if not ks:
         raise ParseError("--branch needs at least one integer")
-    return LogBranchSpec.branches(ks)
+    return ks
 
 
 def _cmd_logm(args) -> str:
-    m = logm(parse_matrix(args.input, args), _branch_spec(args), args.tol)
+    m = logm(parse_matrix(args.input, args), _branch(args), args.tol)
     return _emit(args, _matrix_doc(m), m.format())
 
 

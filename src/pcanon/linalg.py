@@ -29,9 +29,12 @@ residues over F_p), `_drop` turns results back, and between them runs
 step and the power tables. `_combine` forms weighted sums sum_j W[r][j]
 M_j of matrices as one product of the weight rows with the flattened
 matrices; every closed-form evaluation in pcf and matfun is one call of
-it. Over Q and F_p, every projection and every chain matrix of pcf is
-one row of one product of integer weight rows with the power table of
-S = den A (`_exact_chains`).
+it.
+
+The projections and the chains A^i pi_0, lambda^(-i) (A - lambda I)^i pi
+of pcf and matfun have one entry, `_chains`, with one return shape for
+every field: over Q and F_p rows of one integer product with the power
+table of S = den A, over C numpy products (`_complex_chains`).
 
 Row reduction has two implementations, one per row storage. Rows of field
 elements go through `_row_reduce`, the Gauss-Jordan elimination behind
@@ -363,7 +366,8 @@ def _content_normalize(vec: list[int], pol: list[int]) -> None:
 def _eliminate(vec: list[int], pol: list[int] | None,
                rows: list, mod: int | None) -> None:
     """Reduce vec (and its tracking polynomial) against echelon rows in
-    increasing pivot order, in place. Rows are (pivot, vec[, pol]) tuples."""
+    increasing pivot order, in place. Rows are (pivot, vec[, pol]) tuples;
+    a row was stored at an earlier Krylov step, so its pol is no longer."""
     for entry in rows:
         piv, u = entry[0], entry[1]
         b = vec[piv]
@@ -375,8 +379,6 @@ def _eliminate(vec: list[int], pol: list[int] | None,
             for i, x in enumerate(vec):
                 vec[i] = aa * x - b * u[i]
             if pol is not None:
-                if len(pol) < len(r):
-                    pol.extend([0] * (len(r) - len(pol)))
                 for i in range(len(pol)):
                     pol[i] = aa * pol[i] - b * (r[i] if i < len(r) else 0)
             _content_normalize(vec, pol if pol is not None else [])
@@ -385,8 +387,6 @@ def _eliminate(vec: list[int], pol: list[int] | None,
             for i, x in enumerate(vec):
                 vec[i] = (x - c * u[i]) % mod
             if pol is not None:
-                if len(pol) < len(r):
-                    pol.extend([0] * (len(r) - len(pol)))
                 for i in range(len(pol)):
                     pol[i] = (pol[i] - c * (r[i] if i < len(r) else 0)) % mod
 
@@ -559,19 +559,23 @@ class SpectralData:
         return out
 
 
-def _exact_chains(a: Matrix, tol: float, full: bool = True):
-    """(t0, [(eigenvalue, index), ...], nil, chains) over Q or F_p: nil is
+def _chains(a: Matrix, tol: float, full: bool = True):
+    """(t0, [(eigenvalue, index), ...], nil, chains) of any matrix: nil is
     A^i pi_0 for i < t0; chains holds lambda^(-i) (A - lambda I)^i pi for
-    i < t per nonzero eigenvalue lambda of index t, only i = 0 unless full.
+    i < t per nonzero eigenvalue lambda of index t, only i = 0 unless full
+    (nil then only pi_0). Over C they come from `_complex_chains`.
 
-    S = den A has a monic integral minimal polynomial M, so nu = den lambda
-    is an integer and lambda^-i (A - lambda I)^i pi = nu^-i (S - nu I)^i pi.
-    For c = M / (Y - nu)^t, E = c(nu)^t - (c(nu) - c)^t is c(nu)^t mod
-    (Y - nu)^t and 0 mod c, so E(S) = c(nu)^t pi. Matrix i, never zero as M
-    is minimal, is (Y - nu)^i E mod M at S over nu^i c(nu)^t (den^i c(0)^t0
-    at nu = 0): one row of one integer product with S^0 ... S^(d-1).
+    Over Q and F_p, S = den A has a monic integral minimal polynomial M, so
+    nu = den lambda is an integer and lambda^-i (A - lambda I)^i pi =
+    nu^-i (S - nu I)^i pi. For c = M / (Y - nu)^t, E = c(nu)^t - (c(nu) -
+    c)^t is c(nu)^t mod (Y - nu)^t and 0 mod c, so E(S) = c(nu)^t pi.
+    Matrix i, never zero as M is minimal, is (Y - nu)^i E mod M at S over
+    nu^i c(nu)^t (den^i c(0)^t0 at nu = 0): one row of one integer product
+    with S^0 ... S^(d-1).
     """
     f, n, p = a.field, a.n, a.field.char
+    if not f.exact:
+        return _complex_chains(*_numeric_spectrum(a, tol), tol, full)
     t0, nz, (rows, den, big) = _eigendata(a, tol)
     pairs = ([(0, t0)] if t0 else []) + [(mu.res if p else int(mu * den), t)
                                          for mu, t in nz]
@@ -664,17 +668,38 @@ def _projectors(a, groups, tol: float):
     return out
 
 
-def _numeric_resolution(a: Matrix, arr, spectrum, tol: float) -> SpectralData:
-    """spectral_data over C from A's array and `_spectrum`."""
-    t0, zero, comps = 0, Matrix._of(CC, [[0j] * a.n for _ in range(a.n)]), []
-    for (mu, _, t, _), p in zip(spectrum, _projectors(arr, spectrum, tol)):
-        p = Matrix._of(CC, p.tolist())
-        if mu:
-            comps.append(EigenComponent(mu, t, p))
-        else:
-            t0, zero = t, p
-    return SpectralData(field=CC, order=a.n, t0=t0, zero_projection=zero,
-                        components=tuple(comps))
+def _trim(coeffs: list) -> list:
+    """Drop trailing zero matrices, in place."""
+    while coeffs and coeffs[-1].is_zero:
+        coeffs.pop()
+    return coeffs
+
+
+def _complex_chains(arr, spectrum, tol: float, full: bool):
+    """`_chains` over C from A's complex array and its `_spectrum`, with pi
+    from `_projectors` and the products taken in numpy. Each product is
+    scaled after it is taken: folding 1/lambda into the step rounds its
+    entries, which the cancellation in (A - lambda I)^i amplifies. Trailing
+    zero matrices of a nonzero eigenvalue are dropped, never down to pi."""
+    t0, nz, nil, chains = 0, [], [], []
+    for (mu, _, t, _), pi in zip(spectrum, _projectors(arr, spectrum, tol)):
+        if not mu:
+            t0, nil = t, [pi]
+            while full and len(nil) < t:
+                nil.append(arr @ nil[-1])
+            nil = [Matrix._of(CC, v.tolist()) for v in nil]
+            continue
+        nz.append((mu, t))
+        coeffs = [Matrix._of(CC, pi.tolist())]
+        if full and t > 1:
+            step, chain, inv, factor = arr.copy(), pi, 1 / mu, 1
+            step.flat[::len(arr) + 1] -= mu
+            for _ in range(1, t):
+                chain, factor = step @ chain, factor * inv
+                coeffs.append(Matrix._of(CC, chain.tolist()) * factor)
+            _trim(coeffs)
+        chains.append(coeffs)
+    return t0, nz, nil, chains
 
 
 def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
@@ -683,9 +708,7 @@ def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
     and ProjectionsInaccurate when the projections over C fail their check
     at tol."""
     f = a.field
-    if not f.exact:
-        return _numeric_resolution(a, *_numeric_spectrum(a, tol), tol)
-    t0, nz, nil, chains = _exact_chains(a, tol, full=False)
+    t0, nz, nil, chains = _chains(a, tol, full=False)
     comps = tuple(EigenComponent(mu, t, ch[0]) for (mu, t), ch in zip(nz, chains))
     return SpectralData(field=f, order=a.n, t0=t0,
                         zero_projection=nil[0] if t0 else Matrix.zeros(f, a.n),

@@ -1,17 +1,18 @@
 """Closed-form matrix exponentials and logarithms read off the P-canonical form.
 
-The complex P-canonical form of A (pcf's `_complex_form`) holds
+The complex P-canonical form of A, read off linalg's `_chains`, holds
 C_i = lambda_j^(-i) (A - lambda_j I)^i pi_j per eigenvalue and V_i = A^i pi_0
 for the eigenvalue zero; both functions reweight those coefficients
 (Higham, Functions of Matrices, ch. 1). e^(tA) is a polynomial in t times
 e^(lambda t) per eigenvalue: V_i / i! on t^i and lambda^i C_i / i! on
 e^(lambda t) t^i. log A is sum_j z_j pi_j plus the terminating series
-((-1)^(i-1) / i) C_i, i >= 1. A branch choice per
-eigenvalue (principal or explicit winding integers) fixes z_j =
-log|lambda_j| + i(Arg lambda_j + 2 pi k_j). The logarithm also exists at
-the level of closed forms for the full power sequence (`log_pcf`).
-log A, and e^(tA) at a given t, is one weighted sum of the stored matrices
-through linalg's `_combine`. All arithmetic here is on complex doubles;
+((-1)^(i-1) / i) C_i, i >= 1. A branch, None for the principal one or one
+winding integer k_j per eigenvalue, fixes z_j = log|lambda_j| +
+i(Arg lambda_j + 2 pi k_j). The logarithm also exists at the level of
+closed forms for the full power sequence (`log_pcf`). log A is one
+weighted sum of the stored matrices through linalg's `_combine`, and
+e^(tA) at a given t is one through pcf's `_eval_at`, the evaluator of
+the power-sequence forms. All arithmetic here is on complex doubles;
 exact inputs are converted once at the boundary.
 """
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .errors import (
     SingularMatrix,
     ZeroLogClash,
 )
-from .linalg import Matrix, _combine, _numeric_resolution, _numeric_spectrum
+from .linalg import Matrix, _combine, _complex_chains, _numeric_spectrum, _trim
 from .pcf import (
     Basis,
     PCanonicalForm,
-    _complex_form,
+    _eval_at,
     _merge_conjugates,
     _real_matrix,
-    _trim,
     pcf_build,
     pcf_to_gamma,
 )
@@ -85,32 +85,6 @@ class RealClosedForm:
     terms: tuple
 
 
-@dataclass(frozen=True)
-class LogBranchSpec:
-    """Branch selection for matrix logarithms.
-
-    ks = None selects the principal branch (defined only when no
-    eigenvalue lies on the closed negative real axis); otherwise ks lists
-    one winding integer per eigenvalue in the field's canonical
-    eigenvalue order, and z = log|lambda| + i(Arg lambda + 2 pi k) with
-    Arg in (-pi, pi].
-    """
-
-    ks: tuple | None = None
-
-    @classmethod
-    def principal(cls) -> "LogBranchSpec":
-        return cls(None)
-
-    @classmethod
-    def branches(cls, ks) -> "LogBranchSpec":
-        return cls(tuple(int(k) for k in ks))
-
-    @property
-    def is_principal(self) -> bool:
-        return self.ks is None
-
-
 def _to_cc(a: Matrix) -> Matrix:
     if a.field == CC:
         return a
@@ -137,22 +111,12 @@ def expm_closed(a: Matrix, tol: float = 1e-8) -> ClosedFormExp:
                                                  for lam, coeffs in form.geometric_terms))
 
 
-def _exp_at(order: int, t, scaled) -> Matrix:
-    """sum of g t^i M_i over every (g, ((i, M_i), ...)) in scaled, as one
-    weighted sum."""
-    weights, mats = [], []
-    for g, coeffs in scaled:
-        weights += [g * t ** i for i, _ in coeffs]
-        mats += [m for _, m in coeffs]
-    return _combine(CC, order, [weights], mats)[0]
-
-
 def closedform_eval(form: ClosedFormExp, t) -> Matrix:
     """Evaluate e^(tA) at a real or complex time."""
     t = complex(t)
-    return _exp_at(form.order, t, [(1.0, form.polynomial_part)]
-                   + [(cmath.exp(lam * t), coeffs)
-                      for lam, coeffs in form.exponential_terms])
+    return _eval_at(CC, form.order, [(1.0, form.polynomial_part)]
+                    + [(cmath.exp(lam * t), coeffs)
+                       for lam, coeffs in form.exponential_terms], lambda i: t ** i)
 
 
 def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
@@ -189,19 +153,23 @@ def realclosedform_eval(form: RealClosedForm, t: float) -> Matrix:
             g = math.exp(term.growth * t)
             scaled.append((g * math.cos(term.frequency * t), term.cos_coeffs))
             scaled.append((g * math.sin(term.frequency * t), term.sin_coeffs))
-    return _exp_at(form.order, t, scaled)
+    return _eval_at(CC, form.order, scaled, lambda i: t ** i)
 
 
-def _branch_logs(values, branch: LogBranchSpec, tol: float) -> list[complex]:
-    """One log per eigenvalue, per the branch spec; canonical order."""
-    if branch.is_principal:
+def _branch_logs(values, branch, tol: float) -> list[complex]:
+    """One log per eigenvalue, in canonical order. branch None is the
+    principal branch, defined only when no eigenvalue lies on the closed
+    negative real axis; otherwise it lists one winding integer k per
+    eigenvalue, and z = log|lambda| + i(Arg lambda + 2 pi k), Arg in
+    (-pi, pi]."""
+    if branch is None:
         ks = [0] * len(values)
         for lam in values:
             if lam.real < 0 and abs(lam.imag) <= tol * abs(lam):
                 raise PrincipalUndefined(
                     f"eigenvalue {lam!r} lies on the closed negative real axis")
     else:
-        ks = list(branch.ks)
+        ks = [int(k) for k in branch]
         if len(ks) != len(values):
             raise PcanonError(
                 f"branch list has {len(ks)} entries for {len(values)} eigenvalues")
@@ -212,14 +180,14 @@ def _branch_logs(values, branch: LogBranchSpec, tol: float) -> list[complex]:
     return out
 
 
-def logm(a: Matrix, branch: LogBranchSpec = LogBranchSpec.principal(),
-         tol: float = 1e-8) -> Matrix:
+def logm(a: Matrix, branch=None, tol: float = 1e-8) -> Matrix:
     """A matrix logarithm: exp of the result is the input.
 
     Built from the complex P-canonical form of A as sum_j z_j C_0 plus
     the terminating alternating series sum_j sum_(i>=1) ((-1)^(i-1)/i) C_i,
     with C_i = lambda_j^(-i) (A - lambda_j I)^i pi_j. The eigenvalues of
-    the result are exactly the chosen z_j.
+    the result are exactly the chosen z_j. branch is None (principal) or
+    one winding integer per eigenvalue, as in `_branch_logs`.
     """
     a = _to_cc(a)
     arr, spectrum = _numeric_spectrum(a, tol)
@@ -229,15 +197,14 @@ def logm(a: Matrix, branch: LogBranchSpec = LogBranchSpec.principal(),
         raise SingularMatrix("singular matrices have no logarithm")
     zs = _branch_logs(values, branch, tol)
     weights, mats = [], []
-    form = _complex_form(a, _numeric_resolution(a, arr, spectrum, tol))
-    for z, (_, coeffs) in zip(zs, form.geometric_terms):
+    *_, chains = _complex_chains(arr, spectrum, tol, full=True)
+    for z, coeffs in zip(zs, chains):
         weights += [z] + [(-1) ** (i - 1) / i for i in range(1, len(coeffs))]
         mats += coeffs
     return _combine(CC, a.n, [weights], mats)[0]
 
 
-def log_pcf(form: PCanonicalForm, branch: LogBranchSpec = LogBranchSpec.principal(),
-            tol: float = 1e-8) -> PCanonicalForm:
+def log_pcf(form: PCanonicalForm, branch=None, tol: float = 1e-8) -> PCanonicalForm:
     """Closed form of the full power sequence of the logarithm.
 
     Takes the power-basis closed form of A (binomial-basis input is

@@ -4,19 +4,19 @@ The power sequence k -> A^k of a matrix whose minimal polynomial splits
 decomposes uniquely as a finitely supported part (one matrix per power
 below the index of the eigenvalue zero) plus, per nonzero eigenvalue, a
 polynomial-times-geometric part. Its coefficients are the chains A^i pi_0
-and lambda^(-i) (A - lambda I)^i pi: over Q and F_p rows of linalg's
-`_exact_chains`, over C built once by `_complex_form` from the spectral
-resolution. matfun reads e^(tA) and log A off that complex form by
-reweighting its coefficients. Two scalar bases are
-supported for the polynomial factor: binomial coefficients binom(k, i)
-(any field) and pure powers k^i (characteristic zero only), with one
-exact Stirling conversion between them. Evaluating a form at k, and
-the Stirling conversion, is one weighted sum of the stored matrices
-through linalg's `_combine`. Complex forms of real matrices
-can be rewritten over the reals with r^k cos(k theta) / r^k sin(k theta)
-spirals by the conjugate-pair merger that e^(tA) shares. The Stirling
-weights are real, so a real form in the power basis is the merger of the
-complex form in that basis.
+and lambda^(-i) (A - lambda I)^i pi, taken as they are from linalg's
+`_chains` over every field; matfun reweights the complex ones into
+e^(tA) and log A. Two scalar bases are supported for
+the polynomial factor: binomial coefficients binom(k, i) (any field) and
+pure powers k^i (characteristic zero only), with one exact Stirling
+conversion between them. The Stirling conversion is one weighted sum of
+the stored matrices through linalg's `_combine`, and so is every closed
+form at a point: `_eval_at` sums g w(i) M_i over (g, ((i, M_i), ...))
+groups, for the forms here and the exponentials of matfun alike. Complex
+forms of real matrices can be rewritten over the reals with r^k cos(k
+theta) / r^k sin(k theta) spirals by the conjugate-pair merger that
+e^(tA) shares. The Stirling weights are real, so a real form in the power
+basis is the merger of the complex form in that basis.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import CharPositive, NotConjugateSymmetric, PcanonError
-from .linalg import Matrix, SpectralData, _combine, _exact_chains, spectral_data
+from .linalg import Matrix, _chains, _combine, _trim
 from .scalar import CC, Field, Poly, _times_powers, stirling_first, stirling_second
 
 
@@ -88,50 +88,6 @@ class RealPCF:
     terms: tuple
 
 
-def _binom_factor(field: Field, k: int, i: int):
-    return field.from_int(math.comb(k, i))
-
-
-def _power_factor(field: Field, k: int, i: int):
-    # convention 0^0 = 1 so the k = 0 evaluation needs no special case
-    return field.from_int(k ** i if i else 1)
-
-
-def _trim(coeffs: list) -> list:
-    """Drop trailing zero matrices, in place."""
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _complex_form(a: Matrix, sd: SpectralData) -> PCanonicalForm:
-    """The form over C from A's spectral resolution: V_i = A^i pi_0 for i
-    below the index of zero, and per nonzero eigenvalue, in the order of
-    sd.components, C_i = lambda^(-i) (A - lambda I)^i pi below its index,
-    trailing zero matrices trimmed. A - lambda I is formed only for an
-    index above 1. Each product is scaled after it is taken: folding
-    1/lambda into the step rounds its entries, which the cancellation in
-    (A - lambda I)^i amplifies."""
-    nil = [sd.zero_projection][:sd.t0]
-    while len(nil) < sd.t0:
-        nil.append(a * nil[-1])
-    geo = []
-    for c in sd.components:
-        lam, chain, coeffs = c.value, c.projection, [c.projection]
-        if c.index > 1:
-            step = Matrix._of(CC, [[e - lam if i == j else e for j, e in enumerate(row)]
-                                   for i, row in enumerate(a.rows)])
-            inv, factor = 1 / lam, 1
-            for _ in range(1, c.index):
-                chain, factor = step * chain, factor * inv
-                coeffs.append(chain * factor)
-            _trim(coeffs)   # never down to the projection, which is not zero
-        geo.append((lam, tuple(coeffs)))
-    return PCanonicalForm(field=CC, order=a.n, basis=Basis.LAMBDA,
-                          nilpotent_terms=tuple(enumerate(nil)),
-                          geometric_terms=tuple(geo))
-
-
 def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
     """Closed form of the power sequence from the spectral projections.
 
@@ -140,35 +96,42 @@ def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
     i < t. Raises NonSplitField when the spectrum does not live in the
     coefficient field.
     """
-    f = a.field
-    if not f.exact:
-        return _complex_form(a, spectral_data(a, tol))
-    _, nz, nil, chains = _exact_chains(a, tol)
-    return PCanonicalForm(field=f, order=a.n, basis=Basis.LAMBDA,
+    _, nz, nil, chains = _chains(a, tol)
+    return PCanonicalForm(field=a.field, order=a.n, basis=Basis.LAMBDA,
                           nilpotent_terms=tuple(enumerate(nil)),
                           geometric_terms=tuple((mu, tuple(chain)) for (mu, _), chain
                                                 in zip(nz, chains)))
 
 
-def _eval_at(form, field: Field, k: int, scaled) -> Matrix:
-    """A closed form at k, as one weighted sum: the nilpotent slot at k
-    plus g binom(k, i) C_i (g k^i C_i in the power basis) for every
-    (g, [C_0, C_1, ...]) in scaled."""
+def _eval_at(field: Field, n: int, groups, weight) -> Matrix:
+    """sum of g weight(i) M_i over every (g, ((i, M_i), ...)) in groups, as
+    one weighted sum through linalg's `_combine`: the one evaluator of the
+    closed forms of pcf and matfun."""
+    weights, mats = [], []
+    for g, coeffs in groups:
+        for i, m in coeffs:
+            weights.append(g * weight(i))
+            mats.append(m)
+    return _combine(field, n, [weights], mats)[0]
+
+
+def _power_at(form, field: Field, k: int, scaled) -> Matrix:
+    """A power-sequence form at k: the nilpotent slot at k plus g binom(k,
+    i) C_i (g k^i C_i in the power basis, 0^0 = 1) for every (g, [C_0, C_1,
+    ...]) in scaled."""
     if k < 0:
         raise ValueError("power index must be nonnegative")
-    basis_factor = _binom_factor if form.basis is Basis.LAMBDA else _power_factor
-    mats = [v for i, v in form.nilpotent_terms if i == k]
-    weights = [field.one] * len(mats)
-    for g, coeffs in scaled:
-        weights += [g * basis_factor(field, k, i) for i in range(len(coeffs))]
-        mats += coeffs
-    return _combine(field, form.order, [weights], mats)[0]
+    gamma = form.basis is Basis.GAMMA
+    groups = [(field.one, [(0, v) for i, v in form.nilpotent_terms if i == k])]
+    groups += [(g, enumerate(coeffs)) for g, coeffs in scaled]
+    return _eval_at(field, form.order, groups,
+                    lambda i: field.from_int(k ** i if gamma else math.comb(k, i)))
 
 
 def pcf_eval(form: PCanonicalForm, k: int) -> Matrix:
     """The k-th power of the underlying matrix, evaluated from the form."""
-    return _eval_at(form, form.field, k,
-                    ((lam ** k, coeffs) for lam, coeffs in form.geometric_terms))
+    return _power_at(form, form.field, k,
+                     ((lam ** k, coeffs) for lam, coeffs in form.geometric_terms))
 
 
 def _rebase(field: Field, n: int, coeffs, to_gamma: bool) -> list:
@@ -310,4 +273,4 @@ def realpcf_eval(form: RealPCF, k: int) -> Matrix:
                 yield rk * math.cos(k * term.angle), term.cos_coeffs
                 yield rk * math.sin(k * term.angle), term.sin_coeffs
 
-    return _eval_at(form, CC, k, scaled())
+    return _power_at(form, CC, k, scaled())

@@ -29,7 +29,6 @@ from pcanon.kronmin import (
 from pcanon.linalg import Matrix, minpoly, spectral_data
 from pcanon.lrs import LinRecSeq, lrs_min_annihilator, lrs_mul, lrs_prefix
 from pcanon.matfun import (
-    LogBranchSpec,
     closedform_eval,
     expm_closed,
     log_pcf,
@@ -239,11 +238,10 @@ def test_criterion_07_conjugate_pair_spectrum(spiral_3x3):
 
 def test_criterion_08_branch_logarithm(negative_pair_2x2):
     z = complex(math.log(2), math.pi)
-    ell = logm(negative_pair_2x2, LogBranchSpec.branches([0]))
+    ell = logm(negative_pair_2x2, [0])
     want = Matrix(CC, [[-1.5 + z, -1.5], [1.5, 1.5 + z]])
     assert max_diff(ell, want) < 1e-12
-    lf = log_pcf(pcf_build(negative_pair_2x2.to_field(CC)),
-                 LogBranchSpec.branches([0]))
+    lf = log_pcf(pcf_build(negative_pair_2x2.to_field(CC)), [0])
     power = Matrix.identity(CC, 2)
     for k in range(1, 9):
         power = power * ell

@@ -161,6 +161,36 @@ def test_branch_flag_validation(capsys):
     assert code == 2 and "--branch" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("pcf", "[1,"),
+    ("pcf", '{"field": "Fp", "matrix": [[1]]}'),
+    ("pcf", '{"field": "Fp", "p": "7", "matrix": [[1]]}'),
+    ("pcf", '{"field": "R", "matrix": [[1]]}'),
+    ("pcf", "[[true]]"),
+    ("pcf", '[["1/0"]]'),
+    ("pcf", '{"field": "Fp", "p": 7, "matrix": [[1.5]]}'),
+    ("pcf", '{"field": "C", "matrix": [[true]]}'),
+    ("pcf", '{"field": "C", "matrix": [["x"]]}'),
+    ("pcf", '{"matrix": []}'),
+    ("lrs-product", '{"field": "Q"}'),
+    ("lrs-eval", '{"poly": [-1, -1, 1]}', "3"),
+    ("lrs-eval", '{"poly": [-1, -1, 1], "initials": [0]}', "3"),
+    ("lrs-eval", FIB_SEQ, "-1"),
+    ("logm", "[[2,0],[0,3]]", "--branch", ","),
+])
+def test_malformed_input_is_one_parse_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("ParseError: ")
+
+
+def test_scalar_document_is_a_parse_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("5"))
+    code, _, err = run_cli(capsys, "pcf", "-")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("ParseError: ")
+
+
 # -- structured output --------------------------------------------------------
 
 
@@ -234,6 +264,17 @@ def test_expm_pretty_headers(capsys):
     code, out, _ = run_cli(capsys, "expm", SEMICIRCULANT)
     assert code == 0
     assert "e^((2)t)" in out and "* t^2" in out
+
+
+@pytest.mark.parametrize("argv, headers", [
+    (("pcf", "[[0,1,0],[0,0,0],[0,0,2]]"), ["term delta(k - 0):", "term delta(k - 1):"]),
+    (("expm", "[[0,1],[0,0]]"), ["term 1:", "term t:"]),
+])
+def test_pretty_headers_of_nilpotent_and_polynomial_terms(capsys, argv, headers):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert all(h in lines for h in headers)
 
 
 def test_power_json_matrix_document(capsys):

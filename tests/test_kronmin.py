@@ -14,6 +14,7 @@ import pytest
 
 from helpers import class_table_enumerated, conjugated_jordan, jordan_assembly, kron_by_blocks
 from pcanon.errors import (
+    DegreeZero,
     EmptyInput,
     MixedFields,
     NonMonic,
@@ -289,6 +290,17 @@ def test_product_closure_refuses_a_direct_order_past_the_limit():
     with pytest.raises(OrderTooLarge):
         lrs_product_poly([p, p])
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: kron_minpoly_direct([]), EmptyInput),
+    (lambda: lrs_product_poly([Poly(QQ, [-1, 1]), Poly(GF(5), [-1, 1])]), MixedFields),
+    (lambda: lrs_product_poly([Poly(QQ, [1])]), DegreeZero),
+    (lambda: eig_spec_of_poly(Poly(QQ, [1])), DegreeZero),
+], ids=["direct-empty", "closure-mixed-fields", "closure-constant", "spec-constant"])
+def test_named_refusals(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_product_closure_validates_input():

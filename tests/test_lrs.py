@@ -16,6 +16,7 @@ from pcanon.errors import (
     AnnihilatorMismatch,
     DegreeZero,
     InsufficientData,
+    MixedFields,
     NonMonic,
 )
 from pcanon.kronmin import lrs_product_poly
@@ -102,6 +103,18 @@ def test_validation():
         LinRecSeq(_FIB_POLY, (1,))
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: lrs_mul([], _FIB_POLY), ValueError),
+    (lambda: lrs_mul([_fib()], Poly(GF(5), [-1, -1, 1])), MixedFields),
+    (lambda: lrs_mul([_fib()], Poly(QQ, [-1, -1, 2])), NonMonic),
+    (lambda: lrs_mul([_fib()], Poly(QQ, [1])), DegreeZero),
+    (lambda: lrs_eval(_fib(), -1), ValueError),
+], ids=["no-factors", "mixed-fields", "non-monic", "constant", "negative-index"])
+def test_named_refusals(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_product_sequence_squares_fibonacci():
     sq = lrs_mul([_fib(), _fib()], lrs_product_poly([_FIB_POLY, _FIB_POLY]))
     assert lrs_prefix(sq, 6) == [0, 1, 1, 4, 9, 25]
@@ -119,6 +132,22 @@ def test_product_rejects_non_annihilator():
     bogus = Poly(QQ, [5, 1, 1])  # monic but wrong
     with pytest.raises(AnnihilatorMismatch):
         lrs_mul([_fib(), _fib()], bogus)
+
+
+def test_product_of_complex_sequences():
+    # (2i + (1 - i) 2^n) * i^n: roots i and 2i among the closure's +-i, +-2i
+    s1 = LinRecSeq(Poly(CC, [2, -3, 1]), (1 + 1j, 2))
+    s2 = LinRecSeq(Poly(CC, [1, 0, 1]), (1, 1j))
+    closure = lrs_product_poly([s1.char, s2.char])
+    assert closure.format() == "X^4 + 5X^2 + 4"
+    prod = lrs_prefix(lrs_mul([s1, s2], closure), 20)
+    want = [x * y for x, y in zip(lrs_prefix(s1, 20), lrs_prefix(s2, 20))]
+    assert max(abs(x - y) for x, y in zip(prod, want)) <= 1e-12 * max(map(abs, want))
+    least = lrs_min_annihilator(prod[:12])
+    assert least.field == CC and least.format() == "X^2 + (-3i)X - 2"
+    assert max(map(abs, (closure % least).coeffs), default=0.0) < 1e-12
+    with pytest.raises(AnnihilatorMismatch):
+        lrs_mul([s1, s2], Poly(CC, [4, 0, 5, 1e-3, 1]))
 
 
 def test_min_annihilator_of_fibonacci_square():

@@ -26,10 +26,10 @@ from pcanon.errors import (
     PcanonError,
     PrincipalUndefined,
     SingularMatrix,
+    ZeroLogClash,
 )
 from pcanon.linalg import Matrix, spectral_data
 from pcanon.matfun import (
-    LogBranchSpec,
     closedform_eval,
     expm_closed,
     expm_real,
@@ -37,7 +37,7 @@ from pcanon.matfun import (
     logm,
     realclosedform_eval,
 )
-from pcanon.pcf import pcf_build, pcf_eval
+from pcanon.pcf import Basis, PCanonicalForm, pcf_build, pcf_eval
 from pcanon.scalar import CC, GF, QQ, Poly
 
 # -- exponentials -------------------------------------------------------------
@@ -292,12 +292,10 @@ def test_log_refuses_before_building_projections(monkeypatch, negative_pair_2x2)
     def unreachable(*args):
         raise AssertionError("projections built for a refused logarithm")
 
-    monkeypatch.setattr(pcanon.matfun, "_numeric_resolution", unreachable)
-    principal = LogBranchSpec.principal()
-    for a, branch, error in ((negative_pair_2x2, principal, PrincipalUndefined),
-                             (Matrix.jordan_block(QQ, 2, 0), principal, SingularMatrix),
-                             (Matrix.identity(QQ, 2), LogBranchSpec.branches([0, 1]),
-                              PcanonError)):
+    monkeypatch.setattr(pcanon.matfun, "_complex_chains", unreachable)
+    for a, branch, error in ((negative_pair_2x2, None, PrincipalUndefined),
+                             (Matrix.jordan_block(QQ, 2, 0), None, SingularMatrix),
+                             (Matrix.identity(QQ, 2), [0, 1], PcanonError)):
         with pytest.raises(error):
             logm(a, branch)
 
@@ -330,7 +328,7 @@ def test_semicirculant_log_is_semicirculant(semicirculant_4x4):
 def test_branch_log_of_negative_pair(negative_pair_2x2):
     with pytest.raises(PrincipalUndefined):
         logm(negative_pair_2x2)
-    got = logm(negative_pair_2x2, LogBranchSpec.branches([0]))
+    got = logm(negative_pair_2x2, [0])
     z = complex(math.log(2), math.pi)
     want = Matrix(CC, [[-1.5 + z, -1.5], [1.5, 1.5 + z]])
     assert max_diff(got, want) < 1e-12
@@ -346,7 +344,7 @@ def test_log_rejects_singular_input():
 def test_log_branch_count_must_match_spectrum():
     a = Matrix.diagonal(QQ, [1, 2])
     with pytest.raises(PcanonError):
-        logm(a, LogBranchSpec.branches([0, 0, 0]))
+        logm(a, [0, 0, 0])
 
 
 def test_exp_log_roundtrip_on_random_positive_spectrum():
@@ -360,11 +358,11 @@ def test_exp_log_roundtrip_on_random_positive_spectrum():
 def test_log_exp_characteristic_polynomial_identity(jordan5_at_3,
                                                     negative_pair_2x2):
     cases = [
-        (jordan5_at_3, LogBranchSpec.principal(),
+        (jordan5_at_3, None,
          [complex(math.log(3))] * 5),
-        (negative_pair_2x2, LogBranchSpec.branches([0]),
+        (negative_pair_2x2, [0],
          [complex(math.log(2), math.pi)] * 2),
-        (negative_pair_2x2, LogBranchSpec.branches([-1]),
+        (negative_pair_2x2, [-1],
          [complex(math.log(2), -math.pi)] * 2),
     ]
     for a, branch, zs in cases:
@@ -376,7 +374,7 @@ def test_log_exp_characteristic_polynomial_identity(jordan5_at_3,
 
 def test_nonprincipal_branches_still_invert(negative_pair_2x2):
     for k in (-1, 1):
-        el = logm(negative_pair_2x2, LogBranchSpec.branches([k]))
+        el = logm(negative_pair_2x2, [k])
         back = closedform_eval(expm_closed(el), 1.0)
         assert max_diff(back, negative_pair_2x2.to_field(CC)) < 1e-8
 
@@ -385,9 +383,8 @@ def test_nonprincipal_branches_still_invert(negative_pair_2x2):
 
 
 def test_log_pcf_matches_log_powers(negative_pair_2x2):
-    lf = log_pcf(pcf_build(negative_pair_2x2.to_field(CC)),
-                 LogBranchSpec.branches([0]))
-    el = logm(negative_pair_2x2, LogBranchSpec.branches([0]))
+    lf = log_pcf(pcf_build(negative_pair_2x2.to_field(CC)), [0])
+    el = logm(negative_pair_2x2, [0])
     z = complex(math.log(2), math.pi)
     power = Matrix.identity(CC, 2)
     for k in range(1, 9):
@@ -410,6 +407,22 @@ def test_log_pcf_of_identity_is_plain_zero():
     assert pcf_eval(lf, 1).is_zero
 
 
+def _clashing_form():
+    # -1 -+ 1e-12 i on branches 1 and 0 both have log about i pi
+    one = Matrix.identity(CC, 2)
+    return PCanonicalForm(CC, 2, Basis.LAMBDA, (), ((complex(-1, -1e-12), (one,)),
+                                                    (complex(-1, 1e-12), (one,))))
+
+
+@pytest.mark.parametrize("form, branch, error, match", [
+    (_clashing_form, [1, 0], ZeroLogClash, "same logarithm"),
+    (lambda: pcf_build(Matrix(QQ, [[1, 1], [0, 2]])), None, PcanonError, "complex-double"),
+], ids=["zero-log-clash", "exact-form"])
+def test_log_pcf_named_refusals(form, branch, error, match):
+    with pytest.raises(error, match=match):
+        log_pcf(form(), branch)
+
+
 def test_log_pcf_rejects_singular_source(spiral_3x3):
     with pytest.raises(SingularMatrix):
         log_pcf(pcf_build(spiral_3x3))
@@ -422,9 +435,8 @@ def test_branch_coherence_eval_at_one(jordan5_at_3, negative_pair_2x2,
     for a, nvals in singles:
         f = pcf_build(a.to_field(CC))
         for ks in itertools.product((-1, 0, 1), repeat=nvals):
-            branch = LogBranchSpec.branches(ks)
-            el = logm(a, branch)
-            lf = log_pcf(f, branch)
+            el = logm(a, ks)
+            lf = log_pcf(f, ks)
             assert max_diff(pcf_eval(lf, 1), el) < 1e-9 * max(
                 1.0, el.maxnorm()), (ks,)
 

@@ -23,6 +23,7 @@ from pcanon.errors import (
     CharPositive,
     NonSplitField,
     NotConjugateSymmetric,
+    PcanonError,
 )
 from pcanon.linalg import Matrix, minpoly, spectral_data
 from pcanon.pcf import (
@@ -193,6 +194,11 @@ def test_realify_rejects_unpaired_spectrum():
     a = Matrix.diagonal(CC, [complex(0, 1), complex(2)])
     with pytest.raises(NotConjugateSymmetric):
         pcf_realify(pcf_build(a))
+
+
+def test_realify_refuses_exact_forms():
+    with pytest.raises(PcanonError, match="complex-double"):
+        pcf_realify(pcf_build(Matrix(QQ, [[1, 1], [0, 2]])))
 
 
 def _rotation_form():

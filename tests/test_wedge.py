@@ -96,6 +96,13 @@ def test_oracle_needs_enough_horizon():
         wedge_oracle_dim(8, 8, _CHAR0, horizon=12)
 
 
+@pytest.mark.parametrize("call", [lambda: wedge(-1, 2), lambda: wedge_fold([])],
+                         ids=["negative-order", "fold-empty"])
+def test_named_refusals(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_context_validates_characteristic():
     with pytest.raises(PcanonError):
         WedgeContext(4)
