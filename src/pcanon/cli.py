@@ -28,7 +28,7 @@ from .linalg import Matrix
 from .lrs import LinRecSeq, lrs_eval, lrs_min_annihilator, lrs_prefix
 from .matfun import ClosedFormExp, expm_closed, logm
 from .pcf import Basis, PCanonicalForm, pcf_build, pcf_eval, pcf_to_gamma
-from .scalar import CC, GF, QQ, Field, Poly, PrimeField, format_complex
+from .scalar import CC, GF, QQ, Field, Poly, PrimeField, format_complex, is_prime
 from .wedge import WedgeContext, wedge_fold
 
 #: the most bits an exact answer may take, summed over its numbers
@@ -57,26 +57,26 @@ def _load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
+def _prime(p, what: str) -> int:
+    if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
+        raise ParseError(f"{what} must be a prime, got {p!r}")
+    return p
+
+
 def _resolve_field(doc: dict, args) -> Field:
     name = doc.get("field", getattr(args, "field", None))
     p = doc.get("p", getattr(args, "p", None))
     char = getattr(args, "char", None)
     if name is None and char is not None:
-        if char == 0:
-            return QQ
-        return GF(char)
-    if name is None:
-        return QQ
-    if name == "Q":
+        return GF(_prime(char, "a nonzero --char")) if char else QQ
+    if name is None or name == "Q":
         return QQ
     if name == "C":
         return CC
     if name == "Fp":
         if p is None:
             raise ParseError('field "Fp" needs a prime "p"')
-        if not isinstance(p, int):
-            raise ParseError(f'"p" must be an integer, got {p!r}')
-        return GF(p)
+        return GF(_prime(p, '"p"'))
     raise ParseError(f'unknown field {name!r}; expected "Q", "Fp" or "C"')
 
 
@@ -388,10 +388,7 @@ def _cmd_power(args) -> str:
                     for lam, _ in form.geometric_terms), default=0)
         bits = args.k * grow + form.order * args.k.bit_length()
         _refuse_past(form.order ** 2 * bits, f"A^{args.k}")
-    try:
-        m = pcf_eval(form, args.k)
-    except OverflowError:  # lambda^k over C
-        raise AnswerTooLarge(f"A^{args.k} overflows a complex double") from None
+    m = pcf_eval(form, args.k)
     return _emit(args, _matrix_doc(m), m.format())
 
 
@@ -450,6 +447,8 @@ def _cmd_lrs_eval(args) -> str:
 
 
 def _cmd_wedge(args) -> str:
+    if args.char:
+        _prime(args.char, "a nonzero --char")
     d = wedge_fold(args.orders, WedgeContext(args.char))
     return str(d)
 

@@ -26,9 +26,10 @@ from .errors import (
     OrderTooLarge,
     PcanonError,
 )
-from .linalg import (Matrix, _eigendata, _kron_rows, _minpoly_exact, _split,
-                     companion, kron, minpoly)
-from .scalar import CLUSTER_TOL, Field, Poly, _lift, _linked, _times_powers
+from .linalg import (Matrix, _eigendata, _kron_rows, _minpoly_exact, companion,
+                     kron, minpoly)
+from .scalar import (CLUSTER_TOL, Field, Poly, _lift, _linked, _times_powers,
+                     poly_factor)
 from .wedge import WedgeContext, wedge
 
 #: Kronecker orders past this are rejected rather than ground through
@@ -64,8 +65,13 @@ def eig_spec_of_poly(p: Poly, tol: float = CLUSTER_TOL) -> EigSpec:
         raise NonMonic("eigenvalue spectrum needs a monic polynomial")
     if p.degree < 1:
         raise DegreeZero("eigenvalue spectrum needs degree >= 1")
-    zero, nonzero = _split(p, tol)
-    return EigSpec(field=p.field, zero_index=zero, nonzero=tuple(nonzero))
+    f = p.field
+    fact = poly_factor(p, tol)
+    if fact.remainder.degree > 0:
+        raise NonSplitField(f"{p.format()} does not split over {f}")
+    return EigSpec(field=f,
+                   zero_index=next((m for r, m in fact.roots if f.is_zero(r)), 0),
+                   nonzero=tuple((r, m) for r, m in fact.roots if not f.is_zero(r)))
 
 
 def eig_spec_of_matrix(a: Matrix, tol: float = CLUSTER_TOL) -> EigSpec:

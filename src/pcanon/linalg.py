@@ -36,13 +36,9 @@ of pcf and matfun have one entry, `_chains`, with one return shape for
 every field: over Q and F_p rows of one integer product with the power
 table of S = den A, over C numpy products (`_complex_chains`).
 
-Row reduction has two implementations, one per row storage. Rows of field
-elements go through `_row_reduce`, the Gauss-Jordan elimination behind
-`Matrix.inverse`. Rows of plain integers, over Q or F_p, go through the
-Krylov echelon `_eliminate` of the minimal polynomial. `_eliminate`
-stays separate: it is fraction-free, carries a tracking polynomial and
-does no back substitution, so folding it into `_row_reduce` would make
-the shared code branch on its caller.
+Row reduction has one implementation, the fraction-free echelon
+`_eliminate` on plain integer rows (residues over F_p), shared by the
+Krylov chains of the minimal polynomial and the exact `Matrix.inverse`.
 """
 from __future__ import annotations
 
@@ -54,6 +50,7 @@ from functools import partial
 from operator import mul
 
 from .errors import (
+    AnswerTooLarge,
     EmptyInput,
     DegreeZero,
     MixedFields,
@@ -79,7 +76,6 @@ from .scalar import (
     _spectrum,
     _staircase,
     _times_powers,
-    poly_factor,
 )
 
 
@@ -213,16 +209,26 @@ class Matrix:
         return hash((self.field, self.rows))
 
     def inverse(self) -> "Matrix":
+        """A^-1, or SingularMatrix. Over Q and F_p the rows of [S | den I],
+        S = den A from `_lift` (residues, den 1, over F_p), pass `_eliminate`
+        forward, then back against later pivots: the row of pivot c ends as
+        a e_c | B, and B / a is row c of A^-1. Over C, `_complex_inverse`."""
         f, n = self.field, self.n
-        aug = [list(row) + [f.one if i == j else f.zero for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        # over C a pivot below n * machine epsilon * the largest entry is
-        # rounding noise, the rank tolerance numpy's matrix_rank uses
-        eps = 0.0 if f.exact else n * sys.float_info.epsilon * self.maxnorm()
-        rows, pivots = _row_reduce(aug, n, f, eps)
-        if len(pivots) < n:
-            raise SingularMatrix("matrix is not invertible")
-        return Matrix(f, [row[n:] for row in rows])
+        if not f.exact:  # coerced: an entry past a double is refused
+            return Matrix(f, _complex_inverse(self.rows))
+        mod = f.char or None
+        rows, den = _lift(f, self.rows)
+        echelon: list[tuple[int, list[int]]] = []
+        for i, row in enumerate(rows):
+            vec = row + [den if j == i else 0 for j in range(n)]
+            _eliminate(vec, None, echelon, mod)
+            piv = _first_nonzero(vec[:n])
+            if piv is None:
+                raise SingularMatrix("matrix is not invertible")
+            _insert_row(echelon, (piv, vec))
+        for c in range(n - 2, -1, -1):  # back substitution, last pivot first
+            _eliminate(echelon[c][1], None, echelon[c + 1:], mod)
+        return Matrix._of(f, [_drop(f, [vec[n:]], vec[c])[0] for c, vec in echelon])
 
     # -- display ------------------------------------------------------
     def format(self) -> str:
@@ -237,51 +243,34 @@ class Matrix:
         return f"Matrix[{self.field}]({body})"
 
 
-def _row_reduce(rows, ncols: int, field: Field, eps: float = 0.0):
-    """Gauss-Jordan elimination of field rows on their first ncols columns.
+@_numpy_refusal
+def _complex_inverse(rows):
+    """Rows of the inverse of a complex matrix from one SVD; SingularMatrix
+    when sigma_min <= n eps sigma_max, the rank tolerance of numpy's
+    matrix_rank."""
+    import numpy as np
 
-    Returns (rows, pivots): the reduced copy of the rows, whose row i has a
-    leading one in column pivots[i] and zeros above and below it, and the
-    pivot columns in increasing order. Exact fields pivot on the first
-    nonzero entry. Over C the entry of largest modulus is the pivot, and a
-    column whose largest entry is <= eps gets none.
-    """
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if field.exact:
-            piv = next((i for i in range(r, len(work))
-                        if not field.is_zero(work[i][c])), None)
-        else:
-            piv = max(range(r, len(work)), key=lambda i: abs(work[i][c]),
-                      default=None)
-            if piv is not None and abs(work[piv][c]) <= eps:
-                piv = None
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.one / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return work, pivots
+    u, sigma, vh = np.linalg.svd(np.array(rows, dtype=complex))
+    if sigma[-1] <= len(rows) * sys.float_info.epsilon * sigma[0]:
+        raise SingularMatrix("matrix is numerically singular")
+    with np.errstate(all="ignore"):
+        return ((vh.conj().T / sigma) @ u.conj().T).tolist()
 
 
 def _product(field: Field, xs, ys):
     """Product of two rectangular blocks of field rows: over C one numpy
-    complex matmul (BLAS), over Q and F_p on lifted integer rows."""
+    complex matmul (BLAS), AnswerTooLarge when an entry is not finite; over
+    Q and F_p on lifted integer rows."""
     if not field.exact:
         import numpy as np
 
         k = len(ys)
-        return (np.array(xs, dtype=complex).reshape(len(xs), k)
-                @ np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0)
-                ).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (np.array(xs, dtype=complex).reshape(len(xs), k)
+                   @ np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0))
+        if not np.isfinite(out).all():
+            raise AnswerTooLarge("a complex product overflows a double")
+        return out.tolist()
     xs, dx = _lift(field, xs)
     ys, dy = _lift(field, ys)
     return _drop(field, _dots(xs, list(zip(*ys))), dx * dy)
@@ -351,16 +340,10 @@ def _first_nonzero(vec: list[int]) -> int | None:
 
 def _content_normalize(vec: list[int], pol: list[int]) -> None:
     """Divide vector and tracking polynomial jointly by their gcd, in place."""
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-    for x in pol:
-        g = math.gcd(g, x)
+    g = math.gcd(*vec, *pol)
     if g > 1:
-        for i, x in enumerate(vec):
-            vec[i] = x // g
-        for i, x in enumerate(pol):
-            pol[i] = x // g
+        vec[:] = [x // g for x in vec]
+        pol[:] = [x // g for x in pol]
 
 
 def _eliminate(vec: list[int], pol: list[int] | None,
@@ -467,18 +450,6 @@ def _numeric_spectrum(a: Matrix, tol: float):
 
     arr = np.array(a.rows, dtype=complex)
     return arr, _spectrum(arr, tol)
-
-
-def _split(p: Poly, tol: float):
-    """(multiplicity of the root 0, [(root, multiplicity), ...] of the
-    others) of a monic polynomial, by poly_factor at tol; NonSplitField
-    when its linear factors do not exhaust it."""
-    f = p.field
-    fact = poly_factor(p, tol)
-    if fact.remainder.degree > 0:
-        raise NonSplitField(f"{p.format()} does not split over {f}")
-    return (next((m for r, m in fact.roots if f.is_zero(r)), 0),
-            [(r, m) for r, m in fact.roots if not f.is_zero(r)])
 
 
 def _eigendata(a: Matrix, tol: float):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -114,9 +115,10 @@ def expm_closed(a: Matrix, tol: float = 1e-8) -> ClosedFormExp:
 def closedform_eval(form: ClosedFormExp, t) -> Matrix:
     """Evaluate e^(tA) at a real or complex time."""
     t = complex(t)
-    return _eval_at(CC, form.order, [(1.0, form.polynomial_part)]
-                    + [(cmath.exp(lam * t), coeffs)
-                       for lam, coeffs in form.exponential_terms], lambda i: t ** i)
+    return _eval_at(CC, form.order, itertools.chain(
+        [(1.0, form.polynomial_part)],
+        ((cmath.exp(lam * t), coeffs) for lam, coeffs in form.exponential_terms)),
+        lambda i: t ** i)
 
 
 def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
@@ -145,23 +147,26 @@ def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
 def realclosedform_eval(form: RealClosedForm, t: float) -> Matrix:
     """Evaluate a real closed form at real time (entries stay real)."""
     t = float(t)
-    scaled = [(1.0, form.polynomial_part)]
-    for term in form.terms:
-        if isinstance(term, RealExpTerm):
-            scaled.append((math.exp(term.value * t), term.coeffs))
-        else:
-            g = math.exp(term.growth * t)
-            scaled.append((g * math.cos(term.frequency * t), term.cos_coeffs))
-            scaled.append((g * math.sin(term.frequency * t), term.sin_coeffs))
-    return _eval_at(CC, form.order, scaled, lambda i: t ** i)
+
+    def scaled():
+        yield 1.0, form.polynomial_part
+        for term in form.terms:
+            if isinstance(term, RealExpTerm):
+                yield math.exp(term.value * t), term.coeffs
+            else:
+                g = math.exp(term.growth * t)
+                yield g * math.cos(term.frequency * t), term.cos_coeffs
+                yield g * math.sin(term.frequency * t), term.sin_coeffs
+
+    return _eval_at(CC, form.order, scaled(), lambda i: t ** i)
 
 
 def _branch_logs(values, branch, tol: float) -> list[complex]:
     """One log per eigenvalue, in canonical order. branch None is the
     principal branch, defined only when no eigenvalue lies on the closed
     negative real axis; otherwise it lists one winding integer k per
-    eigenvalue, and z = log|lambda| + i(Arg lambda + 2 pi k), Arg in
-    (-pi, pi]."""
+    eigenvalue (PcanonError names an entry that is not an integer), and
+    z = log|lambda| + i(Arg lambda + 2 pi k), Arg in (-pi, pi]."""
     if branch is None:
         ks = [0] * len(values)
         for lam in values:
@@ -169,7 +174,12 @@ def _branch_logs(values, branch, tol: float) -> list[complex]:
                 raise PrincipalUndefined(
                     f"eigenvalue {lam!r} lies on the closed negative real axis")
     else:
-        ks = [int(k) for k in branch]
+        ks = []
+        for k in branch:
+            try:
+                ks.append(operator.index(k))
+            except TypeError:
+                raise PcanonError(f"winding numbers are integers, got {k!r}") from None
         if len(ks) != len(values):
             raise PcanonError(
                 f"branch list has {len(ks)} entries for {len(values)} eigenvalues")

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
-from .errors import CharPositive, NotConjugateSymmetric, PcanonError
+from .errors import AnswerTooLarge, CharPositive, NotConjugateSymmetric, PcanonError
 from .linalg import Matrix, _chains, _combine, _trim
 from .scalar import CC, Field, Poly, _times_powers, stirling_first, stirling_second
 
@@ -106,12 +107,17 @@ def pcf_build(a: Matrix, tol: float = 1e-8) -> PCanonicalForm:
 def _eval_at(field: Field, n: int, groups, weight) -> Matrix:
     """sum of g weight(i) M_i over every (g, ((i, M_i), ...)) in groups, as
     one weighted sum through linalg's `_combine`: the one evaluator of the
-    closed forms of pcf and matfun."""
+    closed forms of pcf and matfun. Callers pass groups lazily, so that a
+    complex weight that overflows, as g or as weight(i), raises
+    AnswerTooLarge here."""
     weights, mats = [], []
-    for g, coeffs in groups:
-        for i, m in coeffs:
-            weights.append(g * weight(i))
-            mats.append(m)
+    try:
+        for g, coeffs in groups:
+            for i, m in coeffs:
+                weights.append(g * weight(i))
+                mats.append(m)
+    except OverflowError:
+        raise AnswerTooLarge("a closed-form weight overflows a complex double") from None
     return _combine(field, n, [weights], mats)[0]
 
 
@@ -122,8 +128,8 @@ def _power_at(form, field: Field, k: int, scaled) -> Matrix:
     if k < 0:
         raise ValueError("power index must be nonnegative")
     gamma = form.basis is Basis.GAMMA
-    groups = [(field.one, [(0, v) for i, v in form.nilpotent_terms if i == k])]
-    groups += [(g, enumerate(coeffs)) for g, coeffs in scaled]
+    nil = [(0, v) for i, v in form.nilpotent_terms if i == k]
+    groups = chain([(field.one, nil)], ((g, enumerate(coeffs)) for g, coeffs in scaled))
     return _eval_at(field, form.order, groups,
                     lambda i: field.from_int(k ** i if gamma else math.comb(k, i)))
 

@@ -552,18 +552,16 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over an exact field by the Euclidean algorithm."""
+    """Monic gcd over an exact field: `_residue_gcd` of the coefficients
+    lifted over one common denominator (residues over F_p), made monic."""
     if a.field != b.field:
         raise MixedFields(f"gcd over {a.field} and {b.field}")
     if not a.field.exact:
         raise NumericFieldUnsupported("gcd is only defined over exact fields")
     if a.is_zero and b.is_zero:
         raise ZeroPolynomial("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic()
+    (x, y), _ = _lift(a.field, (a.coeffs, b.coeffs))
+    return Poly(a.field, _residue_gcd(x, y, a.field.char)).monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -598,9 +596,9 @@ def _residue_rem(a: list, m: list, p: int) -> list:
 
 def _residue_gcd(a: list, b: list, p: int) -> list:
     """gcd of residue polynomials by Euclid, monic unless b is zero ([]).
-    At p = 0, gcd of a monic integral a and an integral b by a primitive
-    pseudo-remainder sequence, with a positive lead: monic, as by Gauss's
-    lemma the primitive gcd divides a in Z[X]."""
+    At p = 0, the primitive gcd of integral a and b by a primitive
+    pseudo-remainder sequence, with a positive lead: monic when a is, as by
+    Gauss's lemma the primitive gcd divides a in Z[X]."""
     while b:
         if p:
             inv = pow(b[-1], -1, p)

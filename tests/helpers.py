@@ -32,14 +32,13 @@ from fractions import Fraction
 from operator import mul
 
 from pcanon.errors import MixedFields, PcanonError
-from pcanon.kronmin import ProductClassTable
+from pcanon.kronmin import ProductClassTable, eig_spec_of_poly
 from pcanon.linalg import (
     Matrix,
     _combine,
     _eliminate,
     _first_nonzero,
     _insert_row,
-    _split,
     minpoly,
 )
 from pcanon.pcf import Basis, PCanonicalForm, _trim
@@ -146,8 +145,9 @@ def pcf_build_by_products(a: Matrix, tol: float = 1e-8):
     """
     f, n = a.field, a.n
     m = minpoly(a)
-    t0, nz = _split(m, tol)
-    pairs = ([(f.zero, t0)] if t0 else []) + nz
+    spec = eig_spec_of_poly(m, tol)
+    t0, nz = spec.zero_index, spec.nonzero
+    pairs = ([(f.zero, t0)] if t0 else []) + list(nz)
     d = m.degree
     powers = [Matrix.identity(f, n), a][:d]
     while len(powers) < d:

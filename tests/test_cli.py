@@ -177,6 +177,11 @@ def test_branch_flag_validation(capsys):
     ("lrs-eval", '{"poly": [-1, -1, 1], "initials": [0]}', "3"),
     ("lrs-eval", FIB_SEQ, "-1"),
     ("logm", "[[2,0],[0,3]]", "--branch", ","),
+    ("pcf", '{"field": "Fp", "p": 4, "matrix": [[1]]}'),
+    ("pcf", '{"field": "Fp", "p": true, "matrix": [[1]]}'),
+    ("pcf", "[[1]]", "--field", "Fp", "--p", "4"),
+    ("pcf", "[[1]]", "--char", "4"),
+    ("wedge", "3", "4", "--char", "4"),
 ])
 def test_malformed_input_is_one_parse_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -21,6 +21,7 @@ from helpers import (
     real_with_spectrum,
 )
 from pcanon.errors import (
+    AnswerTooLarge,
     NotReal,
     NumericFieldUnsupported,
     PcanonError,
@@ -37,7 +38,14 @@ from pcanon.matfun import (
     logm,
     realclosedform_eval,
 )
-from pcanon.pcf import Basis, PCanonicalForm, pcf_build, pcf_eval
+from pcanon.pcf import (
+    Basis,
+    PCanonicalForm,
+    pcf_build,
+    pcf_eval,
+    pcf_realify,
+    realpcf_eval,
+)
 from pcanon.scalar import CC, GF, QQ, Poly
 
 # -- exponentials -------------------------------------------------------------
@@ -532,3 +540,32 @@ def test_real_exponential_and_log_match_scipy():
     want = sla.logm(np.array(j.rows))
     got = np.array(logm(j).rows)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+_UPPER = Matrix(CC, [[2, 1], [0, 3]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pcf_eval(pcf_build(_UPPER), 10 ** 4),
+    lambda: realpcf_eval(pcf_realify(pcf_build(_UPPER)), 10 ** 4),
+    lambda: closedform_eval(expm_closed(_UPPER), 1e4),
+    lambda: realclosedform_eval(expm_real(_UPPER), 1e4),
+    # 10^300 times binom(10^4, 3) is inf, and inf times 0 is nan
+    lambda: pcf_eval(pcf_build(Matrix.jordan_block(CC, 4, 10 ** 0.03)), 10 ** 4),
+], ids=["pcf", "realpcf", "closedform", "realclosedform", "jordan-nan"])
+def test_evaluators_refuse_overflow_by_name(call):
+    with pytest.raises(AnswerTooLarge):
+        call()
+
+
+@pytest.mark.parametrize("branch", [[0.7, 0], ["1", 0]], ids=["float", "str"])
+def test_winding_numbers_must_be_integers(branch):
+    # int() once read these as the branches [0, 0] and [1, 0]
+    a = Matrix(QQ, [[-1, 0], [0, 2]])
+    named = f"winding numbers are integers, got {branch[0]!r}"
+    for call in (lambda: logm(a, branch),
+                 lambda: log_pcf(pcf_build(a.to_field(CC)), branch)):
+        with pytest.raises(PcanonError, match=named):
+            call()
+    np = pytest.importorskip("numpy")
+    assert logm(a, [np.int64(1), 0]) == logm(a, [1, 0])
