@@ -88,8 +88,6 @@ from .scalar import (
     format_complex,
     is_prime,
     poly_factor,
-    poly_gcd,
-    poly_lcm,
     stirling_first,
     stirling_second,
 )
@@ -98,7 +96,7 @@ from .wedge import WedgeContext, wedge, wedge_fold
 __all__ = [
     # fields and polynomials
     "QQ", "CC", "GF", "Field", "FpElement", "Poly", "FactoredPoly",
-    "poly_factor", "poly_gcd", "poly_lcm",
+    "poly_factor",
     "format_complex", "is_prime",
     "stirling_first", "stirling_second",
     # matrices and spectra

@@ -97,12 +97,12 @@ def _parse_entry(field: Field, v):
     if isinstance(v, bool):
         raise ParseError(f"bad complex entry {v!r}")
     if isinstance(v, (int, float)):
-        return complex(v)
+        return field.coerce(v)
     if isinstance(v, dict) and set(v) <= {"re", "im"}:
         re, im = v.get("re", 0), v.get("im", 0)
         if all(isinstance(x, (int, float)) and not isinstance(x, bool)
                for x in (re, im)):
-            return complex(re, im)
+            return complex(field.coerce(re).real, field.coerce(im).real)
     raise ParseError(
         f'complex entries are numbers or {{"re": ..., "im": ...}}, got {v!r}')
 

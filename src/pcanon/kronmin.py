@@ -54,9 +54,6 @@ class EigSpec:
     def is_nilpotent(self) -> bool:
         return not self.nonzero
 
-    def poly(self) -> Poly:
-        return _times_powers(Poly.x(self.field) ** self.zero_index, self.nonzero)
-
 
 def eig_spec_of_poly(p: Poly, tol: float = CLUSTER_TOL) -> EigSpec:
     """Spectrum of a monic polynomial; NonSplitField when linear factors

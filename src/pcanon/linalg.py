@@ -21,8 +21,12 @@ scalar's `_int_split` (squarefree part, Hensel or Cantor-Zassenhaus roots
 nu, multiplicities by synthetic division), eigenvalues nu / den. Over C
 it reads `_spectrum` directly.
 
-Every matrix product goes through one kernel, `_product`. Over C it is
-one numpy complex matmul, in BLAS. Over Q and F_p scalar's `_lift` turns
+Every matrix product goes through one kernel, `_product`, but the chain
+products over C, which `_complex_chains` takes in numpy under the same
+finiteness rule. Over C `_product` is one numpy complex matmul, in BLAS,
+and refuses a result with an entry that is not finite with AnswerTooLarge;
+complex sums and scalar multiples are refused alike (`_finite`). Over Q
+and F_p scalar's `_lift` turns
 entries into plain integers (over one common denominator over Q,
 residues over F_p), `_drop` turns results back, and between them runs
 `_dots`, the one product loop on plain numbers, shared with the Krylov
@@ -42,6 +46,8 @@ Krylov chains of the minimal polynomial and the exact `Matrix.inverse`.
 """
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -124,14 +130,6 @@ class Matrix:
         return cls(field, [[v if i == j else (1 if j == i + 1 else 0)
                             for j in range(size)] for i in range(size)])
 
-    @classmethod
-    def upper_toeplitz(cls, field: Field, first_row) -> "Matrix":
-        """Upper-triangular Toeplitz matrix: entry (i, j) = first_row[j - i]."""
-        fr = [field.coerce(e) for e in first_row]
-        n = len(fr)
-        return cls(field, [[fr[j - i] if j >= i else 0 for j in range(n)]
-                           for i in range(n)])
-
     # -- structure ----------------------------------------------------
     def _check(self, other: "Matrix"):
         if self.field != other.field:
@@ -166,15 +164,15 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check(other)
-        return Matrix._of(self.field, [[a + b for a, b in zip(ra, rb)]
-                                       for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._of(self.field, _finite(self.field, [
+            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check(other)
-        return Matrix._of(self.field, [[a - b for a, b in zip(ra, rb)]
-                                       for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._of(self.field, _finite(self.field, [
+            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]))
 
     def __neg__(self) -> "Matrix":
         return Matrix._of(self.field, [[-e for e in row] for row in self.rows])
@@ -185,7 +183,8 @@ class Matrix:
             return Matrix._of(self.field,
                               _product(self.field, self.rows, other.rows))
         c = self.field.coerce(other)
-        return Matrix._of(self.field, [[c * e for e in row] for row in self.rows])
+        return Matrix._of(self.field,
+                          _finite(self.field, [[c * e for e in row] for row in self.rows]))
 
     __rmul__ = __mul__  # a scalar on the left: fields commute
 
@@ -255,6 +254,15 @@ def _complex_inverse(rows):
         raise SingularMatrix("matrix is numerically singular")
     with np.errstate(all="ignore"):
         return ((vh.conj().T / sigma) @ u.conj().T).tolist()
+
+
+def _finite(field: Field, rows):
+    """rows of an entrywise sum or multiple, refused with AnswerTooLarge over
+    C when an entry overflowed a double."""
+    entries = itertools.chain.from_iterable(rows)
+    if not field.exact and not all(map(cmath.isfinite, entries)):
+        raise AnswerTooLarge("a complex sum or multiple overflows a double")
+    return rows
 
 
 def _product(field: Field, xs, ys):
@@ -648,28 +656,37 @@ def _trim(coeffs: list) -> list:
 
 def _complex_chains(arr, spectrum, tol: float, full: bool):
     """`_chains` over C from A's complex array and its `_spectrum`, with pi
-    from `_projectors` and the products taken in numpy. Each product is
-    scaled after it is taken: folding 1/lambda into the step rounds its
-    entries, which the cancellation in (A - lambda I)^i amplifies. Trailing
-    zero matrices of a nonzero eigenvalue are dropped, never down to pi."""
+    from `_projectors` and the products (A - lambda I)^i pi taken in numpy,
+    refused as `_product`'s are when an entry is not finite. A nonzero
+    lambda's products are scaled after they are taken: folding 1/lambda
+    into the step rounds its entries, which the cancellation in
+    (A - lambda I)^i amplifies. Their trailing zero matrices are dropped,
+    never down to pi; the chain of lambda = 0 is neither scaled nor trimmed."""
+    import numpy as np
+
     t0, nz, nil, chains = 0, [], [], []
     for (mu, _, t, _), pi in zip(spectrum, _projectors(arr, spectrum, tol)):
-        if not mu:
-            t0, nil = t, [pi]
-            while full and len(nil) < t:
-                nil.append(arr @ nil[-1])
-            nil = [Matrix._of(CC, v.tolist()) for v in nil]
-            continue
-        nz.append((mu, t))
         coeffs = [Matrix._of(CC, pi.tolist())]
         if full and t > 1:
-            step, chain, inv, factor = arr.copy(), pi, 1 / mu, 1
+            step, chain = arr.copy(), pi
             step.flat[::len(arr) + 1] -= mu
-            for _ in range(1, t):
-                chain, factor = step @ chain, factor * inv
-                coeffs.append(Matrix._of(CC, chain.tolist()) * factor)
-            _trim(coeffs)
-        chains.append(coeffs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(1, t):
+                    chain = step @ chain
+                    if not np.isfinite(chain).all():
+                        raise AnswerTooLarge("a complex product overflows a double")
+                    coeffs.append(Matrix._of(CC, chain.tolist()))
+            if mu:
+                inv, factor = 1 / mu, 1
+                for i in range(1, t):
+                    factor *= inv
+                    coeffs[i] *= factor
+                _trim(coeffs)
+        if mu:
+            nz.append((mu, t))
+            chains.append(coeffs)
+        else:
+            t0, nil = t, coeffs
     return t0, nz, nil, chains
 
 

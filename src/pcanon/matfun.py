@@ -239,8 +239,8 @@ def log_pcf(form: PCanonicalForm, branch=None, tol: float = 1e-8) -> PCanonicalF
     for z, (_, coeffs) in zip(zs, form.geometric_terms):
         zinv = 1.0 / z if z else 1.0   # z = 0 keeps the bare i! weight
         new, factor = [], 1.0 + 0j
-        for i, c in enumerate(coeffs):
-            new.append(c * (factor * math.factorial(i)))
+        for i, c in enumerate(coeffs):  # C_0's weight is exactly 1
+            new.append(c * (factor * math.factorial(i)) if i else c)
             factor = factor * zinv
         if z:
             geo.append((z, tuple(_trim(new))))

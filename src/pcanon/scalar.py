@@ -251,7 +251,12 @@ class ComplexField(Field):
 
     def coerce(self, x):
         if isinstance(x, (int, float, complex)):
-            if not cmath.isfinite(x):
+            try:
+                finite = cmath.isfinite(x)
+            except OverflowError:
+                raise AnswerTooLarge(f"an integer of {x.bit_length()} bits "
+                                     "is past the double range") from None
+            if not finite:
                 raise AnswerTooLarge(f"{x} is not a finite complex double")
             return x if isinstance(x, complex) else complex(x)
         if isinstance(x, Fraction):
@@ -260,7 +265,11 @@ class ComplexField(Field):
 
     def from_fraction(self, q: Fraction):
         # int / int is correctly rounded, as float(q) is, without its detour
-        return complex(q.numerator / q.denominator)
+        try:
+            return complex(q.numerator / q.denominator)
+        except OverflowError:
+            raise AnswerTooLarge("a rational past the double range "
+                                 "has no complex double") from None
 
     def sort_key(self, x: complex):
         return (x.real, x.imag)
@@ -517,10 +526,7 @@ class Poly:
         return Poly(self.field,
                     [self.field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
 
-    def to_field(self, field: Field) -> "Poly":
-        return Poly(field, [field.coerce(c) for c in self.coeffs])
-
-    def format(self, var: str = "X") -> str:
+    def format(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
@@ -532,7 +538,7 @@ class Poly:
             if i == 0:
                 term = cs
             else:
-                xs = var if i == 1 else f"{var}^{i}"
+                xs = "X" if i == 1 else f"X^{i}"
                 if cs == "1":
                     term = xs
                 elif cs == "-1":
@@ -549,25 +555,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.field}]({self.format()})"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over an exact field: `_residue_gcd` of the coefficients
-    lifted over one common denominator (residues over F_p), made monic."""
-    if a.field != b.field:
-        raise MixedFields(f"gcd over {a.field} and {b.field}")
-    if not a.field.exact:
-        raise NumericFieldUnsupported("gcd is only defined over exact fields")
-    if a.is_zero and b.is_zero:
-        raise ZeroPolynomial("gcd(0, 0) is undefined")
-    (x, y), _ = _lift(a.field, (a.coeffs, b.coeffs))
-    return Poly(a.field, _residue_gcd(x, y, a.field.char)).monic()
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        raise ZeroPolynomial("lcm with the zero polynomial")
-    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 def _powmod(base, n: int, mod, mul=operator.mul, rem=operator.mod):
@@ -648,9 +635,6 @@ class FactoredPoly:
 
     roots: tuple
     remainder: Poly
-
-    def reassemble(self) -> Poly:
-        return _times_powers(self.remainder, self.roots)
 
 
 #: seed of the random shifts in Cantor-Zassenhaus

@@ -34,7 +34,10 @@ _SQRT3 = math.sqrt(3.0)
 @pytest.fixture
 def semicirculant_4x4() -> Matrix:
     """Upper-Toeplitz [2,4,2,3]; single eigenvalue 2 of index 4."""
-    return Matrix.upper_toeplitz(QQ, [2, 4, 2, 3])
+    return Matrix(QQ, [[2, 4, 2, 3],
+                       [0, 2, 4, 2],
+                       [0, 0, 2, 4],
+                       [0, 0, 0, 2]])
 
 
 @pytest.fixture

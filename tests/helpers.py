@@ -17,10 +17,13 @@ the digit rule), the annihilator oracle solves one Hankel system per
 candidate degree, the linkage oracle compares every pair of values, the
 class-table oracle enumerates every tuple of eigenvalues, the root
 oracles scan every residue mod p or every quotient of divisors over Q,
-the minimal polynomial oracle merges its Krylov annihilators by
-`poly_lcm` on Poly objects (`minpoly_by_poly_lcm`), the factorisation
-oracle confirms and counts roots by Poly division
-(`factor_by_poly_division`),
+the gcd and lcm oracles run Euclid on Poly remainders (`poly_gcd`,
+`poly_lcm`), not the library's integer gcd `_residue_gcd`, the minimal
+polynomial oracle merges its Krylov annihilators by that `poly_lcm`
+(`minpoly_by_poly_lcm`), the factorisation oracle takes its squarefree
+part by that `poly_gcd` and confirms and counts roots by Poly division
+(`factor_by_poly_division`), `reassemble` multiplies a factorisation
+back out as Poly products,
 and the random matrices are Jordan assemblies conjugated by unimodular
 integer matrices so every expected invariant is known by construction.
 """
@@ -53,8 +56,6 @@ from pcanon.scalar import (
     _cz_roots,
     _powmod,
     is_prime,
-    poly_gcd,
-    poly_lcm,
 )
 from pcanon.wedge import WedgeContext, wedge_fold
 
@@ -308,6 +309,26 @@ def rank_int(rows: list[list[int]], mod: int | None) -> int:
         if piv is not None:
             _insert_row(echelon, (piv, vec))
     return len(echelon)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over an exact field by Euclid on Poly remainders."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def poly_lcm(a: Poly, b: Poly) -> Poly:
+    return (a * b // poly_gcd(a, b)).monic()
+
+
+def reassemble(f: FactoredPoly) -> Poly:
+    """The polynomial a factorisation came from: its remainder times
+    (X - r)^m over its (r, m) roots, as Poly products."""
+    out = f.remainder
+    for r, m in f.roots:
+        out = out * Poly(out.field, (-r, 1)) ** m
+    return out
 
 
 def minpoly_by_poly_lcm(int_rows: list[list[int]], mod: int | None) -> Poly:

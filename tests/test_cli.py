@@ -367,17 +367,45 @@ def _timed(capsys, *argv):
     return code, out, err, time.perf_counter() - start
 
 
+BIG_ENTRY = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("argv, error", [
     (("power", '{"field": "C", "matrix": [[NaN]]}', "2"), "AnswerTooLarge"),
     (("pcf", '{"field": "C", "matrix": [[Infinity]]}'), "AnswerTooLarge"),
     (("expm", '{"field": "C", "matrix": [[1e308, 1], [0, 1e308]]}'),
      "NumericFieldUnsupported"),
-], ids=["nan", "infinity", "near-overflow"])
+    # these four ended in an OverflowError traceback
+    (("expm", f'[["{BIG_ENTRY}", 0], [0, 1]]'), "AnswerTooLarge"),
+    (("logm", f'[["{BIG_ENTRY}", 0], [0, 1]]'), "AnswerTooLarge"),
+    (("pcf", f'{{"field": "C", "matrix": [[{BIG_ENTRY}]]}}'), "AnswerTooLarge"),
+    (("pcf", f'{{"field": "C", "matrix": [[{{"re": 1, "im": {BIG_ENTRY}}}]]}}'),
+     "AnswerTooLarge"),
+], ids=["nan", "infinity", "near-overflow", "expm-400-digits", "logm-400-digits",
+        "pcf-400-digits", "pcf-400-digits-im"])
 def test_complex_inputs_numpy_cannot_take_are_refused(capsys, argv, error):
-    # each once ended in a numpy LinAlgError traceback
+    # the first three once ended in a numpy LinAlgError traceback
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith(f"{error}: ") and "Traceback" not in err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+
+NIL_1E300 = '{"field": "C", "matrix": [[0, 1e300, 0], [0, 0, 1e300], [0, 0, 0]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("pcf", NIL_1E300), ("pcf", NIL_1E300, "--json"),
+    ("expm", NIL_1E300), ("expm", NIL_1E300, "--json"),
+], ids=["pcf", "pcf-json", "expm", "expm-json"])
+def test_overflowing_chain_products_are_one_refusal_line(argv):
+    # pretty output printed inf or nan with exit status 0; every mode wrote
+    # numpy overflow warnings to stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "pcanon.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("AnswerTooLarge: ") and proc.stderr.count("\n") == 1
 
 
 def test_power_refuses_answers_it_cannot_print(capsys):

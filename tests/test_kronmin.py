@@ -173,7 +173,7 @@ def test_eig_spec_validation():
 
 def test_eig_spec_roundtrips_to_poly():
     p = Poly.x(QQ) ** 2 * Poly.from_roots(QQ, [1, 1, 2])
-    assert eig_spec_of_poly(p).poly() == p
+    assert kron_minpoly_symbolic([eig_spec_of_poly(p)]) == p
 
 
 def test_symbolic_guards():

@@ -95,7 +95,6 @@ def test_constructors_golden():
                                            (Fraction(0), Fraction(1)))
     assert Matrix.jordan_block(QQ, 3, 5).rows == (
         (5, 1, 0), (0, 5, 1), (0, 0, 5))
-    assert Matrix.upper_toeplitz(QQ, [2, 4, 2, 3]).rows[1] == (0, 2, 4, 2)
     assert Matrix.diagonal(QQ, [1, 2]).trace == 3
     with pytest.raises(EmptyInput):
         Matrix(QQ, [])
@@ -194,6 +193,30 @@ def test_complex_inverse_is_one_svd():
     # well conditioned, but 1 / 1e-310 is past a double
     with pytest.raises(AnswerTooLarge):
         (Matrix.identity(CC, 2) * 1e-310).inverse()
+
+
+def test_complex_sums_and_multiples_refuse_overflow():
+    # each returned a matrix with an inf entry; exact fields have no bound
+    with pytest.raises(AnswerTooLarge):
+        Matrix(CC, [[1e200, 0], [0, 1]]) * 1e200
+    big = Matrix(CC, [[1e308, 0], [0, 1]])
+    with pytest.raises(AnswerTooLarge):
+        big + big
+    with pytest.raises(AnswerTooLarge):
+        big - (-big)
+    half = big * 0.5
+    assert half + half == big and big - half == half
+    assert (Matrix(QQ, [[10 ** 400]]) * 10 ** 400).rows == ((10 ** 800,),)
+
+
+def test_complex_chain_products_refuse_overflow():
+    # each returned inf or nan entries, with numpy overflow warnings
+    for lam in (0, 1):
+        a = Matrix(CC, [[lam, 1e300, 0], [0, lam, 1e300], [0, 0, lam]])
+        with pytest.raises(AnswerTooLarge):
+            pcf_build(a)
+        with pytest.raises(AnswerTooLarge):
+            expm_closed(a)
 
 
 def test_product_matches_schoolbook_over_q():

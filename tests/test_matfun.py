@@ -558,6 +558,23 @@ def test_evaluators_refuse_overflow_by_name(call):
         call()
 
 
+_PAST_A_DOUBLE = Matrix(QQ, [[10 ** 400]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Matrix(CC, [[10 ** 400]]),
+    lambda: Poly(CC, [10 ** 400, 1]),
+    lambda: _PAST_A_DOUBLE.to_field(CC),
+    lambda: expm_closed(_PAST_A_DOUBLE),
+    lambda: expm_real(_PAST_A_DOUBLE),
+    lambda: logm(_PAST_A_DOUBLE),
+], ids=["matrix", "poly", "to_field", "expm_closed", "expm_real", "logm"])
+def test_numbers_past_a_double_are_refused_by_name(call):
+    # each raised a bare OverflowError
+    with pytest.raises(AnswerTooLarge):
+        call()
+
+
 @pytest.mark.parametrize("branch", [[0.7, 0], ["1", 0]], ids=["float", "str"])
 def test_winding_numbers_must_be_integers(branch):
     # int() once read these as the branches [0, 0] and [1, 0]

@@ -15,13 +15,14 @@ from helpers import (
     factor_by_poly_division,
     linked_by_scan,
     naive_poly_mul,
+    poly_gcd,
     rational_roots_by_divisors,
+    reassemble,
     roots_by_scan,
 )
 from pcanon.errors import (
     MixedFields,
     NonMonic,
-    NumericFieldUnsupported,
     ZeroPolynomial,
 )
 from pcanon.scalar import (
@@ -31,13 +32,13 @@ from pcanon.scalar import (
     QQ,
     FpElement,
     Poly,
+    _convolve,
     _linked,
+    _residue_gcd,
     _times_powers,
     format_complex,
     is_prime,
     poly_factor,
-    poly_gcd,
-    poly_lcm,
     stirling_first,
     stirling_second,
 )
@@ -194,14 +195,36 @@ def test_derivative_of_product_rule(p):
     assert lhs == rhs
 
 
-def test_poly_gcd_and_lcm():
-    a = Poly.from_roots(QQ, [1, 2])
-    b = Poly.from_roots(QQ, [1, 3])
-    g = poly_gcd(a, b)
-    assert g == Poly.from_roots(QQ, [1])
-    assert poly_lcm(a, b) == Poly.from_roots(QQ, [1, 2, 3])
-    with pytest.raises(NumericFieldUnsupported):
-        poly_gcd(Poly(CC, [1, 1]), Poly(CC, [1]))
+@pytest.mark.parametrize("p", [0, 2, 3, 101], ids=["Q", "F2", "F3", "F101"])
+def test_residue_gcd_matches_the_euclid_oracle(p):
+    # the oracle is Euclid on Poly remainders, not this integer gcd, which
+    # the Krylov lcm and the root finders run
+    rng = random.Random(f"residue_gcd/{p}")
+    field = GF(p) if p else QQ
+    digits = range(0, p) if p else range(-9, 10)
+
+    def rand(deg, monic):
+        return [rng.choice(digits) for _ in range(deg)] + [
+            1 if monic else rng.choice([c for c in digits if c])]
+
+    def residues(cs):
+        cs = [c % p for c in cs] if p else cs
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    for k in range(60):
+        monic = k % 2 == 0  # of a, and of the shared factor
+        shared = rand(rng.randint(0, 3), monic)
+        a = residues(_convolve(shared, rand(rng.randint(0, 4), monic)))
+        b = residues(_convolve(shared, rand(rng.randint(0, 4), False)))
+        got = _residue_gcd(a, b, p)
+        assert Poly(field, got).monic() == poly_gcd(Poly(field, a), Poly(field, b)), (a, b)
+        if p:
+            assert got[-1] == 1
+        else:  # primitive with a positive lead, monic when a is
+            assert math.gcd(*got) == 1 and got[-1] > 0
+            assert got[-1] == 1 or not monic
 
 
 def test_poly_format_golden():
@@ -281,7 +304,7 @@ def test_factor_prime_field_matches_residue_scan(case):
     got = poly_factor(f)
     assert [r for r, _ in _residue_roots(got)] == roots_by_scan(f, p)
     assert roots_by_scan(got.remainder, p) == []
-    assert got.reassemble() == f
+    assert reassemble(got) == f
 
 
 _small_q = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -295,7 +318,7 @@ def test_factor_rational_matches_divisor_scan(roots, rest):
     got = poly_factor(f)
     assert sorted(r for r, _ in got.roots) == rational_roots_by_divisors(f)
     assert rational_roots_by_divisors(got.remainder) == []
-    assert got.reassemble() == f
+    assert reassemble(got) == f
 
 
 def test_factor_large_prime_field():
@@ -330,7 +353,7 @@ def test_split_matches_the_poly_division_route(field, values):
         p = Poly.from_roots(field, roots) * Poly(field, rests[k % len(rests)] + [1])
         got = poly_factor(p)
         assert got == factor_by_poly_division(p), (k, p)
-        assert got.reassemble() == p
+        assert reassemble(got) == p
         covered.append((max((m for _, m in got.roots), default=0) >= floor,
                         any(r == 0 for r, _ in got.roots), got.remainder.degree > 0))
     # a root of multiplicity >= floor, the root 0 and a non-split rest
