@@ -66,7 +66,9 @@ class SingularMatrix(PcanonError):
 
 class ProjectionsInaccurate(PcanonError):
     """Numeric spectral projections fail their own check: they do not sum
-    to the identity, or are not idempotent, to the tolerance asked for."""
+    to the identity, or are not idempotent, to the tolerance asked for; or
+    a group of computed eigenvalues has no staircase that confirms it as
+    one eigenvalue, so it has no index."""
 
 
 class PrincipalUndefined(PcanonError):

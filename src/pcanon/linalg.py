@@ -22,13 +22,12 @@ nu, multiplicities by synthetic division), eigenvalues nu / den. Over C
 it reads `_spectrum` directly.
 
 Every matrix product goes through one kernel, `_product`, but the chain
-products over C, which `_complex_chains` takes in numpy under the same
-finiteness rule. Over C `_product` is one numpy complex matmul, in BLAS,
-and refuses a result with an entry that is not finite with AnswerTooLarge;
-complex sums and scalar multiples are refused alike (`_finite`). Over Q
-and F_p scalar's `_lift` turns
-entries into plain integers (over one common denominator over Q,
-residues over F_p), `_drop` turns results back, and between them runs
+products over C, which `_complex_chains` takes in numpy. Both run one
+numpy complex matmul, in BLAS, through `_matmul`, which refuses a result
+with an entry that is not finite with AnswerTooLarge; complex sums and
+scalar multiples are refused alike (`_finite`). Over Q and F_p scalar's
+`_lift` turns entries into plain integers (over one common denominator
+over Q, residues over F_p), `_drop` turns results back, and between them runs
 `_dots`, the one product loop on plain numbers, shared with the Krylov
 step and the power tables. `_combine` forms weighted sums sum_j W[r][j]
 M_j of matrices as one product of the weight rows with the flattened
@@ -266,22 +265,30 @@ def _finite(field: Field, rows):
 
 
 def _product(field: Field, xs, ys):
-    """Product of two rectangular blocks of field rows: over C one numpy
-    complex matmul (BLAS), AnswerTooLarge when an entry is not finite; over
-    Q and F_p on lifted integer rows."""
+    """Product of two rectangular blocks of field rows: over C one
+    `_matmul`; over Q and F_p on lifted integer rows."""
     if not field.exact:
         import numpy as np
 
         k = len(ys)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = (np.array(xs, dtype=complex).reshape(len(xs), k)
-                   @ np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0))
-        if not np.isfinite(out).all():
-            raise AnswerTooLarge("a complex product overflows a double")
-        return out.tolist()
+        return _matmul(np.array(xs, dtype=complex).reshape(len(xs), k),
+                       np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0)
+                       ).tolist()
     xs, dx = _lift(field, xs)
     ys, dy = _lift(field, ys)
     return _drop(field, _dots(xs, list(zip(*ys))), dx * dy)
+
+
+def _matmul(x, y):
+    """The numpy product x @ y, refused with AnswerTooLarge when an entry is
+    not finite: the one overflow check of complex products."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x @ y
+    if not np.isfinite(out).all():
+        raise AnswerTooLarge("a complex product overflows a double")
+    return out
 
 
 def _dots(xs, cols, mod: int | None = None):
@@ -596,13 +603,13 @@ def _projectors(a, groups, tol: float):
     A group of m = n is the identity. A group of m = 1 takes v and conj(w)
     from one eig of A and one of A^T: the eigenvectors of the eigenvalue
     nearest mu, which no other group may share. A larger group takes V
-    from its staircase (one vector a step when it has none) and W from
-    the staircase of (A - mu I)^H with the same counts. On a real matrix
-    the projection of conj(mu) is the exact conjugate of mu's. Raises
-    ProjectionsInaccurate on a shared eigenvalue, or when ||sum pi - I||_F
-    / max ||pi||_F or the largest ||pi^2 - pi||_F / ||pi||_F exceeds tol,
-    both relative to the projections' size, as rounding is; V and W come
-    from independent decompositions, so these are real tests.
+    from its staircase and W from the staircase of (A - mu I)^H with the
+    same counts. On a real matrix the projection of conj(mu) is the exact
+    conjugate of mu's. Raises ProjectionsInaccurate on a shared
+    eigenvalue, or when ||sum pi - I||_F / max ||pi||_F or the largest
+    ||pi^2 - pi||_F / ||pi||_F exceeds tol, both relative to the
+    projections' size, as rounding is; V and W come from independent
+    decompositions, so these are real tests.
     """
     import numpy as np
 
@@ -631,7 +638,7 @@ def _projectors(a, groups, tol: float):
             out[j] = eye
         elif m > 1 and j not in mirror:
             b = a - mu * eye
-            counts, v = stairs or _staircase(b, m, counts=[1] * m)
+            counts, v = stairs
             w = _staircase(b.conj().T, m, counts=counts)[1].conj().T
             out[j] = v @ np.linalg.solve(w @ v, w)
     for j, i in mirror.items():
@@ -647,41 +654,29 @@ def _projectors(a, groups, tol: float):
     return out
 
 
-def _trim(coeffs: list) -> list:
-    """Drop trailing zero matrices, in place."""
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
-
-
 def _complex_chains(arr, spectrum, tol: float, full: bool):
     """`_chains` over C from A's complex array and its `_spectrum`, with pi
-    from `_projectors` and the products (A - lambda I)^i pi taken in numpy,
-    refused as `_product`'s are when an entry is not finite. A nonzero
-    lambda's products are scaled after they are taken: folding 1/lambda
-    into the step rounds its entries, which the cancellation in
-    (A - lambda I)^i amplifies. Their trailing zero matrices are dropped,
-    never down to pi; the chain of lambda = 0 is neither scaled nor trimmed."""
-    import numpy as np
-
+    from `_projectors` and the products (A - lambda I)^i pi taken by
+    `_matmul`, as `_product`'s are. A nonzero lambda's products are scaled
+    after they are taken: folding 1/lambda into the step rounds its
+    entries, which the cancellation in (A - lambda I)^i amplifies; the
+    chain of lambda = 0 is not scaled.
+    Each chain holds as many matrices as its group's staircase has steps,
+    its index, even when a scaled matrix underflows to zero."""
     t0, nz, nil, chains = 0, [], [], []
     for (mu, _, t, _), pi in zip(spectrum, _projectors(arr, spectrum, tol)):
         coeffs = [Matrix._of(CC, pi.tolist())]
         if full and t > 1:
             step, chain = arr.copy(), pi
             step.flat[::len(arr) + 1] -= mu
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(1, t):
-                    chain = step @ chain
-                    if not np.isfinite(chain).all():
-                        raise AnswerTooLarge("a complex product overflows a double")
-                    coeffs.append(Matrix._of(CC, chain.tolist()))
+            for _ in range(1, t):
+                chain = _matmul(step, chain)
+                coeffs.append(Matrix._of(CC, chain.tolist()))
             if mu:
                 inv, factor = 1 / mu, 1
                 for i in range(1, t):
                     factor *= inv
                     coeffs[i] *= factor
-                _trim(coeffs)
         if mu:
             nz.append((mu, t))
             chains.append(coeffs)

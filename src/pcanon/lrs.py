@@ -60,7 +60,7 @@ def lrs_prefix(seq: LinRecSeq, count: int) -> list:
         nxt = f.zero
         for c, a in zip(coeffs, window):
             nxt = nxt - c * a
-        out.append(nxt)
+        out.append(f.coerce(nxt))
         window = window[1:] + [nxt]
     return out
 
@@ -74,7 +74,8 @@ def lrs_eval(seq: LinRecSeq, n: int):
     if n < p.degree:
         return seq.initial[n]
     r = _powmod(Poly.x(seq.field), n, p)
-    return sum((c * a for c, a in zip(r.coeffs, seq.initial)), seq.field.zero)
+    return seq.field.coerce(sum((c * a for c, a in zip(r.coeffs, seq.initial)),
+                                seq.field.zero))
 
 
 def lrs_mul(factors, p: Poly) -> LinRecSeq:

@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrix,
     ZeroLogClash,
 )
-from .linalg import Matrix, _combine, _complex_chains, _numeric_spectrum, _trim
+from .linalg import Matrix, _combine, _complex_chains, _numeric_spectrum
 from .pcf import (
     Basis,
     PCanonicalForm,
@@ -41,7 +41,7 @@ from .pcf import (
     pcf_build,
     pcf_to_gamma,
 )
-from .scalar import CC, CLUSTER_TOL
+from .scalar import CC
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def log_pcf(form: PCanonicalForm, branch=None, tol: float = 1e-8) -> PCanonicalF
         form = pcf_to_gamma(form)
     zs = _branch_logs([lam for lam, _ in form.geometric_terms], branch, tol)
     for zi, zj in itertools.combinations(zs, 2):
-        if abs(zi - zj) <= CLUSTER_TOL * max(1.0, abs(zi), abs(zj)):
+        if abs(zi - zj) <= tol * max(1.0, abs(zi), abs(zj)):
             raise ZeroLogClash(
                 f"branch maps two eigenvalues to the same logarithm {zi!r}")
     nil, geo = (), []
@@ -243,7 +243,7 @@ def log_pcf(form: PCanonicalForm, branch=None, tol: float = 1e-8) -> PCanonicalF
             new.append(c * (factor * math.factorial(i)) if i else c)
             factor = factor * zinv
         if z:
-            geo.append((z, tuple(_trim(new))))
+            geo.append((z, tuple(new)))
         else:   # at most one z is 0: two would clash
             nil = tuple(enumerate(new))
     geo.sort(key=lambda t: (t[0].real, t[0].imag))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import AnswerTooLarge, CharPositive, NotConjugateSymmetric, PcanonError
-from .linalg import Matrix, _chains, _combine, _trim
+from .linalg import Matrix, _chains, _combine
 from .scalar import CC, Field, Poly, _times_powers, stirling_first, stirling_second
 
 
@@ -46,8 +46,8 @@ class PCanonicalForm:
     only at k = i; geometric_terms lists (eigenvalue, coefficient
     matrices) in the field's canonical eigenvalue order, contributing
     sum_i C_i * lambda^k * binom(k, i) (or lambda^k * k^i in the power
-    basis). Coefficient lists are trimmed so their lengths equal the
-    eigenvalue indices.
+    basis). Each coefficient list is as long as its eigenvalue's index,
+    which the spectrum decides.
     """
 
     field: Field
@@ -141,7 +141,7 @@ def pcf_eval(form: PCanonicalForm, k: int) -> Matrix:
 
 
 def _rebase(field: Field, n: int, coeffs, to_gamma: bool) -> list:
-    """Stirling change of basis of one coefficient list, untrimmed: the
+    """Stirling change of basis of one coefficient list: the
     identities of pcf_to_gamma (to_gamma) and pcf_to_lambda, with the
     Stirling weights as the rows of one weighted sum. C_0 carries over,
     since binom(k, 0) = k^0 = 1."""
@@ -157,8 +157,7 @@ def _rebase_pcf(form: PCanonicalForm, basis: Basis) -> PCanonicalForm:
         raise CharPositive("basis conversion needs characteristic zero")
     if form.basis is basis:
         return form
-    geo = tuple((lam, tuple(_trim(_rebase(form.field, form.order, coeffs,
-                                          basis is Basis.GAMMA))))
+    geo = tuple((lam, tuple(_rebase(form.field, form.order, coeffs, basis is Basis.GAMMA)))
                 for lam, coeffs in form.geometric_terms)
     return replace(form, basis=basis, geometric_terms=geo)
 

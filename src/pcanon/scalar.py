@@ -14,8 +14,9 @@ projections. Over Q and F_p, `_int_split` finds roots on plain integer
 coefficients: Cantor-Zassenhaus over F_p, Hensel lifting over Q. Over C,
 `_spectrum` takes a matrix's eigenvalues from numpy and one rank rule
 decides which of them are one eigenvalue and what its index is; the
-roots of a polynomial are the eigenvalues of its companion matrix. numpy
-is imported there only.
+roots of a polynomial are the eigenvalues of its companion matrix, read
+by the same rule. numpy is imported inside the functions that use it,
+here and in linalg, pcf and matfun, so importing pcanon does not load it.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .errors import (
     NonMonic,
     NumericFieldUnsupported,
     PcanonError,
+    ProjectionsInaccurate,
     ZeroPolynomial,
 )
 
@@ -797,10 +799,10 @@ def _spectrum(rows, tol: float) -> list[tuple[complex, int, int, tuple | None]]:
     at the same floor as any other; a value is never rounded to 0 by its
     size. A group that fails is linked again at a tenth of the distance,
     down to tol / max(1, largest entry), and last at tol relative to
-    max(1, |value|), where it is accepted, with index m if the staircase
-    fails even at a floor of tol * max(1, |mu|). Values within relative
-    distance tol are linked at every distance, so they are always one
-    eigenvalue.
+    max(1, |value|), where the staircase counts at a floor of tol *
+    max(1, |mu|); a group that fails there raises ProjectionsInaccurate,
+    as no index is confirmed. Values within relative distance tol are
+    linked at every distance, so they are always one eigenvalue.
     """
     import numpy as np
 
@@ -831,9 +833,10 @@ def _spectrum(rows, tol: float) -> list[tuple[complex, int, int, tuple | None]]:
                     break
             else:
                 if last:
-                    out.append((mean, m, m, None))
-                else:
-                    todo.append((group, max(dist / 10, tol / scale)))
+                    raise ProjectionsInaccurate(
+                        f"no staircase confirms {m} eigenvalues near {mean!r} "
+                        f"as one at tol {tol:g}")
+                todo.append((group, max(dist / 10, tol / scale)))
     return sorted(out, key=lambda t: (t[0].real, t[0].imag))
 
 
@@ -880,11 +883,11 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
     `_int_split`: Cantor-Zassenhaus over F_p finds the distinct roots of
     the whole polynomial, keeping a root whose multiplicity is a multiple
     of p, Hensel lifting over Q those of the squarefree part; what has no
-    root in the field stays in the remainder. Over C the exactly zero low
-    coefficients give the root 0, and the roots of the rest are the
-    eigenvalues of its companion matrix, as numpy.roots takes them,
-    grouped by `_spectrum` at relative tolerance tol, a root within tol of
-    0 counting as 0; the remainder is always 1.
+    root in the field stays in the remainder. Over C the roots are the
+    spectrum of the companion matrix, as `_spectrum` reads any matrix's
+    at relative tolerance tol: so 0 is a root only when the staircase of
+    that matrix finds it, and each multiplicity is a group's size. The
+    remainder is always 1.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -900,19 +903,11 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
         return FactoredPoly(tuple(roots), _rescaled(f, rest, den))
     if abs(p.lead - 1) > 1e-9 * max(1.0, max(abs(c) for c in p.coeffs)):
         raise NonMonic("complex factorisation expects a monic polynomial")
-    zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    cs = p.monic().coeffs[zeros:]
+    cs = p.monic().coeffs
     rows = [[float(j == i - 1) for j in range(len(cs) - 2)] + [-c]
             for i, c in enumerate(cs[:-1])]
-    # a root of the rest within tol of 0 joins the stripped zeros,
-    # as values within relative distance tol are one eigenvalue
-    found = {f.zero: zeros}
-    for mu, m, *_ in _spectrum(rows, tol) if rows else ():
-        mu = f.zero if abs(mu) <= tol else mu
-        found[mu] = found.get(mu, 0) + m
-    roots = sorted(((mu, m) for mu, m in found.items() if m),
-                   key=lambda t: f.sort_key(t[0]))
-    return FactoredPoly(tuple(roots), Poly.one(f))
+    roots = tuple((mu, m) for mu, m, *_ in _spectrum(rows, tol)) if rows else ()
+    return FactoredPoly(roots, Poly.one(f))
 
 
 @lru_cache(maxsize=None)

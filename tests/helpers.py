@@ -44,7 +44,7 @@ from pcanon.linalg import (
     _insert_row,
     minpoly,
 )
-from pcanon.pcf import Basis, PCanonicalForm, _trim
+from pcanon.pcf import Basis, PCanonicalForm
 from pcanon.scalar import (
     CC,
     CLUSTER_TOL,
@@ -174,7 +174,9 @@ def pcf_build_by_products(a: Matrix, tol: float = 1e-8):
         for c in chain:
             coeffs.append(c * factor)
             factor = factor / mu
-        if _trim(coeffs):
+        while coeffs and coeffs[-1].is_zero:
+            coeffs.pop()
+        if coeffs:
             geo.append((mu, tuple(coeffs)))
     return projections, PCanonicalForm(
         field=f, order=n, basis=Basis.LAMBDA,

@@ -158,6 +158,28 @@ def test_complex_matrix_spectrum_is_read_off_the_matrix():
             assert abs(mu - v) <= 1e-10 * abs(v) and t == index[v], (seed, mu, v)
 
 
+@pytest.mark.parametrize("p", [
+    Poly.from_roots(CC, [1e-10, 2e-10]),
+    Poly.from_roots(CC, [0, 0, 1e-12]),
+    Poly.from_roots(CC, [0, -1e-9]),
+    *(Poly.x(CC) ** k * Poly(CC, [-1, 1]) for k in range(1, 31)),
+])
+def test_complex_poly_spectrum_is_its_companion_spectrum(p):
+    # roots near 0 are decided by the one rank rule of every matrix
+    assert eig_spec_of_poly(p) == eig_spec_of_matrix(companion(p))
+
+
+def test_seeded_complex_poly_spectra_are_their_companion_spectra():
+    for seed in range(120):
+        rng = random.Random(seed)
+        cs = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+              for _ in range(rng.randint(1, 10))]
+        if seed % 3 == 0:
+            cs[0] = 0j
+        p = Poly(CC, [*cs, 1])
+        assert eig_spec_of_poly(p) == eig_spec_of_matrix(companion(p)), seed
+
+
 def test_eig_spec_validation():
     with pytest.raises(NonSplitField):
         eig_spec_of_poly(Poly(QQ, [1, 0, 1]))

@@ -826,6 +826,14 @@ def test_inaccurate_projections_are_refused_by_name():
         pcf_build(_large_entry_matrix())
 
 
+def test_a_group_no_staircase_confirms_is_refused(monkeypatch):
+    # a repeated eigenvalue is one only when its staircase holds it; with
+    # every staircase empty, the last link level refuses, guessing no index
+    monkeypatch.setattr("pcanon.scalar._staircase", lambda *args, **kwargs: ([], None))
+    with pytest.raises(ProjectionsInaccurate, match="no staircase confirms 2 eigenvalues"):
+        pcf_build(Matrix(CC, [[2, 1], [0, 2]]))
+
+
 def test_log_refuses_from_the_eigenvalues_before_any_projection():
     # the projections of this matrix fail their check, so only a refusal
     # taken from the spectrum alone can name the negative eigenvalues

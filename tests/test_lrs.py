@@ -14,6 +14,7 @@ from helpers import fibonacci, matrix_poly, min_annihilator_hankel
 
 from pcanon.errors import (
     AnnihilatorMismatch,
+    AnswerTooLarge,
     DegreeZero,
     InsufficientData,
     MixedFields,
@@ -109,7 +110,10 @@ def test_validation():
     (lambda: lrs_mul([_fib()], Poly(QQ, [-1, -1, 2])), NonMonic),
     (lambda: lrs_mul([_fib()], Poly(QQ, [1])), DegreeZero),
     (lambda: lrs_eval(_fib(), -1), ValueError),
-], ids=["no-factors", "mixed-fields", "non-monic", "constant", "negative-index"])
+    (lambda: lrs_eval(LinRecSeq(Poly(CC, [-1e150, 1]), (1e200,)), 1), AnswerTooLarge),
+    (lambda: lrs_prefix(LinRecSeq(Poly(CC, [-1e200, 1]), (1e200,)), 3), AnswerTooLarge),
+], ids=["no-factors", "mixed-fields", "non-monic", "constant", "negative-index",
+        "complex-eval-overflow", "complex-prefix-overflow"])
 def test_named_refusals(call, error):
     with pytest.raises(error):
         call()

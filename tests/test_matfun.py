@@ -431,6 +431,16 @@ def test_log_pcf_named_refusals(form, branch, error, match):
         log_pcf(form(), branch)
 
 
+def test_log_pcf_decides_clashes_at_its_tol():
+    # the logarithms of e and e (1 + 1e-7) are 1e-7 apart
+    form = PCanonicalForm(CC, 2, Basis.LAMBDA, (), (
+        (complex(math.e), (Matrix(CC, [[1, 0], [0, 0]]),)),
+        (complex(math.e * (1 + 1e-7)), (Matrix(CC, [[0, 0], [0, 1]]),))))
+    with pytest.raises(ZeroLogClash):
+        log_pcf(form, tol=1e-6)
+    assert len(log_pcf(form).geometric_terms) == 2
+
+
 def test_log_pcf_rejects_singular_source(spiral_3x3):
     with pytest.raises(SingularMatrix):
         log_pcf(pcf_build(spiral_3x3))

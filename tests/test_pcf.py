@@ -138,6 +138,10 @@ def test_minpoly_recovered_from_form():
         a, _ = rational_spectrum_matrix(random.Random(60 + seed),
                                         [0, 1, 2, -1])
         assert pcf_minpoly(pcf_build(a)) == minpoly(a)
+    # the scaled chain underflows to a zero matrix; the index stays 2
+    a = Matrix(CC, [[1e150, 1e-180], [0, 1e150]])
+    assert pcf_minpoly(pcf_build(a)) == minpoly(a)
+    assert minpoly(a).degree == 2
 
 
 def test_nonsplit_spectrum_rejected():

@@ -25,6 +25,8 @@ from pcanon.errors import (
     NonMonic,
     ZeroPolynomial,
 )
+from pcanon.kronmin import eig_spec_of_matrix, eig_spec_of_poly
+from pcanon.linalg import companion
 from pcanon.scalar import (
     CC,
     CLUSTER_TOL,
@@ -383,8 +385,9 @@ def test_factor_complex_zero_root_is_exact():
     rootmap = {complex(r): m for r, m in f.roots}
     assert rootmap[0j] == 2
     assert any(abs(r - 2) < 1e-10 for r in rootmap)
-    # a root within tol of 0 joins the exactly zero ones
-    assert poly_factor(Poly(CC, [0, 0, -1e-12, 1.0])).roots == ((0j, 3),)
+    # a root within tol of 0 is read as the companion matrix reads it
+    q = Poly(CC, [0, 0, -1e-12, 1.0])
+    assert eig_spec_of_poly(q) == eig_spec_of_matrix(companion(q))
 
 
 def test_factor_complex_integer_and_repeated_roots():
