@@ -25,10 +25,11 @@ from fractions import Fraction
 from .errors import AnswerTooLarge, NonSplitField, ParseError, PcanonError
 from .kronmin import eig_spec_of_matrix, kron_minpoly_symbolic, lrs_product_poly
 from .linalg import Matrix
-from .lrs import LinRecSeq, lrs_eval, lrs_min_annihilator, lrs_prefix
+from .lrs import LinRecSeq, _plain, lrs_eval, lrs_min_annihilator, lrs_prefix
 from .matfun import ClosedFormExp, expm_closed, logm
 from .pcf import Basis, PCanonicalForm, pcf_build, pcf_eval, pcf_to_gamma
-from .scalar import CC, GF, QQ, Field, Poly, PrimeField, format_complex, is_prime
+from .scalar import (CC, GF, QQ, Field, Poly, PrimeField, _convolve, _residue_rem,
+                     format_complex, is_prime)
 from .wedge import WedgeContext, wedge_fold
 
 #: the most bits an exact answer may take, summed over its numbers
@@ -328,11 +329,6 @@ def _refuse_past(bits: float, what: str) -> None:
         raise AnswerTooLarge(f"{what} needs about {bits:.3g} bits, over {ANSWER_BITS}")
 
 
-def _bits(values) -> int:
-    return max((x.numerator.bit_length() + x.denominator.bit_length()
-                for x in values), default=0)
-
-
 def _minimal(seq: LinRecSeq) -> LinRecSeq:
     """The same sequence under its own minimal annihilator Q, which
     Berlekamp-Massey reads off 2d + 2 terms since deg Q <= d = deg P. Its
@@ -342,18 +338,24 @@ def _minimal(seq: LinRecSeq) -> LinRecSeq:
     return LinRecSeq(q, tuple(prefix[:q.degree]))
 
 
-def _term_bits(seq: LinRecSeq, n: int) -> int:
-    """Estimated bits of a term of index up to n: over Q the initial terms'
-    plus n/m times those of X^m mod P, which lrs_eval squares through, for
-    the largest power of two m <= n, or the first past ANSWER_BITS / 2.
+def _term_bits(seq: LinRecSeq, n: int) -> float:
+    """Estimated bits of a term of index up to n: the initial terms' plus
+    n/m times those of X^m mod P, for the largest power of two m <= n, or
+    the first past ANSWER_BITS / 2. On lrs's plain numbers, a_i = b_i /
+    (da dp^i) and X^m mod P has coefficients r_i / dp^(m-i), r = X^m mod q.
     Over Q, seq should be `_minimal`, so that P is the sequence's own."""
-    f, p = seq.field, seq.char
+    f = seq.field
     if f.char or not f.exact:
         return f.char.bit_length() or 128  # a residue, or two doubles over C
-    r, m = Poly.x(f) % p, 1
-    while 2 * m <= n and 2 * _bits(r.coeffs) <= ANSWER_BITS:
-        r, m = r * r % p, 2 * m
-    return _bits(r.coeffs) * n // m + _bits(seq.initial)
+    q, b, da, dp = _plain(seq, len(seq.initial))
+    r, m, grow = _residue_rem([0, 1], q, 0), 1, math.log2(dp)
+    first = max(x.bit_length() + i * grow for i, x in enumerate(b)) + da.bit_length()
+    while True:
+        bits = max((x.bit_length() + (m - i) * grow for i, x in enumerate(r) if x),
+                   default=0)
+        if 2 * m > n or 2 * bits > ANSWER_BITS:
+            return bits * n // m + first
+        r, m = _residue_rem(_convolve(r, r), q, 0), 2 * m
 
 
 def _numeric_retry(args, build, *mats):

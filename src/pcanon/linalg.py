@@ -572,8 +572,7 @@ def _chains(a: Matrix, tol: float, full: bool = True):
         for _ in range(t):  # exact over Z; over F_p rem reduces it below
             c = _long_division(list(c), [-nu, 1], int)
         (cv,) = rem(c, [-nu, 1])
-        e = [-x for x in _powmod([cv - c[0], *(-x for x in c[1:])], t, big,
-                                  _convolve, rem)] or [0]
+        e = [-x for x in _powmod([cv - c[0], *(-x for x in c[1:])], t, big, rem)] or [0]
         e[0] += cv ** t
         for i in range(t if full else 1):
             weights.append(e)

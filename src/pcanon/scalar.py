@@ -8,8 +8,9 @@ than coercing. Plain Python ints are accepted everywhere (the canonical
 image of an integer exists in any field).
 
 Exact products, and division of polynomials, run on plain integers converted
-once per operation by `_lift` and `_drop`. `_powmod` (repeated squaring
-modulo a polynomial) serves lrs, the F_p root finder and the exact spectral
+once per operation by `_lift` and `_drop`. `_powmod` (repeated squaring of
+plain coefficients modulo a polynomial, reduced by `_residue_rem`) serves
+lrs over every field, the F_p root finder and the exact spectral
 projections. Over Q and F_p, `_int_split` finds roots on plain integer
 coefficients: Cantor-Zassenhaus over F_p, Hensel lifting over Q. Over C,
 `_spectrum` takes a matrix's eigenvalues from numpy and one rank rule
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -559,24 +559,25 @@ class Poly:
         return f"Poly[{self.field}]({self.format()})"
 
 
-def _powmod(base, n: int, mod, mul=operator.mul, rem=operator.mod):
-    """base**n modulo mod for n >= 1, by repeated squaring in F[X]/(mod):
-    on Poly, or on another representation given its mul and rem."""
+def _powmod(base: list, n: int, mod: list, rem) -> list:
+    """base**n modulo mod for n >= 1, by repeated squaring of plain
+    coefficient lists, rem(a, mod) giving the remainder."""
     r = base
     for bit in bin(n)[3:]:
-        r = mul(r, r)
+        r = _convolve(r, r)
         if bit == "1":
-            r = mul(r, base)
+            r = _convolve(r, base)
         r = rem(r, mod)
     return rem(r, mod)
 
 
 def _residue_rem(a: list, m: list, p: int) -> list:
     """Residues of a modulo a monic residue polynomial m, trimmed; at p = 0
-    the integer remainder by an integral m whose lead divides each quotient
-    coefficient: a monic m, or one that a pseudo-division scaled a for."""
+    the remainder by a monic m of integers or complex doubles, or by one
+    whose lead divides each quotient coefficient, as after pseudo-division."""
     a = list(a)
-    _long_division(a, m, (lambda c: c % p) if p else (lambda c: c // m[-1]))
+    _long_division(a, m, (lambda c: c % p) if p else (lambda c: c) if m[-1] == 1
+                   else (lambda c: c // m[-1]))
     a = [x % p for x in a[:len(m) - 1]] if p else a[:len(m) - 1]
     while a and not a[-1]:
         a.pop()
@@ -650,7 +651,7 @@ def _cz_roots(f: list, p: int) -> list[int]:
     seeded random a splits a factor h of g about half the time. For p = 2
     the roots 0 and 1 are tested directly."""
     rem = partial(_residue_rem, p=p)
-    xp = _powmod([0, 1], p, f, _convolve, rem) + [0, 0]
+    xp = _powmod([0, 1], p, f, rem) + [0, 0]
     xp[1] -= 1
     g = _residue_gcd(f, rem(xp, f), p)
     if p == 2:
@@ -662,7 +663,7 @@ def _cz_roots(f: list, p: int) -> list[int]:
         if len(h) == 2:
             roots.append(-h[0] % p)
         elif len(h) > 2:
-            t = _powmod([rng.randrange(p), 1], (p - 1) // 2, h, _convolve, rem) + [0]
+            t = _powmod([rng.randrange(p), 1], (p - 1) // 2, h, rem) + [0]
             t[0] -= 1
             s = _residue_gcd(h, rem(t, h), p)
             if 1 < len(s) < len(h):

@@ -54,7 +54,6 @@ from pcanon.scalar import (
     Poly,
     _convolve,
     _cz_roots,
-    _powmod,
     is_prime,
 )
 from pcanon.wedge import WedgeContext, wedge_fold
@@ -157,7 +156,7 @@ def pcf_build_by_products(a: Matrix, tol: float = 1e-8):
     weights = []
     for mu, t in pairs:
         cofactor = m // Poly(f, (-mu, 1)) ** t
-        e = one - _powmod(one - cofactor * (f.one / cofactor.evaluate(mu)), t, m)
+        e = one - (one - cofactor * (f.one / cofactor.evaluate(mu))) ** t % m
         weights.append([e.coeff(i) for i in range(d)])
     projections = _combine(f, n, weights, powers)
     chains = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -36,6 +37,23 @@ _FIB_POLY = Poly(QQ, [-1, -1, 1])
 
 def _fib() -> LinRecSeq:
     return LinRecSeq(_FIB_POLY, (0, 1))
+
+
+def _window(seq: LinRecSeq, count: int) -> list:
+    """The first count terms by the recurrence in field arithmetic, one
+    window step at a time: the oracle for the plain-number routes."""
+    p, d = seq.char, seq.char.degree
+    out = list(seq.initial[:count])
+    while len(out) < count:
+        out.append(-sum((p.coeff(i) * out[i - d] for i in range(d)), p.field.zero))
+    return out
+
+
+def _rational_seq(rng, d: int, top: int = 9) -> LinRecSeq:
+    """Non-integral coefficients and initial terms: the rescaled Q route."""
+    def q():
+        return Fraction(rng.randint(-top, top), rng.randint(2, 7))
+    return LinRecSeq(Poly(QQ, [q() for _ in range(d)] + [1]), tuple(q() for _ in range(d)))
 
 
 def test_prefix_and_eval_agree():
@@ -87,6 +105,40 @@ def test_eval_over_complex_matches_prefix():
             assert abs(lrs_eval(seq, n) - want) <= 1e-9 * max(1.0, abs(want)), n
 
 
+def test_rational_sequences_match_the_fraction_window():
+    # b_n = da dp^n a_n under q(Y) = dp^d P(Y/dp) must drop back exactly
+    rng = random.Random(23)
+    for _ in range(40):
+        seq = _rational_seq(rng, rng.randint(1, 4))
+        want = _window(seq, 201)
+        assert lrs_prefix(seq, 201) == want
+        for n in sorted({0, seq.char.degree - 1, seq.char.degree, 37, 200}):
+            assert lrs_eval(seq, n) == want[n], n
+    seq = LinRecSeq(Poly(QQ, [Fraction(-1, 4), Fraction(1, 2), 1]),
+                    (Fraction(1, 5), Fraction(-2, 7)))
+    assert lrs_eval(seq, 10**4) == _window(seq, 10**4 + 1)[-1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_exact_sequences_do_no_polynomial_arithmetic(monkeypatch, field):
+    # over Q and F_p every loop runs on plain numbers, lifted once
+    lower = [Fraction(-1, 3), Fraction(-1, 2)] if field == QQ else [5, 7]
+    seq = LinRecSeq(Poly(field, lower + [1]), (field.coerce(2), field.coerce(3)))
+    closure = lrs_product_poly([seq.char, seq.char])
+    want = _window(seq, 1001)
+    square = [x * x for x in want[:3 * closure.degree]]
+
+    def poly_arithmetic(*_):
+        raise AssertionError("an lrs function ran Poly arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__divmod__"):
+        monkeypatch.setattr(Poly, name, poly_arithmetic)
+    assert lrs_prefix(seq, 40) == want[:40]
+    assert lrs_eval(seq, 1000) == want[1000]
+    assert lrs_min_annihilator(want[:12], field) == seq.char
+    assert list(lrs_mul([seq, seq], closure).initial) == square[:closure.degree]
+
+
 def test_eval_never_unrolls(monkeypatch):
     def unrolled(*_):
         raise AssertionError("lrs_eval unrolled the recurrence")
@@ -110,10 +162,15 @@ def test_validation():
     (lambda: lrs_mul([_fib()], Poly(QQ, [-1, -1, 2])), NonMonic),
     (lambda: lrs_mul([_fib()], Poly(QQ, [1])), DegreeZero),
     (lambda: lrs_eval(_fib(), -1), ValueError),
+    (lambda: lrs_prefix(_fib(), -1), ValueError),
     (lambda: lrs_eval(LinRecSeq(Poly(CC, [-1e150, 1]), (1e200,)), 1), AnswerTooLarge),
     (lambda: lrs_prefix(LinRecSeq(Poly(CC, [-1e200, 1]), (1e200,)), 3), AnswerTooLarge),
+    # finite factor terms whose product overflows must not pass any check
+    (lambda: lrs_mul([LinRecSeq(Poly(CC, [-1e120, 1]), (1,))] * 2, Poly(CC, [-5, 1])),
+     AnswerTooLarge),
 ], ids=["no-factors", "mixed-fields", "non-monic", "constant", "negative-index",
-        "complex-eval-overflow", "complex-prefix-overflow"])
+        "negative-count", "complex-eval-overflow", "complex-prefix-overflow",
+        "complex-product-overflow"])
 def test_named_refusals(call, error):
     with pytest.raises(error):
         call()
@@ -130,6 +187,19 @@ def test_product_with_geometric():
     two = LinRecSeq(Poly(QQ, [-2, 1]), (1,))
     prod = lrs_mul([_fib(), two], lrs_product_poly([_FIB_POLY, Poly(QQ, [-2, 1])]))
     assert lrs_prefix(prod, 5) == [0, 2, 4, 16, 48]
+
+
+def test_product_of_rational_sequences():
+    rng = random.Random(31)
+    for _ in range(6):
+        s1, s2 = _rational_seq(rng, 2), _rational_seq(rng, rng.randint(1, 2))
+        closure = lrs_product_poly([s1.char, s2.char])
+        want = [x * y for x, y in zip(_window(s1, 40), _window(s2, 40))]
+        prod = lrs_mul([s1, s2], closure)
+        assert prod.char == closure and _window(prod, 40) == want
+        bogus = Poly(QQ, [closure.coeff(0) + Fraction(1, 7), *closure.coeffs[1:]])
+        with pytest.raises(AnnihilatorMismatch):
+            lrs_mul([s1, s2], bogus)
 
 
 def test_product_rejects_non_annihilator():
@@ -215,6 +285,21 @@ def test_min_annihilator_matches_hankel_oracle(field, lower, initials, count):
             lrs_min_annihilator(prefix, field)
     else:
         assert lrs_min_annihilator(prefix, field) == want
+
+
+def test_min_annihilator_of_rational_terms_matches_hankel_oracle():
+    # fraction-free Berlekamp-Massey on terms over one common denominator
+    rng = random.Random(29)
+    for _ in range(40):
+        seq = _rational_seq(rng, rng.randint(1, 4), top=5)
+        junk = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(10)]
+        for prefix in (_window(seq, 2 * seq.char.degree + 1), _window(seq, 12), junk):
+            want = min_annihilator_hankel(prefix, QQ)
+            if want is None:
+                with pytest.raises(InsufficientData):
+                    lrs_min_annihilator(prefix)
+            else:
+                assert lrs_min_annihilator(prefix) == want
 
 
 def test_numeric_sequence_annihilator():
