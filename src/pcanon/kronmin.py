@@ -17,19 +17,11 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import (
-    DegreeZero,
-    EmptyInput,
-    MixedFields,
-    NonMonic,
-    NonSplitField,
-    OrderTooLarge,
-    PcanonError,
-)
+from .errors import EmptyInput, MixedFields, NonSplitField, OrderTooLarge, PcanonError
 from .linalg import (Matrix, _eigendata, _kron_rows, _minpoly_exact, companion,
                      kron, minpoly)
-from .scalar import (CLUSTER_TOL, Field, Poly, _lift, _linked, _times_powers,
-                     poly_factor)
+from .scalar import (CLUSTER_TOL, Field, Poly, _check_char_poly, _lift, _linked,
+                     _times_powers, poly_factor)
 from .wedge import WedgeContext, wedge
 
 #: Kronecker orders past this are rejected rather than ground through
@@ -43,12 +35,16 @@ class EigSpec:
     Equivalent to the factorisation of a minimal polynomial as
     X^zero_index * product of (X - value)^index with distinct nonzero
     values, i.e. it forgets everything about a matrix except what the
-    Kronecker composition rules consume.
+    Kronecker composition rules consume. tol is the relative tolerance the
+    spectrum was read at; over C products of eigenvalues merge at the
+    largest tol of the factors (`product_class_table`), over Q and F_p it
+    is not read.
     """
 
     field: Field
     zero_index: int
     nonzero: tuple
+    tol: float = CLUSTER_TOL
 
     @property
     def is_nilpotent(self) -> bool:
@@ -58,17 +54,15 @@ class EigSpec:
 def eig_spec_of_poly(p: Poly, tol: float = CLUSTER_TOL) -> EigSpec:
     """Spectrum of a monic polynomial; NonSplitField when linear factors
     do not exhaust it over an exact field."""
-    if p.is_zero or (p.field.exact and not p.is_monic):
-        raise NonMonic("eigenvalue spectrum needs a monic polynomial")
-    if p.degree < 1:
-        raise DegreeZero("eigenvalue spectrum needs degree >= 1")
+    _check_char_poly(p, "an eigenvalue spectrum's polynomial")
     f = p.field
     fact = poly_factor(p, tol)
     if fact.remainder.degree > 0:
         raise NonSplitField(f"{p.format()} does not split over {f}")
     return EigSpec(field=f,
                    zero_index=next((m for r, m in fact.roots if f.is_zero(r)), 0),
-                   nonzero=tuple((r, m) for r, m in fact.roots if not f.is_zero(r)))
+                   nonzero=tuple((r, m) for r, m in fact.roots if not f.is_zero(r)),
+                   tol=tol)
 
 
 def eig_spec_of_matrix(a: Matrix, tol: float = CLUSTER_TOL) -> EigSpec:
@@ -76,7 +70,7 @@ def eig_spec_of_matrix(a: Matrix, tol: float = CLUSTER_TOL) -> EigSpec:
     from its minimal polynomial, NonSplitField when that does not split;
     over C from its eigenvalues, with no polynomial formed."""
     zero, nonzero, _ = _eigendata(a, tol)
-    return EigSpec(field=a.field, zero_index=zero, nonzero=tuple(nonzero))
+    return EigSpec(field=a.field, zero_index=zero, nonzero=tuple(nonzero), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -91,10 +85,10 @@ class ProductClassTable:
         return _times_powers(Poly.one(self.field), self.entries)
 
 
-def _merge_classes(items, f: Field) -> list:
+def _merge_classes(items, f: Field, tol: float) -> list:
     """(value, exponent) pairs with equal values merged, keeping the larger
     exponent: exact equality, or over complex doubles single linkage at
-    the clustering tolerance (scalar's `_linked`), where a class takes the
+    relative tolerance tol (scalar's `_linked`), where a class takes the
     mean of its members."""
     top: dict = {}
     for value, e in items:
@@ -103,7 +97,7 @@ def _merge_classes(items, f: Field) -> list:
     if f.exact:
         return list(top.items())
     return [(sum(g) / len(g), max(top.get(v, 0) for v in g))
-            for g in _linked([v for v, _ in items], CLUSTER_TOL)]
+            for g in _linked([v for v, _ in items], tol)]
 
 
 def product_class_table(specs, ctx: WedgeContext | None = None) -> ProductClassTable:
@@ -114,8 +108,9 @@ def product_class_table(specs, ctx: WedgeContext | None = None) -> ProductClassT
     far meets each (eigenvalue, index) of the next as (value * eigenvalue,
     wedge(e, index)), and equal products merge. wedge is monotone in each
     argument, so this keeps the maximum over every tuple of eigenvalues
-    while each step costs classes x spectrum size. ctx defaults to the
-    field's characteristic and must match it.
+    while each step costs classes x spectrum size. Over C products are
+    equal when linked at the largest tol the spectra were read at. ctx
+    defaults to the field's characteristic and must match it.
     """
     specs = list(specs)
     if not specs:
@@ -129,10 +124,11 @@ def product_class_table(specs, ctx: WedgeContext | None = None) -> ProductClassT
     elif ctx.characteristic != f.char:
         raise PcanonError(
             f"wedge characteristic {ctx.characteristic} does not match field {f}")
-    acc = _merge_classes(specs[0].nonzero, f)
+    tol = max(s.tol for s in specs)
+    acc = _merge_classes(specs[0].nonzero, f, tol)
     for spec in specs[1:]:
         acc = _merge_classes([(value * v, wedge(e, index, ctx))
-                              for value, e in acc for v, index in spec.nonzero], f)
+                              for value, e in acc for v, index in spec.nonzero], f, tol)
     acc.sort(key=lambda t: f.sort_key(t[0]))
     return ProductClassTable(field=f, entries=tuple(acc))
 
@@ -192,10 +188,7 @@ def lrs_product_poly(polys) -> Poly:
     for p in polys:
         if p.field != f:
             raise MixedFields(f"polynomials over {f} and {p.field}")
-        if p.is_zero or not p.is_monic:
-            raise NonMonic("product closure needs monic polynomials")
-        if p.degree < 1:
-            raise DegreeZero("product closure needs degrees >= 1")
+        _check_char_poly(p, "a product-closure factor")
     try:
         specs = [eig_spec_of_poly(p) for p in polys]
     except NonSplitField:

@@ -42,6 +42,10 @@ table of S = den A, over C numpy products (`_complex_chains`).
 Row reduction has one implementation, the fraction-free echelon
 `_eliminate` on plain integer rows (residues over F_p), shared by the
 Krylov chains of the minimal polynomial and the exact `Matrix.inverse`.
+It has one row format: an echelon is a list of (pivot, row) pairs, and a
+row carries its combination after its first n entries, as [S | den I]
+in the inverse and S^k e_j followed by the coefficients of its
+combination of e_j, ..., S^k e_j in a Krylov chain.
 """
 from __future__ import annotations
 
@@ -49,6 +53,7 @@ import cmath
 import itertools
 import math
 import sys
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -57,9 +62,7 @@ from operator import mul
 from .errors import (
     AnswerTooLarge,
     EmptyInput,
-    DegreeZero,
     MixedFields,
-    NonMonic,
     NonSplitField,
     ProjectionsInaccurate,
     SingularMatrix,
@@ -68,6 +71,7 @@ from .scalar import (
     CC,
     Field,
     Poly,
+    _check_char_poly,
     _convolve,
     _drop,
     _int_split,
@@ -219,13 +223,13 @@ class Matrix:
         echelon: list[tuple[int, list[int]]] = []
         for i, row in enumerate(rows):
             vec = row + [den if j == i else 0 for j in range(n)]
-            _eliminate(vec, None, echelon, mod)
+            _eliminate(vec, echelon, mod)
             piv = _first_nonzero(vec[:n])
             if piv is None:
                 raise SingularMatrix("matrix is not invertible")
-            _insert_row(echelon, (piv, vec))
+            insort(echelon, (piv, vec))
         for c in range(n - 2, -1, -1):  # back substitution, last pivot first
-            _eliminate(echelon[c][1], None, echelon[c + 1:], mod)
+            _eliminate(echelon[c][1], echelon[c + 1:], mod)
         return Matrix._of(f, [_drop(f, [vec[n:]], vec[c])[0] for c, vec in echelon])
 
     # -- display ------------------------------------------------------
@@ -328,12 +332,8 @@ def companion(p: Poly) -> Matrix:
     quotient ring F[X]/(p) in the power basis. Its minimal and
     characteristic polynomials both equal p.
     """
-    if p.is_zero or not p.is_monic:
-        raise NonMonic("companion matrix needs a monic polynomial")
-    d = p.degree
-    if d == 0:
-        raise DegreeZero("companion matrix needs degree >= 1")
-    f = p.field
+    _check_char_poly(p, "a companion matrix's polynomial")
+    f, d = p.field, p.degree
     rows = [[f.zero] * d for _ in range(d)]
     for i in range(1, d):
         rows[i][i - 1] = f.one
@@ -353,46 +353,31 @@ def _first_nonzero(vec: list[int]) -> int | None:
     return None
 
 
-def _content_normalize(vec: list[int], pol: list[int]) -> None:
-    """Divide vector and tracking polynomial jointly by their gcd, in place."""
-    g = math.gcd(*vec, *pol)
-    if g > 1:
-        vec[:] = [x // g for x in vec]
-        pol[:] = [x // g for x in pol]
-
-
-def _eliminate(vec: list[int], pol: list[int] | None,
-               rows: list, mod: int | None) -> None:
-    """Reduce vec (and its tracking polynomial) against echelon rows in
-    increasing pivot order, in place. Rows are (pivot, vec[, pol]) tuples;
-    a row was stored at an earlier Krylov step, so its pol is no longer."""
-    for entry in rows:
-        piv, u = entry[0], entry[1]
+def _eliminate(vec: list[int], rows: list, mod: int | None) -> None:
+    """Reduce vec in place against an echelon of (pivot, row) pairs in
+    increasing pivot order, kept by `insort` (pivots are distinct). A row
+    carries its combination after its first n entries, and one stored at
+    an earlier Krylov step is shorter: it reads 0 past its end. Over Z
+    (mod None) a step is fraction-free, a vec - b row for the pivot
+    entries a of row and b of vec, then vec over the gcd of its entries;
+    over F_mod it subtracts (b / a) row on residues."""
+    for piv, u in rows:
         b = vec[piv]
         if not b:
             continue
-        r = entry[2] if pol is not None else None
         if mod is None:
-            aa = u[piv]
-            for i, x in enumerate(vec):
-                vec[i] = aa * x - b * u[i]
-            if pol is not None:
-                for i in range(len(pol)):
-                    pol[i] = aa * pol[i] - b * (r[i] if i < len(r) else 0)
-            _content_normalize(vec, pol if pol is not None else [])
+            a = u[piv]
+            for i, y in enumerate(u):
+                vec[i] = a * vec[i] - b * y
+            for i in range(len(u), len(vec)):
+                vec[i] *= a
+            g = math.gcd(*vec)
+            if g > 1:
+                vec[:] = [x // g for x in vec]
         else:
             c = b * pow(u[piv], -1, mod) % mod
-            for i, x in enumerate(vec):
-                vec[i] = (x - c * u[i]) % mod
-            if pol is not None:
-                for i in range(len(pol)):
-                    pol[i] = (pol[i] - c * (r[i] if i < len(r) else 0)) % mod
-
-
-def _insert_row(rows: list, entry) -> None:
-    piv = entry[0]
-    at = next((k for k, e in enumerate(rows) if e[0] > piv), len(rows))
-    rows.insert(at, entry)
+            for i, y in enumerate(u):
+                vec[i] = (vec[i] - c * y) % mod
 
 
 def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> list[int]:
@@ -400,10 +385,13 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> list[int]:
     or over F_mod, as ascending plain coefficients: monic and integral over
     Z, residues over F_mod.
 
-    Per starting basis vector, a Krylov chain is reduced against a local
-    echelon basis while a companion polynomial records the combination;
-    the first dependency yields that vector's annihilator g, the companion
-    polynomial over its lead (exactly over Z, as g divides the monic
+    Per starting basis vector e_j, a Krylov chain is reduced against a
+    local echelon basis. Its row at step k is S^k e_j followed by the
+    coefficients of the combination of e_j, ..., S^k e_j it holds, so
+    `_eliminate` tracks the combination with the vector; the next step
+    multiplies the first n entries by S and shifts the tail. The first
+    dependency leaves the first n entries zero, and the tail over its lead
+    is that vector's annihilator g (exactly over Z, as g divides the monic
     integral characteristic polynomial). M is the least common multiple of
     the g: one that divides it so far leaves it, another multiplies it by
     g / gcd(M, g) (scalar's `_residue_gcd`). Basis vectors already inside
@@ -413,40 +401,33 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> list[int]:
     divide = (lambda c: c % p) if p else (lambda c: c)
     glob: list[tuple[int, list[int]]] = []
     acc = [1]
-    rank = 0
     for start in range(n):
-        if len(acc) > n or rank == n:
+        if len(acc) > n or len(glob) == n:
             break
-        probe = [0] * n
-        probe[start] = 1
-        _eliminate(probe, None, glob, mod)
+        probe = [int(i == start) for i in range(n)]
+        _eliminate(probe, glob, mod)
         if _first_nonzero(probe) is None:
             continue
-        local: list[tuple[int, list[int], list[int]]] = []
-        vec = [0] * n
-        vec[start] = 1
-        pol = [1]
+        local: list[tuple[int, list[int]]] = []
+        vec = [int(i == start) for i in range(n)] + [1]
         while True:
-            _eliminate(vec, pol, local, mod)
-            piv = _first_nonzero(vec)
+            _eliminate(vec, local, mod)
+            piv = _first_nonzero(vec[:n])
             if piv is None:
                 break
-            _insert_row(local, (piv, vec, pol))
-            vec, pol = _dots([vec], int_rows, mod)[0], [0] + pol
-        lead = pol[-1]
-        g = [x * pow(lead, -1, p) % p for x in pol] if p else [x // lead for x in pol]
+            insort(local, (piv, vec))
+            vec = _dots([vec[:n]], int_rows, mod)[0] + [0] + vec[n:]
+        pol = vec[n:]
+        g = [x * pow(pol[-1], -1, p) % p for x in pol] if p else [x // pol[-1] for x in pol]
         if _residue_rem(acc, g, p):
             common = _residue_gcd(acc, g, p)
             acc = [divide(x) for x in _convolve(acc, _long_division(g, common, divide))]
-        for _, v, _p in local:
-            w = list(v)
-            _eliminate(w, None, glob, mod)
+        for _, v in local:
+            w = v[:n]
+            _eliminate(w, glob, mod)
             piv = _first_nonzero(w)
             if piv is not None:
-                if mod is None:
-                    _content_normalize(w, [])
-                _insert_row(glob, (piv, w))
-                rank += 1
+                insort(glob, (piv, w))
     return acc
 
 

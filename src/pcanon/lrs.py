@@ -18,14 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import (
-    AnnihilatorMismatch,
-    DegreeZero,
-    InsufficientData,
-    MixedFields,
-    NonMonic,
-)
-from .scalar import CC, GF, QQ, Field, FpElement, Poly, _drop, _lift, _powmod, _residue_rem
+from .errors import AnnihilatorMismatch, InsufficientData, MixedFields
+from .scalar import (CC, GF, QQ, Field, FpElement, Poly, _check_char_poly, _drop, _lift,
+                     _monic_lift, _powmod, _residue_rem)
 
 
 @dataclass(frozen=True)
@@ -38,10 +33,7 @@ class LinRecSeq:
 
     def __post_init__(self):
         p = self.char
-        if p.is_zero or not p.is_monic:
-            raise NonMonic("recurrence needs a monic characteristic polynomial")
-        if p.degree < 1:
-            raise DegreeZero("recurrence needs degree >= 1")
+        _check_char_poly(p, "a recurrence's characteristic polynomial")
         coerced = tuple(p.field.coerce(x) for x in self.initial)
         if len(coerced) != p.degree:
             raise ValueError(
@@ -56,12 +48,11 @@ class LinRecSeq:
 def _plain(seq: LinRecSeq, count: int):
     """(q, b, da, dp): the first count terms of seq as plain numbers b_n =
     da dp^n a_n under the monic plain q. Over Q, da is the initial terms'
-    denominator and q(Y) = dp^d P(Y/dp) is integral, the inverse of
-    scalar's `_rescaled`; da = dp = 1 over F_p and C."""
+    denominator and q(Y) = dp^d P(Y/dp) is integral, scalar's
+    `_monic_lift`; da = dp = 1 over F_p and C."""
     f, d = seq.field, seq.char.degree
-    (cs,), dp = _lift(f, (seq.char.coeffs,))
+    q, dp = _monic_lift(f, seq.char.coeffs)
     (b,), da = _lift(f, (seq.initial[:count],))
-    q = [c * dp ** (d - 1 - i) for i, c in enumerate(cs[:-1])] + [1]
     b = [x * dp ** i for i, x in enumerate(b)]
     while len(b) < count:
         x = -sum(c * y for c, y in zip(q, b[-d:]))
@@ -110,11 +101,8 @@ def lrs_mul(factors, p: Poly) -> LinRecSeq:
     for s in factors:
         if s.field != f:
             raise MixedFields(f"sequences over {s.field} with polynomial over {f}")
-    if p.is_zero or not p.is_monic:
-        raise NonMonic("annihilator must be monic")
+    _check_char_poly(p, "an annihilator")
     d = p.degree
-    if d < 1:
-        raise DegreeZero("annihilator must have degree >= 1")
     plain = [_plain(s, 3 * d) for s in factors]
     prod = [math.prod(t) for t in zip(*(b for _, b, _, _ in plain))]
     da, dp = math.prod(t[2] for t in plain), math.prod(t[3] for t in plain)

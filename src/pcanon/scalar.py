@@ -8,7 +8,13 @@ than coercing. Plain Python ints are accepted everywhere (the canonical
 image of an integer exists in any field).
 
 Exact products, and division of polynomials, run on plain integers converted
-once per operation by `_lift` and `_drop`. `_powmod` (repeated squaring of
+once per operation by `_lift` and `_drop`. A monic polynomial is lifted to
+plain numbers by one pair: `_monic_lift` gives the monic q(Y) = den^d
+p(Y / den), integral over Q, and `_rescaled` turns such a q and den back
+into p; poly_factor and lrs both lift through it. `_check_char_poly` is
+the one check that a polynomial may serve as a characteristic
+polynomial: monic by `Poly.is_monic` over every field, C included, and
+of degree at least 1 where the caller needs it. `_powmod` (repeated squaring of
 plain coefficients modulo a polynomial, reduced by `_residue_rem`) serves
 lrs over every field, the F_p root finder and the exact spectral
 projections. Over Q and F_p, `_int_split` finds roots on plain integer
@@ -30,6 +36,7 @@ from functools import lru_cache, partial, wraps
 
 from .errors import (
     AnswerTooLarge,
+    DegreeZero,
     MixedFields,
     NonMonic,
     NumericFieldUnsupported,
@@ -619,12 +626,35 @@ def _times_powers(p: Poly, pairs) -> Poly:
     return p * Poly(f, _drop(f, (cs,), den)[0])
 
 
+def _monic_lift(f: Field, coeffs) -> tuple[list, int]:
+    """(q, den) of the monic p with field coefficients coeffs: the plain
+    monic q(Y) = den^d p(Y / den), integral over Q with den the common
+    denominator of the coefficients; over F_p and C den is 1 and q the
+    residues or complex doubles themselves. `_rescaled` is its inverse."""
+    (cs,), den = _lift(f, (coeffs,))
+    d = len(cs) - 1
+    lower = [c * den ** (d - 1 - i) for i, c in enumerate(cs[:-1])] if den != 1 else cs[:-1]
+    return [*lower, 1], den
+
+
 def _rescaled(f: Field, cs: list, den: int) -> Poly:
     """den^-e c(den X) over Q or F_p of the monic plain polynomial c of
-    degree e: the monic polynomial whose roots are those of c over den."""
+    degree e: the monic polynomial whose roots are those of c over den.
+    The inverse of `_monic_lift`."""
     e = len(cs) - 1
     return Poly(f, [Fraction(x, den ** (e - i)) for i, x in enumerate(cs)]
                 if den != 1 else cs)
+
+
+def _check_char_poly(p: Poly, noun: str, least: int = 1) -> None:
+    """The one check of a characteristic polynomial: NonMonic unless p is
+    monic by `Poly.is_monic`, its lead exactly 1 over every field, C
+    included (so the zero polynomial too); DegreeZero when its degree is
+    below least. Both messages name the caller's noun."""
+    if not p.is_monic:
+        raise NonMonic(f"{noun} must be monic")
+    if p.degree < least:
+        raise DegreeZero(f"{noun} must have degree >= {least}")
 
 
 @dataclass(frozen=True)
@@ -877,79 +907,61 @@ def _staircase(b, m: int, least: float = 0.0, counts=None):
 
 
 def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
-    """Split linear factors off a nonzero monic polynomial.
+    """Split linear factors off a nonzero monic polynomial: ZeroPolynomial
+    for 0, and `_check_char_poly`'s NonMonic unless the lead is exactly 1,
+    over C as over Q and F_p; degree 0 gives no roots.
 
-    Over Q and F_p, p is scaled once to the monic integral den^d p(X / den),
-    den the common denominator of its coefficients, and split by
-    `_int_split`: Cantor-Zassenhaus over F_p finds the distinct roots of
-    the whole polynomial, keeping a root whose multiplicity is a multiple
-    of p, Hensel lifting over Q those of the squarefree part; what has no
-    root in the field stays in the remainder. Over C the roots are the
-    spectrum of the companion matrix, as `_spectrum` reads any matrix's
-    at relative tolerance tol: so 0 is a root only when the staircase of
-    that matrix finds it, and each multiplicity is a group's size. The
+    p is lifted once by `_monic_lift` to q(X) = den^d p(X / den), monic
+    integral over Q with den the common denominator of its coefficients,
+    and den = 1 over F_p and C. Over Q and F_p q is split by `_int_split`:
+    Cantor-Zassenhaus over F_p finds the distinct roots of the whole
+    polynomial, keeping a root whose multiplicity is a multiple of p,
+    Hensel lifting over Q those of the squarefree part; what has no root
+    in the field stays in the remainder. Over C the roots are the spectrum
+    of the companion matrix of q, as `_spectrum` reads any matrix's at
+    relative tolerance tol: so 0 is a root only when the staircase of that
+    matrix finds it, and each multiplicity is a group's size. The
     remainder is always 1.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
+    _check_char_poly(p, "a factorised polynomial", least=0)
     f = p.field
+    q, den = _monic_lift(f, p.coeffs)
     if f.exact:
-        if not p.is_monic:
-            raise NonMonic("factorisation expects a monic polynomial")
-        (cs,), den = _lift(f, (p.coeffs,))
-        zeros, roots, rest = _int_split(
-            f, [x * den ** (p.degree - 1 - i) for i, x in enumerate(cs[:-1])] + [1], den)
+        zeros, roots, rest = _int_split(f, q, den)
         roots = ([(f.zero, zeros)] if zeros else []) + roots
         roots.sort(key=lambda t: f.sort_key(t[0]))
         return FactoredPoly(tuple(roots), _rescaled(f, rest, den))
-    if abs(p.lead - 1) > 1e-9 * max(1.0, max(abs(c) for c in p.coeffs)):
-        raise NonMonic("complex factorisation expects a monic polynomial")
-    cs = p.monic().coeffs
-    rows = [[float(j == i - 1) for j in range(len(cs) - 2)] + [-c]
-            for i, c in enumerate(cs[:-1])]
+    rows = [[float(j == i - 1) for j in range(len(q) - 2)] + [-c]
+            for i, c in enumerate(q[:-1])]
     roots = tuple((mu, m) for mu, m, *_ in _spectrum(rows, tol)) if rows else ()
     return FactoredPoly(roots, Poly.one(f))
 
 
 @lru_cache(maxsize=None)
-def _stirling1_row(i: int) -> tuple[int, ...]:
-    # row i holds s(i, 0..i) for the signed first kind:
-    # s(i+1, m) = s(i, m-1) - i * s(i, m)
-    if i == 0:
+def _stirling_row(kind: int, n: int) -> tuple[int, ...]:
+    """Row n, entries k = 0..n, of the signed Stirling numbers of the first
+    kind s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k) (kind 1) or of the second
+    kind S(n, k) = S(n-1, k-1) + k S(n-1, k) (kind 2)."""
+    if n == 0:
         return (1,)
-    prev = _stirling1_row(i - 1)
+    prev = _stirling_row(kind, n - 1)
+    return tuple(a + (1 - n if kind == 1 else k) * b
+                 for k, (a, b) in enumerate(zip((0, *prev), (*prev, 0))))
 
-    def at(m):
-        return prev[m] if 0 <= m < len(prev) else 0
 
-    return tuple(at(m - 1) - (i - 1) * at(m) for m in range(i + 1))
+def _stirling(kind: int, n: int, k: int) -> int:
+    if n < 0:
+        raise ValueError("negative row index")
+    return _stirling_row(kind, n)[k] if 0 <= k <= n else 0
 
 
 def stirling_first(i: int, m: int) -> int:
     """Signed Stirling number of the first kind s(i, m)."""
-    if i < 0:
-        raise ValueError("negative row index")
-    if m < 0 or m > i:
-        return 0
-    return _stirling1_row(i)[m]
-
-
-@lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-
-    def at(k):
-        return prev[k] if 0 <= k < len(prev) else 0
-
-    return tuple(k * at(k) + at(k - 1) for k in range(n + 1))
+    return _stirling(1, i, m)
 
 
 def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k)."""
-    if n < 0:
-        raise ValueError("negative row index")
-    if k < 0 or k > n:
-        return 0
-    return _stirling2_row(n)[k]
+    return _stirling(2, n, k)

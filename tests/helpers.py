@@ -20,8 +20,10 @@ oracles scan every residue mod p or every quotient of divisors over Q,
 the gcd and lcm oracles run Euclid on Poly remainders (`poly_gcd`,
 `poly_lcm`), not the library's integer gcd `_residue_gcd`, the minimal
 polynomial oracle merges its Krylov annihilators by that `poly_lcm`
-(`minpoly_by_poly_lcm`), the factorisation oracle takes its squarefree
-part by that `poly_gcd` and confirms and counts roots by Poly division
+(`minpoly_by_poly_lcm`, whose chain rows carry their combination after
+their first n entries, the one row format of `_eliminate`), the
+factorisation oracle takes its squarefree part by that `poly_gcd` and
+confirms and counts roots by Poly division
 (`factor_by_poly_division`), `reassemble` multiplies a factorisation
 back out as Poly products,
 and the random matrices are Jordan assemblies conjugated by unimodular
@@ -31,6 +33,7 @@ integer matrices so every expected invariant is known by construction.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
 from operator import mul
 
@@ -41,7 +44,6 @@ from pcanon.linalg import (
     _combine,
     _eliminate,
     _first_nonzero,
-    _insert_row,
     minpoly,
 )
 from pcanon.pcf import Basis, PCanonicalForm
@@ -305,10 +307,10 @@ def rank_int(rows: list[list[int]], mod: int | None) -> int:
     echelon: list[tuple[int, list[int]]] = []
     for row in rows:
         vec = list(row) if mod is None else [x % mod for x in row]
-        _eliminate(vec, None, echelon, mod)
+        _eliminate(vec, echelon, mod)
         piv = _first_nonzero(vec)
         if piv is not None:
-            _insert_row(echelon, (piv, vec))
+            insort(echelon, (piv, vec))
     return len(echelon)
 
 
@@ -335,41 +337,39 @@ def reassemble(f: FactoredPoly) -> Poly:
 def minpoly_by_poly_lcm(int_rows: list[list[int]], mod: int | None) -> Poly:
     """Minimal polynomial of an integer matrix over Q (mod None) or F_mod,
     by one integer Krylov chain per start vector outside the span swept so
-    far, the chains' annihilators merged by `poly_lcm` on Poly objects."""
+    far, the chains' annihilators merged by `poly_lcm` on Poly objects.
+    A chain row is S^k e_j followed by its combination's coefficients, the
+    row format of linalg's `_eliminate`."""
     n = len(int_rows)
     field = QQ if mod is None else GF(mod)
     glob: list = []
     acc = Poly.one(field)
-    rank = 0
     for start in range(n):
-        if acc.degree == n or rank == n:
+        if acc.degree == n or len(glob) == n:
             break
         probe = [int(i == start) for i in range(n)]
-        _eliminate(probe, None, glob, mod)
+        _eliminate(probe, glob, mod)
         if _first_nonzero(probe) is None:
             continue
         local: list = []
-        vec, pol = [int(i == start) for i in range(n)], [1]
+        vec = [int(i == start) for i in range(n)] + [1]
         while True:
-            _eliminate(vec, pol, local, mod)
-            piv = _first_nonzero(vec)
+            _eliminate(vec, local, mod)
+            piv = _first_nonzero(vec[:n])
             if piv is None:
                 break
-            _insert_row(local, (piv, vec, pol))
-            vec, pol = [sum(map(mul, row, vec)) for row in int_rows], [0] + pol
+            insort(local, (piv, vec))
+            step = [sum(map(mul, row, vec[:n])) for row in int_rows]
             if mod is not None:
-                vec = [x % mod for x in vec]
-        acc = poly_lcm(acc, Poly(field, pol).monic())
-        for _, v, _p in local:
-            w = list(v)
-            _eliminate(w, None, glob, mod)
+                step = [x % mod for x in step]
+            vec = step + [0] + vec[n:]
+        acc = poly_lcm(acc, Poly(field, vec[n:]).monic())
+        for _, v in local:
+            w = v[:n]
+            _eliminate(w, glob, mod)
             piv = _first_nonzero(w)
             if piv is not None:
-                if mod is None:
-                    g = math.gcd(*w)
-                    w = [x // g for x in w]
-                _insert_row(glob, (piv, w))
-                rank += 1
+                insort(glob, (piv, w))
     return acc
 
 

@@ -180,6 +180,58 @@ def test_seeded_complex_poly_spectra_are_their_companion_spectra():
         assert eig_spec_of_poly(p) == eig_spec_of_matrix(companion(p)), seed
 
 
+def _exact_poly_case(field, rng):
+    """X^z (X - r_1)^m_1 ... times a random monic rest of degree 0-3 over
+    an exact field: repeated roots, the root 0 and a rest that may not
+    split."""
+    if field.char:
+        values = [field.coerce(rng.randrange(field.char)) for _ in range(3)]
+    else:
+        values = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(3)]
+    pairs = [(v, rng.randint(1, 3)) for v in values[:rng.randint(0, 3)]]
+    rest = Poly(field, [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))] + [1])
+    p = Poly.x(field) ** rng.randint(0, 2)
+    for v, m in pairs:
+        p = p * Poly(field, [-v, 1]) ** m
+    return p * rest
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_exact_poly_spectrum_is_its_companion_spectrum(field):
+    rng = random.Random(field.char + 7)
+    seen = set()
+    for case in range(150):
+        p = _exact_poly_case(field, rng)
+        if p.degree < 1:
+            continue
+        try:
+            want = eig_spec_of_poly(p)
+        except NonSplitField:
+            with pytest.raises(NonSplitField):
+                eig_spec_of_matrix(companion(p))
+            seen.add("non-split")
+            continue
+        assert want == eig_spec_of_matrix(companion(p)), (case, p)
+        seen.update({"zero"} if want.zero_index else set())
+        seen.update({"repeated"} if any(m > 1 for _, m in want.nonzero) else set())
+    assert seen == {"non-split", "zero", "repeated"}
+
+
+def test_kron_minpoly_merges_products_at_the_tol_the_spectra_were_read_at():
+    # the products 2 * 1 and 1.00001 * 2 lie 1e-5 apart: one class when the
+    # spectra are read at 1e-3, as `pcanon kron-minpoly --tol 1e-3` reads them
+    a = Matrix(CC, [[1, 0], [0, 2]])
+    b = Matrix(CC, [[2, 0], [0, 1.00001]])
+    assert eig_spec_of_matrix(a).tol == eig_spec_of_poly(Poly.x(CC)).tol == CLUSTER_TOL
+    assert kron_minpoly_symbolic([eig_spec_of_matrix(a), eig_spec_of_matrix(b)]).degree == 4
+    loose = [eig_spec_of_matrix(a, 1e-3), eig_spec_of_matrix(b, 1e-3)]
+    assert loose[0].tol == 1e-3
+    assert kron_minpoly_symbolic(loose).degree == 3
+    # the largest recorded tol decides, whichever factor carries it
+    assert kron_minpoly_symbolic([eig_spec_of_matrix(a), loose[1]]).degree == 3
+    assert product_class_table(loose[::-1]).entries == product_class_table(loose).entries
+
+
 def test_eig_spec_validation():
     with pytest.raises(NonSplitField):
         eig_spec_of_poly(Poly(QQ, [1, 0, 1]))

@@ -21,17 +21,20 @@ from helpers import (
     roots_by_scan,
 )
 from pcanon.errors import (
+    DegreeZero,
     MixedFields,
     NonMonic,
     ZeroPolynomial,
 )
-from pcanon.kronmin import eig_spec_of_matrix, eig_spec_of_poly
+from pcanon.kronmin import eig_spec_of_matrix, eig_spec_of_poly, lrs_product_poly
 from pcanon.linalg import companion
+from pcanon.lrs import LinRecSeq, lrs_mul
 from pcanon.scalar import (
     CC,
     CLUSTER_TOL,
     GF,
     QQ,
+    FactoredPoly,
     FpElement,
     Poly,
     _convolve,
@@ -367,6 +370,40 @@ def test_factor_requires_monic_nonzero():
         poly_factor(Poly(QQ, []))
     with pytest.raises(NonMonic):
         poly_factor(Poly(QQ, [1, 2]))
+
+
+# every entry point that takes a characteristic polynomial, called with p
+_CHAR_POLY_ENTRIES = {
+    "LinRecSeq": lambda p: LinRecSeq(p, (0,) * max(p.degree, 0)),
+    "lrs_mul": lambda p: lrs_mul([LinRecSeq(Poly(p.field, [-1, 1]), (1,))], p),
+    "lrs_product_poly": lambda p: lrs_product_poly([p]),
+    "companion": companion,
+    "eig_spec_of_poly": eig_spec_of_poly,
+    "poly_factor": poly_factor,
+}
+
+
+@pytest.mark.parametrize("entry", list(_CHAR_POLY_ENTRIES))
+@pytest.mark.parametrize("p, error", [
+    (Poly(QQ, []), NonMonic),
+    (Poly(QQ, [1, 2]), NonMonic),
+    (Poly(GF(5), [1, 2]), NonMonic),
+    (Poly(QQ, [1]), DegreeZero),
+    (Poly(CC, [-2, 1 + 1e-12]), NonMonic),
+    (Poly(CC, [1]), DegreeZero),
+], ids=["zero", "non-monic", "non-monic-f5", "constant", "complex-near-monic",
+        "complex-constant"])
+def test_one_characteristic_polynomial_check(entry, p, error):
+    # monic means a lead of exactly 1 over every field, C included;
+    # poly_factor refuses 0 by its own name and factors a constant
+    call = _CHAR_POLY_ENTRIES[entry]
+    if entry == "poly_factor" and error is DegreeZero:
+        assert call(p) == FactoredPoly((), Poly.one(p.field))
+        return
+    if entry == "poly_factor" and p.is_zero:
+        error = ZeroPolynomial
+    with pytest.raises(error):
+        call(p)
 
 
 def test_factor_complex_multiple_roots():
