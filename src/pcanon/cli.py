@@ -22,14 +22,15 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import AnswerTooLarge, NonSplitField, ParseError, PcanonError
+from .errors import (AnswerTooLarge, NonSplitField, NumericFieldUnsupported, ParseError,
+                     PcanonError)
 from .kronmin import eig_spec_of_matrix, kron_minpoly_symbolic, lrs_product_poly
 from .linalg import Matrix
 from .lrs import LinRecSeq, _plain, lrs_eval, lrs_min_annihilator, lrs_prefix
 from .matfun import ClosedFormExp, expm_closed, logm
 from .pcf import Basis, PCanonicalForm, pcf_build, pcf_eval, pcf_to_gamma
-from .scalar import (CC, GF, QQ, Field, Poly, PrimeField, _convolve, _residue_rem,
-                     format_complex, is_prime)
+from .scalar import (CC, CLUSTER_TOL, GF, QQ, Field, Poly, PrimeField, _convolve,
+                     _residue_rem, format_complex, is_prime)
 from .wedge import WedgeContext, wedge_fold
 
 #: the most bits an exact answer may take, summed over its numbers
@@ -108,31 +109,35 @@ def _parse_entry(field: Field, v):
         f'complex entries are numbers or {{"re": ..., "im": ...}}, got {v!r}')
 
 
-def _as_document(data, payload_key: str) -> dict:
-    if isinstance(data, list):
-        return {payload_key: data}
-    if isinstance(data, dict):
-        return data
-    raise ParseError(f"expected an array or object document, got {data!r}")
+def _document(token: str, args, payload_key: str) -> tuple[dict, Field]:
+    """(doc, field) of an input document; a bare array is its payload_key."""
+    data = _load_json(_read_source(token))
+    doc = {payload_key: data} if isinstance(data, list) else data
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected an array or object document, got {data!r}")
+    return doc, _resolve_field(doc, args)
 
 
-def parse_matrix(token: str, args) -> Matrix:
-    doc = _as_document(_load_json(_read_source(token)), "matrix")
-    field = _resolve_field(doc, args)
-    rows = doc.get("matrix")
+def _matrix(field: Field, rows, order: int | None = None) -> Matrix:
+    """A non-empty array of rows of field entries; order x order if given."""
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) for r in rows)):
         raise ParseError('matrix document needs a non-empty "matrix" array of rows')
-    parsed = [[_parse_entry(field, v) for v in row] for row in rows]
+    if order is not None and (len(rows) != order or any(len(r) != order for r in rows)):
+        raise ParseError(f"coefficient matrices must be {order} x {order}")
     try:
-        return Matrix(field, parsed)
+        return Matrix(field, [[_parse_entry(field, v) for v in row] for row in rows])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
+def parse_matrix(token: str, args) -> Matrix:
+    doc, field = _document(token, args, "matrix")
+    return _matrix(field, doc.get("matrix"))
+
+
 def parse_poly(token: str, args) -> Poly:
-    doc = _as_document(_load_json(_read_source(token)), "poly")
-    field = _resolve_field(doc, args)
+    doc, field = _document(token, args, "poly")
     coeffs = doc.get("poly")
     if not isinstance(coeffs, list):
         raise ParseError('polynomial document needs a "poly" coefficient array '
@@ -141,10 +146,8 @@ def parse_poly(token: str, args) -> Poly:
 
 
 def parse_sequence(token: str, args) -> LinRecSeq:
-    doc = _as_document(_load_json(_read_source(token)), "poly")
-    field = _resolve_field(doc, args)
-    coeffs = doc.get("poly")
-    initials = doc.get("initials")
+    doc, field = _document(token, args, "poly")
+    coeffs, initials = doc.get("poly"), doc.get("initials")
     if not isinstance(coeffs, list) or not isinstance(initials, list):
         raise ParseError('sequence document needs "poly" (ascending monic '
                          'coefficients) and "initials" arrays')
@@ -181,6 +184,15 @@ def _rows_json(m: Matrix) -> list:
     return [[_entry_json(m.field, e) for e in row] for row in m.rows]
 
 
+def _indexed(pairs) -> list:
+    return [{"i": i, "matrix": _rows_json(m)} for i, m in pairs]
+
+
+def _unindexed(field: Field, items, order: int) -> tuple:
+    """Inverse of `_indexed`, each matrix order x order."""
+    return tuple((t["i"], _matrix(field, t["matrix"], order)) for t in items)
+
+
 def _matrix_doc(m: Matrix) -> dict:
     return {"type": "matrix", **_field_doc(m.field), "matrix": _rows_json(m)}
 
@@ -194,30 +206,27 @@ _BASIS_NAME = {Basis.LAMBDA: "lambda", Basis.GAMMA: "gamma"}
 
 
 def _pcf_doc(f: PCanonicalForm) -> dict:
-    return {
-        "type": "pcf",
-        **_field_doc(f.field),
-        "order": f.order,
-        "basis": _BASIS_NAME[f.basis],
-        "nilpotent": [{"i": i, "matrix": _rows_json(v)}
-                      for i, v in f.nilpotent_terms],
-        "geometric": [{"value": _entry_json(f.field, lam),
-                       "coeffs": [_rows_json(c) for c in coeffs]}
-                      for lam, coeffs in f.geometric_terms],
-    }
+    return {"type": "pcf", **_field_doc(f.field), "order": f.order,
+            "basis": _BASIS_NAME[f.basis], "nilpotent": _indexed(f.nilpotent_terms),
+            "geometric": [{"value": _entry_json(f.field, lam),
+                           "coeffs": [_rows_json(c) for c in coeffs]}
+                          for lam, coeffs in f.geometric_terms]}
 
 
 def _cfe_doc(e: ClosedFormExp) -> dict:
-    return {
-        "type": "closed_form_exp",
-        "order": e.order,
-        "polynomial": [{"i": i, "matrix": _rows_json(m)}
-                       for i, m in e.polynomial_part],
-        "exponential": [{"value": {"re": lam.real, "im": lam.imag},
-                         "coeffs": [{"i": i, "matrix": _rows_json(m)}
-                                    for i, m in coeffs]}
-                        for lam, coeffs in e.exponential_terms],
-    }
+    return {"type": "closed_form_exp", "order": e.order,
+            "polynomial": _indexed(e.polynomial_part),
+            "exponential": [{"value": {"re": lam.real, "im": lam.imag},
+                             "coeffs": _indexed(coeffs)}
+                            for lam, coeffs in e.exponential_terms]}
+
+
+def _pretty(head: str, terms) -> str:
+    """head, then "term <header>:" and the matrix for each (header, matrix)."""
+    lines = [head]
+    for header, m in terms:
+        lines += [f"term {header}:", m.format()]
+    return "\n".join(lines)
 
 
 def _scalar_factor(field: Field, x) -> str:
@@ -234,17 +243,12 @@ def _term_header(field: Field, lam, i: int, basis: Basis) -> str:
 
 
 def _pcf_pretty(f: PCanonicalForm) -> str:
-    head = (f"P-canonical form: order {f.order}, field {f.field}, "
-            f"basis {_BASIS_NAME[f.basis]}")
-    lines = [head]
-    for i, v in f.nilpotent_terms:
-        lines += [f"term delta(k - {i}):", v.format()]
-    for lam, coeffs in f.geometric_terms:
-        for i, c in enumerate(coeffs):
-            if c.is_zero:
-                continue
-            lines += [f"term {_term_header(f.field, lam, i, f.basis)}:", c.format()]
-    return "\n".join(lines)
+    nil = [(f"delta(k - {i})", v) for i, v in f.nilpotent_terms]
+    geo = [(_term_header(f.field, lam, i, f.basis), c)
+           for lam, coeffs in f.geometric_terms
+           for i, c in enumerate(coeffs) if not c.is_zero]
+    return _pretty(f"P-canonical form: order {f.order}, field {f.field}, "
+                   f"basis {_BASIS_NAME[f.basis]}", nil + geo)
 
 
 def _exp_header(lam: complex, i: int) -> str:
@@ -255,13 +259,10 @@ def _exp_header(lam: complex, i: int) -> str:
 
 
 def _cfe_pretty(e: ClosedFormExp) -> str:
-    lines = [f"closed-form exponential: order {e.order}"]
-    for i, m in e.polynomial_part:
-        lines += [f"term {_exp_header(0, i)}:", m.format()]
-    for lam, coeffs in e.exponential_terms:
-        for i, m in coeffs:
-            lines += [f"term {_exp_header(lam, i)}:", m.format()]
-    return "\n".join(lines)
+    return _pretty(f"closed-form exponential: order {e.order}",
+                   [(_exp_header(lam, i), m)
+                    for lam, coeffs in [(0, e.polynomial_part), *e.exponential_terms]
+                    for i, m in coeffs])
 
 
 def render_closed_form(obj, mode: str = "pretty") -> str:
@@ -274,12 +275,6 @@ def render_closed_form(obj, mode: str = "pretty") -> str:
     if isinstance(obj, ClosedFormExp):
         return json.dumps(_cfe_doc(obj)) if mode == "json" else _cfe_pretty(obj)
     raise TypeError(f"cannot render {type(obj).__name__}")
-
-
-def _matrix_from_rows(field: Field, rows, order: int) -> Matrix:
-    if len(rows) != order or any(len(r) != order for r in rows):
-        raise ParseError(f"coefficient matrices must be {order} x {order}")
-    return Matrix(field, [[_parse_entry(field, v) for v in row] for row in rows])
 
 
 def parse_closed_form(text: str):
@@ -297,18 +292,14 @@ def parse_closed_form(text: str):
             basis = {v: k for k, v in _BASIS_NAME.items()}.get(doc.get("basis"))
             if basis is None:
                 raise ParseError(f"unknown basis {doc.get('basis')!r}")
-            nil = tuple((t["i"], _matrix_from_rows(field, t["matrix"], order))
-                        for t in doc.get("nilpotent", ()))
+            nil = _unindexed(field, doc.get("nilpotent", ()), order)
             geo = tuple((_parse_entry(field, t["value"]),
-                         tuple(_matrix_from_rows(field, c, order) for c in t["coeffs"]))
+                         tuple(_matrix(field, c, order) for c in t["coeffs"]))
                         for t in doc.get("geometric", ()))
             return PCanonicalForm(field, order, basis, nil, geo)
         if kind == "closed_form_exp":
-            poly = tuple((t["i"], _matrix_from_rows(CC, t["matrix"], order))
-                         for t in doc.get("polynomial", ()))
-            expt = tuple((_parse_entry(CC, t["value"]),
-                          tuple((c["i"], _matrix_from_rows(CC, c["matrix"], order))
-                                for c in t["coeffs"]))
+            poly = _unindexed(CC, doc.get("polynomial", ()), order)
+            expt = tuple((_parse_entry(CC, t["value"]), _unindexed(CC, t["coeffs"], order))
                          for t in doc.get("exponential", ()))
             return ClosedFormExp(order, poly, expt)
     except (KeyError, TypeError) as exc:
@@ -327,6 +318,13 @@ def _emit(args, doc: dict, pretty: str) -> str:
 def _refuse_past(bits: float, what: str) -> None:
     if bits > ANSWER_BITS:
         raise AnswerTooLarge(f"{what} needs about {bits:.3g} bits, over {ANSWER_BITS}")
+
+
+def _refuse_imprecise(field: Field, n: int, tol: float, what: str) -> None:
+    """A double knows an eigenvalue to eps, so its n-th power to about n eps."""
+    if not field.exact and n * sys.float_info.epsilon > tol:
+        raise NumericFieldUnsupported(f"{what} is known in complex doubles to about "
+                                      f"{n * sys.float_info.epsilon:.3g}, over tol {tol:g}")
 
 
 def _minimal(seq: LinRecSeq) -> LinRecSeq:
@@ -391,6 +389,7 @@ def _cmd_power(args) -> str:
         bits = args.k * grow + form.order * args.k.bit_length()
         _refuse_past(form.order ** 2 * bits, f"A^{args.k}")
     m = pcf_eval(form, args.k)
+    _refuse_imprecise(form.field, args.k, args.tol, f"A^{args.k}")
     return _emit(args, _matrix_doc(m), m.format())
 
 
@@ -444,6 +443,7 @@ def _cmd_lrs_eval(args) -> str:
         return _emit(args, doc, "\n".join(f.format(v) for v in values))
     _refuse_past(_term_bits(seq, args.n), f"term {args.n}")
     v = lrs_eval(seq, args.n)
+    _refuse_imprecise(f, args.n, CLUSTER_TOL, f"term {args.n}")
     return _emit(args, {"type": "value", **_field_doc(f),
                         "value": _entry_json(f, v)}, f.format(v))
 
@@ -451,8 +451,7 @@ def _cmd_lrs_eval(args) -> str:
 def _cmd_wedge(args) -> str:
     if args.char:
         _prime(args.char, "a nonzero --char")
-    d = wedge_fold(args.orders, WedgeContext(args.char))
-    return str(d)
+    return str(wedge_fold(args.orders, WedgeContext(args.char)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,26 +492,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fall back to complex doubles when the exact "
                             "spectrum does not split over the input field")
 
-    p = sub.add_parser("pcf", parents=[field_p, out_p, tol_p, num_p],
-                       help="P-canonical form of a square matrix")
+    def command(name, handler, parents, help):
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("pcf", _cmd_pcf, [field_p, out_p, tol_p, num_p],
+                "P-canonical form of a square matrix")
     p.add_argument("input", metavar="INPUT")
     p.add_argument("--gamma", action="store_true",
                    help="convert the binomial basis to powers k^i")
-    p.set_defaults(handler=_cmd_pcf)
 
-    p = sub.add_parser("power", parents=[field_p, out_p, tol_p, num_p],
-                       help="matrix power A^k through the closed form")
+    p = command("power", _cmd_power, [field_p, out_p, tol_p, num_p],
+                "matrix power A^k through the closed form")
     p.add_argument("input", metavar="INPUT")
     p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_power)
 
-    p = sub.add_parser("expm", parents=[field_p, out_p, tol_p],
-                       help="closed-form matrix exponential e^(tA)")
+    p = command("expm", _cmd_expm, [field_p, out_p, tol_p],
+                "closed-form matrix exponential e^(tA)")
     p.add_argument("input", metavar="INPUT")
-    p.set_defaults(handler=_cmd_expm)
 
-    p = sub.add_parser("logm", parents=[field_p, out_p, tol_p],
-                       help="matrix logarithm on a chosen branch")
+    p = command("logm", _cmd_logm, [field_p, out_p, tol_p],
+                "matrix logarithm on a chosen branch")
     p.add_argument("input", metavar="INPUT")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--principal", action="store_true",
@@ -520,36 +521,31 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--branch", metavar="K1,K2,...",
                    help="per-eigenvalue branch offsets, in the canonical "
                         "eigenvalue order")
-    p.set_defaults(handler=_cmd_logm)
 
-    p = sub.add_parser("kron-minpoly", parents=[field_p, out_p, tol_p, num_p],
-                       help="minimal polynomial of a Kronecker product")
+    p = command("kron-minpoly", _cmd_kron_minpoly, [field_p, out_p, tol_p, num_p],
+                "minimal polynomial of a Kronecker product")
     p.add_argument("inputs", metavar="INPUT", nargs="+")
-    p.set_defaults(handler=_cmd_kron_minpoly)
 
-    p = sub.add_parser("lrs-product", parents=[field_p, out_p],
-                       help="closure polynomial for termwise products of "
-                            "linear recurrence sequences")
+    p = command("lrs-product", _cmd_lrs_product, [field_p, out_p],
+                "closure polynomial for termwise products of linear "
+                "recurrence sequences")
     p.add_argument("inputs", metavar="POLY", nargs="+",
                    help="monic characteristic polynomials, ascending "
                         "coefficients")
-    p.set_defaults(handler=_cmd_lrs_product)
 
-    p = sub.add_parser("lrs-eval", parents=[field_p, out_p],
-                       help="evaluate a linear recurrence sequence")
+    p = command("lrs-eval", _cmd_lrs_eval, [field_p, out_p],
+                "evaluate a linear recurrence sequence")
     p.add_argument("input", metavar="INPUT",
                    help='document with "poly" and "initials"')
     p.add_argument("n", type=int)
     p.add_argument("--prefix", action="store_true",
                    help="print terms a_0 .. a_(n-1) instead of a_n")
-    p.set_defaults(handler=_cmd_lrs_eval)
 
-    p = sub.add_parser("wedge", help="dimension of the product of two "
-                                     "unipotent blocks' binomial spans")
+    p = command("wedge", _cmd_wedge, [],
+                "dimension of the product of two unipotent blocks' binomial spans")
     p.add_argument("orders", metavar="ORDER", type=int, nargs="+")
     p.add_argument("--char", type=int, default=0,
                    help="field characteristic: 0 or a prime (default 0)")
-    p.set_defaults(handler=_cmd_wedge)
     return top
 
 

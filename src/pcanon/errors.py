@@ -17,7 +17,8 @@ class MixedFields(PcanonError):
 class NumericFieldUnsupported(PcanonError):
     """The scalar field cannot carry this operation (exact-only routine
     handed floating scalars, a numeric routine handed a field with no
-    complex embedding, or numpy failing on complex doubles)."""
+    complex embedding, numpy failing on complex doubles, or a CLI power or
+    term of index n over C, where n eps passes the tolerance)."""
 
 
 class ZeroPolynomial(PcanonError):

@@ -526,11 +526,10 @@ class SpectralData:
         return out
 
 
-def _chains(a: Matrix, tol: float, full: bool = True):
+def _chains(a: Matrix, tol: float):
     """(t0, [(eigenvalue, index), ...], nil, chains) of any matrix: nil is
     A^i pi_0 for i < t0; chains holds lambda^(-i) (A - lambda I)^i pi for
-    i < t per nonzero eigenvalue lambda of index t, only i = 0 unless full
-    (nil then only pi_0). Over C they come from `_complex_chains`.
+    i < t per nonzero eigenvalue lambda of index t, over C by `_complex_chains`.
 
     Over Q and F_p, S = den A has a monic integral minimal polynomial M, so
     nu = den lambda is an integer and lambda^-i (A - lambda I)^i pi =
@@ -542,7 +541,7 @@ def _chains(a: Matrix, tol: float, full: bool = True):
     """
     f, n, p = a.field, a.n, a.field.char
     if not f.exact:
-        return _complex_chains(*_numeric_spectrum(a, tol), tol, full)
+        return _complex_chains(*_numeric_spectrum(a, tol), tol)
     t0, nz, (rows, den, big) = _eigendata(a, tol)
     pairs = ([(0, t0)] if t0 else []) + [(mu.res if p else int(mu * den), t)
                                          for mu, t in nz]
@@ -555,7 +554,7 @@ def _chains(a: Matrix, tol: float, full: bool = True):
         (cv,) = rem(c, [-nu, 1])
         e = [-x for x in _powmod([cv - c[0], *(-x for x in c[1:])], t, big, rem)] or [0]
         e[0] += cv ** t
-        for i in range(t if full else 1):
+        for i in range(t):
             weights.append(e)
             dens.append((nu or den) ** i * cv ** t)
             e = rem(_convolve(e, [-nu, 1]), big)
@@ -567,7 +566,7 @@ def _chains(a: Matrix, tol: float, full: bool = True):
     mats = iter(Matrix._of(f, [r[i:i + n] for i in range(0, n * n, n)])
                 for row, den_i in zip(_dots(weights, flat, p), dens)
                 for r in _drop(f, [row], den_i))
-    chains = [[next(mats) for _ in range(t if full else 1)] for _, t in pairs]
+    chains = [[next(mats) for _ in range(t)] for _, t in pairs]
     return t0, nz, chains.pop(0) if t0 else [], chains
 
 
@@ -634,7 +633,7 @@ def _projectors(a, groups, tol: float):
     return out
 
 
-def _complex_chains(arr, spectrum, tol: float, full: bool):
+def _complex_chains(arr, spectrum, tol: float):
     """`_chains` over C from A's complex array and its `_spectrum`, with pi
     from `_projectors` and the products (A - lambda I)^i pi taken by
     `_matmul`, as `_product`'s are. A nonzero lambda's products are scaled
@@ -646,7 +645,7 @@ def _complex_chains(arr, spectrum, tol: float, full: bool):
     t0, nz, nil, chains = 0, [], [], []
     for (mu, _, t, _), pi in zip(spectrum, _projectors(arr, spectrum, tol)):
         coeffs = [Matrix._of(CC, pi.tolist())]
-        if full and t > 1:
+        if t > 1:
             step, chain = arr.copy(), pi
             step.flat[::len(arr) + 1] -= mu
             for _ in range(1, t):
@@ -671,7 +670,7 @@ def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
     and ProjectionsInaccurate when the projections over C fail their check
     at tol."""
     f = a.field
-    t0, nz, nil, chains = _chains(a, tol, full=False)
+    t0, nz, nil, chains = _chains(a, tol)
     comps = tuple(EigenComponent(mu, t, ch[0]) for (mu, t), ch in zip(nz, chains))
     return SpectralData(field=f, order=a.n, t0=t0,
                         zero_projection=nil[0] if t0 else Matrix.zeros(f, a.n),

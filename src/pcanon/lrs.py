@@ -7,7 +7,7 @@ complex doubles over C), runs its loop on them and drops the result back
 to field elements once. The module evaluates a term from X^n mod P (by
 the `_powmod` the F_p root finder and the spectral projections also use),
 forms termwise products carrying an explicit annihilator (verified on a
-window, so a wrong one fails fast), and recovers the minimal annihilator
+window long enough to prove it), and recovers the minimal annihilator
 of a raw prefix by Berlekamp-Massey, fraction-free over Q: the
 independent minimality oracle for the product closure.
 """
@@ -91,8 +91,9 @@ def lrs_mul(factors, p: Poly) -> LinRecSeq:
     """Termwise product of sequences, packaged under the annihilator p.
 
     p must annihilate the product (e.g. the product-closure polynomial of
-    the factor characteristic polynomials); this is re-verified on a
-    3*deg(p) window and AnnihilatorMismatch raised otherwise.
+    the factor characteristic polynomials), else AnnihilatorMismatch. p
+    applied to the product lies in L(Q), deg Q <= D = prod_i deg char_i, so
+    it is checked at max(2 deg p, D) offsets: zero there, zero everywhere.
     """
     factors = list(factors)
     if not factors:
@@ -103,14 +104,15 @@ def lrs_mul(factors, p: Poly) -> LinRecSeq:
             raise MixedFields(f"sequences over {s.field} with polynomial over {f}")
     _check_char_poly(p, "an annihilator")
     d = p.degree
-    plain = [_plain(s, 3 * d) for s in factors]
+    offsets = max(2 * d, math.prod(s.char.degree for s in factors))
+    plain = [_plain(s, offsets + d) for s in factors]
     prod = [math.prod(t) for t in zip(*(b for _, b, _, _ in plain))]
     da, dp = math.prod(t[2] for t in plain), math.prod(t[3] for t in plain)
     # prod_n = da dp^n a_n: p annihilates a iff sum_i p_i dp^(d-i) prod_(n+i) = 0
     (cs,), _ = _lift(f, (p.coeffs,))
     weights = [c * dp ** (d - i) for i, c in enumerate(cs)]
     tol = 0 if f.exact else 1e-8 * max(1.0, *(abs(f.coerce(x)) for x in prod))
-    for n in range(2 * d):
+    for n in range(offsets):
         resid = sum(c * x for c, x in zip(weights, prod[n:]))
         if abs(resid % f.char if f.char else resid) > tol:
             raise AnnihilatorMismatch(

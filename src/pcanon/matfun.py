@@ -207,7 +207,7 @@ def logm(a: Matrix, branch=None, tol: float = 1e-8) -> Matrix:
         raise SingularMatrix("singular matrices have no logarithm")
     zs = _branch_logs(values, branch, tol)
     weights, mats = [], []
-    *_, chains = _complex_chains(arr, spectrum, tol, full=True)
+    *_, chains = _complex_chains(arr, spectrum, tol)
     for z, coeffs in zip(zs, chains):
         weights += [z] + [(-1) ** (i - 1) / i for i in range(1, len(coeffs))]
         mats += coeffs

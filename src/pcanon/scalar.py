@@ -943,12 +943,12 @@ def poly_factor(p: Poly, tol: float = CLUSTER_TOL) -> FactoredPoly:
 def _stirling_row(kind: int, n: int) -> tuple[int, ...]:
     """Row n, entries k = 0..n, of the signed Stirling numbers of the first
     kind s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k) (kind 1) or of the second
-    kind S(n, k) = S(n-1, k-1) + k S(n-1, k) (kind 2)."""
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(kind, n - 1)
-    return tuple(a + (1 - n if kind == 1 else k) * b
-                 for k, (a, b) in enumerate(zip((0, *prev), (*prev, 0))))
+    kind S(n, k) = S(n-1, k-1) + k S(n-1, k) (kind 2), built up from row 0."""
+    row = (1,)
+    for m in range(1, n + 1):
+        row = tuple(a + (1 - m if kind == 1 else k) * b
+                    for k, (a, b) in enumerate(zip((0, *row), (*row, 0))))
+    return row
 
 
 def _stirling(kind: int, n: int, k: int) -> int:

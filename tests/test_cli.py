@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import math
@@ -445,6 +446,50 @@ def test_lrs_eval_refuses_answers_it_cannot_print(capsys):
                       ('{"poly": [1, -2, 1], "initials": [0, 1]}', BIG)):
         code, out, _, took = _timed(capsys, "lrs-eval", doc, BIG)
         assert (code, out.strip()) == (0, want) and took < 1.0
+
+
+ROTATION_C = '{"field": "C", "matrix": [[0, 1], [-1, 0]]}'
+E_I = cmath.exp(1j)
+ROOT_OF_UNITY_SEQ = json.dumps({"field": "C", "initials": [1],
+                                "poly": [{"re": -E_I.real, "im": -E_I.imag}, 1]})
+
+
+@pytest.mark.parametrize("argv", [
+    ("power", ROTATION_C, BIG),
+    ("power", ROTATION_C, "100000000", "--json"),
+    ("power", ROTATION_C, "1000000", "--tol", "1e-12"),
+    ("power", '{"field": "C", "matrix": [[1, 1], [0, 1]]}', "1000000000"),
+    ("power", "[[0, -1], [1, 0]]", BIG, "--numeric"),
+    ("lrs-eval", ROOT_OF_UNITY_SEQ, "1000000000000"),
+], ids=["rotation-1e18", "rotation-1e8", "rotation-tight-tol", "unipotent-1e9",
+        "numeric-retry", "lrs-unit-root-1e12"])
+def test_complex_powers_past_their_precision_are_refused(capsys, argv):
+    # A^(10^18) = I printed as a rotation by about 1.9 rad: an eigenvalue a
+    # double knows to eps is known to about k eps in its k-th power
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("NumericFieldUnsupported: ") and err.count("\n") == 1
+
+
+def test_complex_powers_within_their_precision_answer(capsys):
+    for argv in (("power", ROTATION_C, "1000"),
+                 ("power", ROTATION_C, "100000000", "--tol", "1e-6")):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        rows = json.loads(out)["matrix"]
+        assert code == 0 and all(abs(complex(e["re"], e["im"]) - (i == j)) < 1e-6
+                                 for i, row in enumerate(rows) for j, e in enumerate(row))
+    code, out, _ = run_cli(capsys, "lrs-eval", ROOT_OF_UNITY_SEQ, "1000", "--json")
+    value = json.loads(out)["value"]
+    assert code == 0 and abs(complex(value["re"], value["im"]) - E_I ** 1000) < 1e-9
+    # a prefix needs no such check: the size bound stops it at 8192 terms,
+    # 8192 eps = 1.8e-12
+    code, out, _ = run_cli(capsys, "lrs-eval", ROOT_OF_UNITY_SEQ, "8192", "--prefix")
+    assert code == 0 and len(out.splitlines()) == 8192
+    code, _, err = run_cli(capsys, "lrs-eval", ROOT_OF_UNITY_SEQ, "8193", "--prefix")
+    assert code == 1 and err.startswith("AnswerTooLarge: ")
+    # the unipotent matrix over Q answers exactly at any index
+    code, out, _ = run_cli(capsys, "power", "[[1, 1], [0, 1]]", "1000000000")
+    assert code == 0 and out.split()[2] == "1000000000"
 
 
 def test_lrs_eval_sizes_by_the_sequence_not_its_polynomial(capsys):

@@ -183,6 +183,17 @@ def test_product_sequence_squares_fibonacci():
     assert lrs_prefix(sq, 40) == [x * x for x in fib]
 
 
+def test_product_check_reads_as_far_as_the_product_space():
+    # a = 0, 0, 0, 1, ... lies in L(X^4 - 1), so a times 1 has an annihilator of
+    # degree up to 4; X passes the first 2 deg X = 2 offsets but fails at the third
+    a = LinRecSeq(Poly(QQ, [-1, 0, 0, 0, 1]), (0, 0, 0, 1))
+    one = LinRecSeq(Poly(QQ, [-1, 1]), (1,))
+    with pytest.raises(AnnihilatorMismatch, match="offset 2"):
+        lrs_mul([a, one], Poly(QQ, [0, 1]))
+    prod = lrs_mul([a, one], Poly(QQ, [-1, 0, 0, 0, 1]))
+    assert lrs_prefix(prod, 9) == [0, 0, 0, 1, 0, 0, 0, 1, 0]
+
+
 def test_product_with_geometric():
     two = LinRecSeq(Poly(QQ, [-2, 1]), (1,))
     prod = lrs_mul([_fib(), two], lrs_product_poly([_FIB_POLY, Poly(QQ, [-2, 1])]))

@@ -525,6 +525,15 @@ def test_stirling_first_expands_falling_factorials():
             assert falling == rhs, (i, k)
 
 
+def test_stirling_rows_past_the_recursion_limit():
+    # row 2000 is built in a loop: no call depth grows with the row index
+    assert stirling_first(2000, 1) == -math.factorial(1999)
+    assert stirling_second(2000, 2) == 2 ** 1999 - 1
+    # |s(n, 2)| = (n-1)! H_(n-1), of sign (-1)^(n-2)
+    assert stirling_first(500, 2) == math.factorial(499) * sum(
+        Fraction(1, j) for j in range(1, 500))
+
+
 # -- complex formatting ------------------------------------------------------
 
 
