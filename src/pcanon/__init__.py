@@ -41,15 +41,7 @@ from .kronmin import (
     lrs_product_poly,
     product_class_table,
 )
-from .linalg import (
-    EigenComponent,
-    Matrix,
-    SpectralData,
-    companion,
-    kron,
-    minpoly,
-    spectral_data,
-)
+from .linalg import Matrix, companion, kron, minpoly
 from .lrs import LinRecSeq, lrs_eval, lrs_min_annihilator, lrs_mul, lrs_prefix
 from .matfun import (
     ClosedFormExp,
@@ -101,7 +93,6 @@ __all__ = [
     "stirling_first", "stirling_second",
     # matrices and spectra
     "Matrix", "kron", "companion", "minpoly",
-    "spectral_data", "SpectralData", "EigenComponent",
     # canonical forms
     "Basis", "PCanonicalForm", "RealPCF", "RealTerm", "SpiralTerm",
     "pcf_build", "pcf_eval", "pcf_to_gamma", "pcf_to_lambda", "pcf_minpoly",

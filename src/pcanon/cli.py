@@ -320,11 +320,23 @@ def _refuse_past(bits: float, what: str) -> None:
         raise AnswerTooLarge(f"{what} needs about {bits:.3g} bits, over {ANSWER_BITS}")
 
 
-def _refuse_imprecise(field: Field, n: int, tol: float, what: str) -> None:
-    """A double knows an eigenvalue to eps, so its n-th power to about n eps."""
-    if not field.exact and n * sys.float_info.epsilon > tol:
+def _refuse_imprecise(err: float, tol: float, what: str) -> None:
+    """Refuse a complex answer whose estimated relative error err exceeds tol."""
+    if err > tol:
         raise NumericFieldUnsupported(f"{what} is known in complex doubles to about "
-                                      f"{n * sys.float_info.epsilon:.3g}, over tol {tol:g}")
+                                      f"{err:.3g}, over tol {tol:g}")
+
+
+def _power_error(form: PCanonicalForm, k: int, power: Matrix) -> float:
+    """Relative error of a complex A^k from its form, in the max-entry norm.
+    A double knows an eigenvalue lambda to eps, so lambda^k to about k eps,
+    and its term sum_i lambda^k binom(k, i) C_i to about k eps |lambda|^k
+    sum_i binom(k, i) ||C_i||. The nilpotent terms hold no power of one."""
+    err = k * sys.float_info.epsilon * sum(
+        abs(lam) ** k * sum(math.comb(k, i) * c.maxnorm() for i, c in enumerate(cs))
+        for lam, cs in form.geometric_terms)
+    size = power.maxnorm()
+    return err / size if size else (math.inf if err else 0.0)
 
 
 def _minimal(seq: LinRecSeq) -> LinRecSeq:
@@ -389,7 +401,8 @@ def _cmd_power(args) -> str:
         bits = args.k * grow + form.order * args.k.bit_length()
         _refuse_past(form.order ** 2 * bits, f"A^{args.k}")
     m = pcf_eval(form, args.k)
-    _refuse_imprecise(form.field, args.k, args.tol, f"A^{args.k}")
+    if not form.field.exact:
+        _refuse_imprecise(_power_error(form, args.k, m), args.tol, f"A^{args.k}")
     return _emit(args, _matrix_doc(m), m.format())
 
 
@@ -443,7 +456,8 @@ def _cmd_lrs_eval(args) -> str:
         return _emit(args, doc, "\n".join(f.format(v) for v in values))
     _refuse_past(_term_bits(seq, args.n), f"term {args.n}")
     v = lrs_eval(seq, args.n)
-    _refuse_imprecise(f, args.n, CLUSTER_TOL, f"term {args.n}")
+    if not f.exact:  # a double knows a root to eps, so its n-th power to about n eps
+        _refuse_imprecise(args.n * sys.float_info.epsilon, CLUSTER_TOL, f"term {args.n}")
     return _emit(args, {"type": "value", **_field_doc(f),
                         "value": _entry_json(f, v)}, f.format(v))
 

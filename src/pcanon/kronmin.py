@@ -66,7 +66,7 @@ def eig_spec_of_poly(p: Poly, tol: float = CLUSTER_TOL) -> EigSpec:
 
 
 def eig_spec_of_matrix(a: Matrix, tol: float = CLUSTER_TOL) -> EigSpec:
-    """Spectrum of a matrix, as `spectral_data` finds it: over Q and F_p
+    """Spectrum of a matrix, as `pcf_build` finds it: over Q and F_p
     from its minimal polynomial, NonSplitField when that does not split;
     over C from its eigenvalues, with no polynomial formed."""
     zero, nonzero, _ = _eigendata(a, tol)

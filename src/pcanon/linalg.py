@@ -5,13 +5,13 @@ chains (exact fields) or from scalar's `_spectrum`, which merges numpy's
 eigenvalues and finds their indices by one rank rule (complex doubles),
 and the spectral projections: the unique family of commuting idempotents
 that resolves the identity and block-diagonalises the matrix by
-generalised eigenspace, all asked for through `spectral_data`. Over Q and
-F_p they are polynomials in the matrix. Over C they are the oblique projectors
-onto invariant subspaces, built in numpy from the eigenvectors of A and
-A^T (simple eigenvalues) or the staircases of A - mu I, and checked
-before they are returned: a resolution that misses the identity or
-idempotence by more than tol, relative to the projections' size, raises
-ProjectionsInaccurate.
+generalised eigenspace, which pcf's `pcf_build` returns as the i = 0
+coefficients of its P-canonical form. Over Q and F_p they are polynomials
+in the matrix. Over C they are the oblique projectors onto invariant
+subspaces, built in numpy from the eigenvectors of A and A^T (simple
+eigenvalues) or the staircases of A - mu I, and checked before they are
+returned: a resolution that misses the identity or idempotence by more
+than tol, relative to the projections' size, raises ProjectionsInaccurate.
 
 One function, `_eigendata`, gives a matrix's spectrum, t0 and the
 (eigenvalue, index) pairs of the nonzero eigenvalues. Over Q and F_p it
@@ -54,7 +54,6 @@ import itertools
 import math
 import sys
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -485,47 +484,6 @@ def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
 # spectral projections
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenComponent:
-    """One nonzero eigenvalue with its index and spectral projection."""
-
-    value: object
-    index: int
-    projection: Matrix
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Resolution of a matrix into commuting spectral projections.
-
-    t0 is the index of the eigenvalue zero (0 when the matrix is
-    invertible), zero_projection the projection onto its generalised
-    eigenspace (the zero matrix when t0 == 0), and components lists the
-    nonzero eigenvalues in the field's canonical order. The projections
-    together with the zero one sum to the identity, are pairwise
-    annihilating idempotents, and commute with the matrix. The minimal
-    polynomial X^t0 * prod (X - value)^index is derived from t0 and the
-    components when it is read.
-    """
-
-    field: Field
-    order: int
-    t0: int
-    zero_projection: Matrix
-    components: tuple[EigenComponent, ...]
-
-    @property
-    def minimal_polynomial(self) -> Poly:
-        return _times_powers(Poly.x(self.field) ** self.t0,
-                             [(c.value, c.index) for c in self.components])
-
-    @property
-    def all_projections(self) -> list[Matrix]:
-        out = [self.zero_projection] if self.t0 else []
-        out.extend(c.projection for c in self.components)
-        return out
-
-
 def _chains(a: Matrix, tol: float):
     """(t0, [(eigenvalue, index), ...], nil, chains) of any matrix: nil is
     A^i pi_0 for i < t0; chains holds lambda^(-i) (A - lambda I)^i pi for
@@ -663,15 +621,3 @@ def _complex_chains(arr, spectrum, tol: float):
             t0, nil = t, coeffs
     return t0, nz, nil, chains
 
-
-def spectral_data(a: Matrix, tol: float = 1e-8) -> SpectralData:
-    """Full spectral resolution; raises NonSplitField when the minimal
-    polynomial has an irreducible factor of degree > 1 over an exact field,
-    and ProjectionsInaccurate when the projections over C fail their check
-    at tol."""
-    f = a.field
-    t0, nz, nil, chains = _chains(a, tol)
-    comps = tuple(EigenComponent(mu, t, ch[0]) for (mu, t), ch in zip(nz, chains))
-    return SpectralData(field=f, order=a.n, t0=t0,
-                        zero_projection=nil[0] if t0 else Matrix.zeros(f, a.n),
-                        components=comps)

@@ -5,7 +5,8 @@ the exponential oracle is plain scaling-and-squaring on a truncated
 series, the exact canonical-form oracle builds its power table, chains
 and scalings from Matrix products (`pcf_build_by_products`), the complex
 chains (A - lambda I)^i pi that e^(tA) and log A weight come from Matrix
-products on a spectral resolution (`chains_by_products`), the
+products on the projections of a form (`chains_by_products` on
+`projections`), the
 Kronecker oracle fills entries block by block (`kron_by_blocks`),
 `wedge_lambda` is a dimension rule no library code uses, the
 characteristic polynomial comes from the division-free
@@ -184,20 +185,28 @@ def pcf_build_by_products(a: Matrix, tol: float = 1e-8):
         nilpotent_terms=tuple(enumerate(nil)), geometric_terms=tuple(geo))
 
 
-def chains_by_products(a: Matrix, sd) -> tuple[list, list]:
-    """(nil, chains) of a complex matrix from its SpectralData sd: nil is
+def projections(form: PCanonicalForm) -> list:
+    """[(eigenvalue, index, spectral projection), ...] read off a P-canonical
+    form, zero first when its index t0 > 0: pi_0 = V_0 and pi = C_0."""
+    zero = [(form.field.zero, form.t0, form.nilpotent_terms[0][1])] if form.t0 else []
+    return zero + [(lam, len(cs), cs[0]) for lam, cs in form.geometric_terms]
+
+
+def chains_by_products(a: Matrix, resolution) -> tuple[list, list]:
+    """(nil, chains) of a complex matrix from its `projections`: nil is
     A^i pi_0 for i below the index of zero, and chains lists per nonzero
     eigenvalue (lambda, [(A - lambda I)^i pi for i below its index]),
     every matrix a product of the one before it, unscaled and untrimmed."""
-    def chain(step, start, length):
-        out = [start][:length]
-        while len(out) < length:
-            out.append(step * out[-1])
-        return out
-
-    return (chain(a, sd.zero_projection, sd.t0),
-            [(c.value, chain(a - Matrix.identity(a.field, a.n) * c.value,
-                             c.projection, c.index)) for c in sd.components])
+    nil, chains = [], []
+    for mu, t, pi in resolution:
+        step, chain = a - Matrix.identity(a.field, a.n) * mu, [pi]
+        while len(chain) < t:
+            chain.append(step * chain[-1])
+        if mu:
+            chains.append((mu, chain))
+        else:
+            nil = chain
+    return nil, chains
 
 
 def char_poly(a: Matrix) -> Poly:

@@ -17,6 +17,7 @@ from helpers import (
     binom_span_bruteforce,
     expm_series,
     max_diff,
+    projections,
     rational_spectrum_matrix,
     wedge_oracle_dim,
 )
@@ -26,7 +27,7 @@ from pcanon.kronmin import (
     kron_minpoly_symbolic,
     lrs_product_poly,
 )
-from pcanon.linalg import Matrix, minpoly, spectral_data
+from pcanon.linalg import Matrix, minpoly
 from pcanon.lrs import LinRecSeq, lrs_min_annihilator, lrs_mul, lrs_prefix
 from pcanon.matfun import (
     closedform_eval,
@@ -220,8 +221,7 @@ def test_criterion_07_conjugate_pair_spectrum(spiral_3x3):
         assert abs(got - want) < 1e-9, k
     e = spiral_3x3_at(3.0)
     ell = logm(e)
-    sd = spectral_data(ell)
-    got_vals = sorted((complex(c.value) for c in sd.components),
+    got_vals = sorted((complex(lam) for lam, _ in pcf_build(ell).geometric_terms),
                       key=lambda v: (round(v.real, 6), v.imag))
     want_vals = sorted(
         [complex(math.log(2), -math.pi / 6),
@@ -280,18 +280,17 @@ def test_criterion_10_property_suites(semicirculant_4x4, mixed_spectrum_4x4,
     for seed in range(50):
         rng = random.Random(1000 + seed)
         a, _ = rational_spectrum_matrix(rng, list(pools[seed % len(pools)]))
-        sd = spectral_data(a)
-        projections = sd.all_projections
+        form = pcf_build(a)
+        pis = [pi for *_, pi in projections(form)]
         ident = Matrix.identity(QQ, a.n)
         total = Matrix.zeros(QQ, a.n)
-        for i, pi in enumerate(projections):
+        for i, pi in enumerate(pis):
             total = total + pi
             assert a * pi == pi * a
-            for j, pj in enumerate(projections):
+            for j, pj in enumerate(pis):
                 assert pi * pj == (pi if i == j else
                                    Matrix.zeros(QQ, a.n))
         assert total == ident
-        form = pcf_build(a)
         assert pcf_minpoly_equals(form, a)
     # semigroup and first-order-derivative checks of the exponential
     rng = random.Random(99)

@@ -459,13 +459,15 @@ ROOT_OF_UNITY_SEQ = json.dumps({"field": "C", "initials": [1],
     ("power", ROTATION_C, "100000000", "--json"),
     ("power", ROTATION_C, "1000000", "--tol", "1e-12"),
     ("power", '{"field": "C", "matrix": [[1, 1], [0, 1]]}', "1000000000"),
+    ("power", '{"field": "C", "matrix": [[-1]]}', BIG),
     ("power", "[[0, -1], [1, 0]]", BIG, "--numeric"),
     ("lrs-eval", ROOT_OF_UNITY_SEQ, "1000000000000"),
 ], ids=["rotation-1e18", "rotation-1e8", "rotation-tight-tol", "unipotent-1e9",
-        "numeric-retry", "lrs-unit-root-1e12"])
+        "minus-one-1e18", "numeric-retry", "lrs-unit-root-1e12"])
 def test_complex_powers_past_their_precision_are_refused(capsys, argv):
     # A^(10^18) = I printed as a rotation by about 1.9 rad: an eigenvalue a
-    # double knows to eps is known to about k eps in its k-th power
+    # double knows to eps is known to about k eps in its k-th power, and
+    # its term of A^k to about k eps of the term's size
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("NumericFieldUnsupported: ") and err.count("\n") == 1
@@ -478,6 +480,13 @@ def test_complex_powers_within_their_precision_answer(capsys):
         rows = json.loads(out)["matrix"]
         assert code == 0 and all(abs(complex(e["re"], e["im"]) - (i == j)) < 1e-6
                                  for i, row in enumerate(rows) for j, e in enumerate(row))
+    # a term whose eigenvalue's power underflows, or a nilpotent form with
+    # no geometric term, carries no error into A^k = 0
+    for rows in ([[0]], [[0.5]], [[0, 1], [0, 0]]):
+        code, out, _ = run_cli(capsys, "power", json.dumps({"field": "C", "matrix": rows}),
+                               BIG, "--json")
+        assert code == 0 and all(complex(e["re"], e["im"]) == 0
+                                 for row in json.loads(out)["matrix"] for e in row), rows
     code, out, _ = run_cli(capsys, "lrs-eval", ROOT_OF_UNITY_SEQ, "1000", "--json")
     value = json.loads(out)["value"]
     assert code == 0 and abs(complex(value["re"], value["im"]) - E_I ** 1000) < 1e-9

@@ -31,7 +31,8 @@ from pcanon.kronmin import (
     lrs_product_poly,
     product_class_table,
 )
-from pcanon.linalg import Matrix, companion, kron, minpoly, spectral_data
+from pcanon.linalg import Matrix, companion, kron, minpoly
+from pcanon.pcf import pcf_build
 from pcanon.scalar import CC, CLUSTER_TOL, GF, QQ, Poly, _linked
 from pcanon.wedge import WedgeContext
 
@@ -136,7 +137,7 @@ def test_complex_clustering_route(spiral_3x3):
 
 
 def test_complex_matrix_spectrum_is_read_off_the_matrix():
-    # eig_spec_of_matrix reads the spectrum spectral_data resolves. Blocks
+    # eig_spec_of_matrix reads the spectrum pcf_build resolves. Blocks
     # up to size 5 make the roots of a minimal polynomial rebuilt from it
     # drift by up to 6e-10, past the 1e-10 asked for here
     values = [1, -2, 3j, 1 + 2j, -1 - 1j, 0.5, 2, 0, -1j]
@@ -145,9 +146,9 @@ def test_complex_matrix_spectrum_is_read_off_the_matrix():
         blocks = [(rng.randint(1, 5), v) for v in rng.sample(values, 4)]
         a = conjugated_jordan(rng, CC, blocks)
         spec = eig_spec_of_matrix(a)
-        data = spectral_data(a)
-        assert spec.zero_index == data.t0
-        assert spec.nonzero == tuple((c.value, c.index) for c in data.components)
+        form = pcf_build(a)
+        assert spec.zero_index == form.t0
+        assert spec.nonzero == tuple((lam, len(cs)) for lam, cs in form.geometric_terms)
         index = {}
         for size, v in blocks:
             index[v] = max(index.get(v, 0), size)

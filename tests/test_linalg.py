@@ -22,6 +22,7 @@ from helpers import (
     max_diff,
     minpoly_by_poly_lcm,
     naive_matmul,
+    projections,
     rational_spectrum_matrix,
     real_with_spectrum,
     unimodular,
@@ -47,10 +48,9 @@ from pcanon.linalg import (
     companion,
     kron,
     minpoly,
-    spectral_data,
 )
 from pcanon.matfun import closedform_eval, expm_closed, logm
-from pcanon.pcf import pcf_build, pcf_eval, pcf_to_gamma
+from pcanon.pcf import pcf_build, pcf_eval, pcf_minpoly, pcf_to_gamma
 from pcanon.scalar import CC, GF, QQ, FpElement, Poly, _lift, poly_factor
 
 # -- strategies ---------------------------------------------------------------
@@ -290,8 +290,8 @@ def test_returned_matrices_hold_field_elements(field):
     a = a.to_field(field)
     b = Matrix(field, [[rng.randint(-4, 4) for _ in range(a.n)] for _ in range(a.n)])
     out = [a + b, a - b, -a, a * b, a * 3, 2 * a, a ** 5, a ** 0]
-    out += spectral_data(a).all_projections
     form = pcf_build(a)
+    out += [pi for *_, pi in projections(form)]
     out += [pcf_eval(form, k) for k in (0, 1, 6)]
     if field.char == 0:
         out += [c for _, cs in pcf_to_gamma(form).geometric_terms for c in cs]
@@ -455,8 +455,8 @@ def test_minpoly_numeric_rotation_and_defective():
 
 
 def _check_projection_invariants(a: Matrix) -> None:
-    sd = spectral_data(a)
-    projs = sd.all_projections
+    resolution = projections(pcf_build(a))
+    projs = [pi for *_, pi in resolution]
     n = a.n
     total = Matrix.zeros(a.field, n)
     for p in projs:
@@ -467,11 +467,9 @@ def _check_projection_invariants(a: Matrix) -> None:
     for i, p in enumerate(projs):
         for q in projs[i + 1:]:
             assert (p * q).is_zero and (q * p).is_zero
-    if sd.t0:
-        assert (a ** sd.t0 * sd.zero_projection).is_zero
-    for comp in sd.components:
-        shifted = a - Matrix.diagonal(a.field, [comp.value] * n)
-        assert (shifted ** comp.index * comp.projection).is_zero
+    for mu, t, pi in resolution:
+        shifted = a - Matrix.diagonal(a.field, [mu] * n)
+        assert (shifted ** t * pi).is_zero
 
 
 def test_spectral_invariants_exact_rational():
@@ -481,14 +479,14 @@ def test_spectral_invariants_exact_rational():
         _check_projection_invariants(a)
 
 
-def test_spectral_data_structure_golden():
+def test_spectral_resolution_structure_golden():
     a = jordan_assembly(QQ, [(2, Fraction(0)), (1, Fraction(2)),
                              (2, Fraction(2))])
-    sd = spectral_data(a)
-    assert sd.t0 == 2
-    assert [(c.value, c.index) for c in sd.components] == [(Fraction(2), 2)]
-    assert sd.minimal_polynomial == (Poly.x(QQ) ** 2
-                                     * Poly.from_roots(QQ, [2, 2]))
+    form = pcf_build(a)
+    assert form.t0 == 2
+    assert [(lam, len(cs)) for lam, cs in form.geometric_terms] == [(Fraction(2), 2)]
+    assert pcf_minpoly(form) == (Poly.x(QQ) ** 2
+                                 * Poly.from_roots(QQ, [2, 2]))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101), CC], ids=str)
@@ -498,20 +496,21 @@ def test_derived_minimal_polynomial_is_minpoly(field):
     want = Poly.x(field) ** 2 * Poly.from_roots(field, [2, 2, 2, -1])
     for seed in range(4):
         a = conjugated_jordan(random.Random(seed), field, blocks)
-        sd = spectral_data(a)
-        assert sd.minimal_polynomial == minpoly(a)
-        assert sd.t0 == 2 and sorted(c.index for c in sd.components) == [1, 3]
+        form = pcf_build(a)
+        derived = pcf_minpoly(form)
+        assert derived == minpoly(a)
+        assert form.t0 == 2 and sorted(len(cs) for _, cs in form.geometric_terms) == [1, 3]
         if field.exact:
-            assert sd.minimal_polynomial == want
+            assert derived == want
         else:
             assert all(abs(x - y) < 1e-8 for x, y in
-                       zip(sd.minimal_polynomial.coeffs, want.coeffs, strict=True))
+                       zip(derived.coeffs, want.coeffs, strict=True))
 
 
 def test_spectral_projections_from_pairs():
-    sd = spectral_data(Matrix.diagonal(QQ, [1, 2, 2]))
-    assert [(c.value, c.index) for c in sd.components] == [(1, 1), (2, 1)]
-    pi1, pi2 = sd.all_projections
+    (_, _, pi1), (_, _, pi2) = resolution = projections(
+        pcf_build(Matrix.diagonal(QQ, [1, 2, 2])))
+    assert [(mu, t) for mu, t, _ in resolution] == [(1, 1), (2, 1)]
     assert pi1 == Matrix.diagonal(QQ, [1, 0, 0])
     assert pi2 == Matrix.diagonal(QQ, [0, 1, 1])
 
@@ -534,10 +533,9 @@ def _seeded_resolutions(field, values, seed, count=6, largest=3):
                blocks_minpoly_exponents(blocks), projections)
 
 
-def _resolution(sd) -> tuple[dict, dict]:
-    """{eigenvalue: index} and {eigenvalue: projection} of spectral_data."""
-    zero = [(sd.field.zero, sd.t0, sd.zero_projection)] if sd.t0 else []
-    comps = zero + [(c.value, c.index, c.projection) for c in sd.components]
+def _resolution(a: Matrix) -> tuple[dict, dict]:
+    """{eigenvalue: index} and {eigenvalue: projection} of A's form."""
+    comps = projections(pcf_build(a))
     return {mu: t for mu, t, _ in comps}, {mu: p for mu, _, p in comps}
 
 
@@ -552,7 +550,7 @@ def test_projections_match_the_jordan_oracle(field, values):
     indices = set()
     for a, index, want in _seeded_resolutions(field, values, field.char + 7,
                                               count=8, largest=5):
-        assert _resolution(spectral_data(a)) == (index, want)
+        assert _resolution(a) == (index, want)
         indices.update(index.values())
     assert max(indices) == 5
 
@@ -560,7 +558,7 @@ def test_projections_match_the_jordan_oracle(field, values):
 def test_complex_projections_match_the_jordan_oracle():
     values = (0, 2, -1, 1 + 2j, 0.5j)
     for a, index, want in _seeded_resolutions(CC, values, 11):
-        got_index, got = _resolution(spectral_data(a))
+        got_index, got = _resolution(a)
         assert len(got) == len(want)
         for mu, p in got.items():
             near = min(want, key=lambda v: abs(v - mu))
@@ -582,7 +580,7 @@ def test_spectral_projections_share_one_power_table(monkeypatch):
         return real_mul(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
-    spectral_data(a)
+    pcf_build(a)
     assert len(pairs) >= 4
     assert len(calls) <= degree - 1
 
@@ -598,7 +596,7 @@ def test_split_refuses_a_constant_term_in_the_band_quickly():
     a = s * companion(p) * s.inverse()
     start = time.perf_counter()
     got = poly_factor(p)
-    for call in (lambda: eig_spec_of_poly(p), lambda: spectral_data(a),
+    for call in (lambda: eig_spec_of_poly(p), lambda: pcf_build(a),
                  lambda: pcf_build(a * Fraction(1, 3))):
         with pytest.raises(NonSplitField):
             call()
@@ -615,64 +613,63 @@ def test_split_refuses_a_constant_term_in_the_band_quickly():
     (GF(3), [[0, -1], [1, 0]], "X^2 + 1 does not split over F3"),
 ], ids=["half", "integral", "thirds", "F3"])
 def test_refusal_names_the_matrix_minimal_polynomial(field, rows, message):
-    for call in (spectral_data, pcf_build, eig_spec_of_matrix):
+    for call in (pcf_build, eig_spec_of_matrix):
         with pytest.raises(NonSplitField) as err:
             call(Matrix(field, rows))
         assert str(err.value) == message
 
 
-def test_spectral_data_raises_when_spectrum_is_not_rational():
+def test_spectral_resolution_raises_when_spectrum_is_not_rational():
     with pytest.raises(NonSplitField):
-        spectral_data(Matrix(QQ, [[0, -1], [1, 0]]))
+        pcf_build(Matrix(QQ, [[0, -1], [1, 0]]))
 
 
 def test_numeric_spectrum_conjugate_pair(spiral_3x3):
-    sd = spectral_data(spiral_3x3)
-    assert sd.t0 == 1
-    vals = sorted((c.value for c in sd.components),
+    form = pcf_build(spiral_3x3)
+    assert form.t0 == 1
+    vals = sorted((lam for lam, _ in form.geometric_terms),
                   key=lambda z: (z.real, z.imag))
     want = sorted((2 * complex(math.cos(math.pi / 6), -math.sin(math.pi / 6)),
                    2 * complex(math.cos(math.pi / 6), math.sin(math.pi / 6))),
                   key=lambda z: (z.real, z.imag))
     assert all(abs(g - w) < 1e-8 for g, w in zip(vals, want))
     ident = Matrix.identity(CC, 3)
-    total = sd.zero_projection
-    for c in sd.components:
-        total = total + c.projection
+    total = Matrix.zeros(CC, 3)
+    for *_, pi in projections(form):
+        total = total + pi
     assert max_diff(total, ident) < 1e-9
 
 
 def test_numeric_nilpotent_index():
     j = Matrix.jordan_block(QQ, 4, 0).to_field(CC)
-    sd = spectral_data(j)
-    assert sd.t0 == 4 and not sd.components
+    form = pcf_build(j)
+    assert form.t0 == 4 and not form.geometric_terms
 
 
 def test_numeric_near_defective_splits_and_defective_merges():
-    near = spectral_data(Matrix(CC, [[1, 1], [0, 1 + 1e-5]]))
-    assert [c.index for c in near.components] == [1, 1]
-    assert [round(c.value.real, 6) for c in near.components] == [1, 1.00001]
-    defective = spectral_data(Matrix(CC, [[1, 3], [-3, -5]]))
-    [comp] = defective.components
-    assert abs(comp.value + 2) < 1e-8 and comp.index == 2
+    near = pcf_build(Matrix(CC, [[1, 1], [0, 1 + 1e-5]])).geometric_terms
+    assert [len(cs) for _, cs in near] == [1, 1]
+    assert [round(lam.real, 6) for lam, _ in near] == [1, 1.00001]
+    [(lam, cs)] = pcf_build(Matrix(CC, [[1, 3], [-3, -5]])).geometric_terms
+    assert abs(lam + 2) < 1e-8 and len(cs) == 2
     # values within relative distance tol are one eigenvalue at any scale,
     # and a diagonal matrix has index 1
-    close = spectral_data(Matrix.diagonal(CC, [1e6, 1e6 * (1 + 1e-9)]))
-    assert [c.index for c in close.components] == [1]
+    close = pcf_build(Matrix.diagonal(CC, [1e6, 1e6 * (1 + 1e-9)])).geometric_terms
+    assert [len(cs) for _, cs in close] == [1]
     # close values beside a much larger one stay apart: powers of A - mu I
     # would let the large eigenvalue swamp the gap between them
     for values in ([1, 1.001, 1e4], [1, 1.001, 1.002, 100]):
-        data = spectral_data(Matrix.diagonal(CC, values))
-        assert [c.value for c in data.components] == values
-        assert [c.index for c in data.components] == [1] * len(values)
+        data = pcf_build(Matrix.diagonal(CC, values)).geometric_terms
+        assert [lam for lam, _ in data] == values
+        assert [len(cs) for _, cs in data] == [1] * len(values)
     # the computed eigenvalues of J_4(1) beside 10^6 spread over about
     # 10^-2 of the eigenvalue, but over much less than the matrix's scale
     for size in (3, 4):
         for seed in range(6):
             a = conjugated_jordan(random.Random(seed), CC, [(size, 1), (1, 10 ** 6)])
-            small, large = spectral_data(a).components
-            assert abs(small.value - 1) < 1e-6 and small.index == size, (size, seed)
-            assert abs(large.value - 10 ** 6) < 1e-3 and large.index == 1, (size, seed)
+            (small, cs), (large, cl) = pcf_build(a).geometric_terms
+            assert abs(small - 1) < 1e-6 and len(cs) == size, (size, seed)
+            assert abs(large - 10 ** 6) < 1e-3 and len(cl) == 1, (size, seed)
 
 
 def _frobenius(m: Matrix) -> float:
@@ -711,19 +708,19 @@ def _sweep_inputs():
 
 def test_numeric_spectra_match_exact_route():
     for a in _sweep_inputs():
-        exact = spectral_data(a)
-        numeric = spectral_data(a.to_field(CC))
+        exact = pcf_build(a)
+        numeric = pcf_build(a.to_field(CC))
         assert numeric.t0 == exact.t0, a
-        assert len(numeric.components) == len(exact.components), a
-        for got, want in zip(numeric.components, exact.components):
-            assert abs(got.value - float(want.value)) < 1e-6, a
-            assert got.index == want.index, a
+        assert len(numeric.geometric_terms) == len(exact.geometric_terms), a
+        for (got, cg), (want, cw) in zip(numeric.geometric_terms, exact.geometric_terms):
+            assert abs(got - float(want)) < 1e-6, a
+            assert len(cg) == len(cw), a
 
 
 def test_real_spectrum_is_closed_under_conjugation():
     rng = random.Random(8)
     a = Matrix(CC, [[rng.gauss(0, 1) for _ in range(8)] for _ in range(8)])
-    values = {c.value for c in spectral_data(a).components}
+    values = {lam for lam, _ in pcf_build(a).geometric_terms}
     assert any(v.imag for v in values)
     assert {v.conjugate() for v in values} == values
 
@@ -761,8 +758,8 @@ def test_projections_of_an_offset_spectrum_resolve_the_identity():
     g = real_with_spectrum(np.random.default_rng(31), (-2.0, -0.5, 1.0),
                            ((1.5, 0.4), (0.8, 1.6), (0.5, 2.8)))
     # the same matrix unshifted resolves the identity to about 2e-13
-    sd = spectral_data(Matrix(CC, (g + 3 * np.eye(9)).tolist()))
-    total = sum(np.array(c.projection.rows) for c in sd.components)
+    form = pcf_build(Matrix(CC, (g + 3 * np.eye(9)).tolist()))
+    total = sum(np.array(pi.rows) for *_, pi in projections(form))
     assert np.linalg.norm(total - np.eye(9)) <= 1e-10
 
 
@@ -771,8 +768,8 @@ def test_projections_of_a_clustered_spectrum_resolve_the_identity(seed):
     # partial fractions on the powers of A lost up to 2.6e-4 here, silently
     np = pytest.importorskip("numpy")
     g = clustered_real(np.random.default_rng(seed))
-    sd = spectral_data(Matrix(CC, g.tolist()))
-    total = sum(np.array(p.rows) for p in sd.all_projections)
+    form = pcf_build(Matrix(CC, g.tolist()))
+    total = sum(np.array(pi.rows) for *_, pi in projections(form))
     assert np.linalg.norm(total - np.eye(20)) <= 1e-8
 
 
@@ -783,14 +780,14 @@ def test_defective_projections_come_from_the_staircase():
     j = np.zeros((7, 7))
     for at, size, lam in blocks:
         j[at:at + size, at:at + size] = lam * np.eye(size) + np.eye(size, k=1)
-    sd = spectral_data(Matrix(CC, (q @ j @ q.T).tolist()))
-    assert sd.t0 == 0
-    assert [c.index for c in sd.components] == [4, 2, 1]
-    for (at, size, lam), c in zip(blocks, sd.components):
-        assert abs(c.value - lam) < 1e-3
+    form = pcf_build(Matrix(CC, (q @ j @ q.T).tolist()))
+    assert form.t0 == 0
+    assert [len(cs) for _, cs in form.geometric_terms] == [4, 2, 1]
+    for (at, size, lam), (mu, cs) in zip(blocks, form.geometric_terms):
+        assert abs(mu - lam) < 1e-3
         e = np.zeros((7, 7))
         e[at:at + size, at:at + size] = np.eye(size)
-        assert abs(np.array(c.projection.rows) - q @ e @ q.T).max() <= 1e-10
+        assert abs(np.array(cs[0].rows) - q @ e @ q.T).max() <= 1e-10
 
 
 def _large_entry_matrix():
@@ -809,9 +806,9 @@ def test_large_entries_keep_an_eigenvalue_of_modulus_one():
     assert got.degree == 7
     top = max(abs(c) for c in want.coeffs)
     assert max(abs(x - y) for x, y in zip(got.coeffs, want.coeffs)) <= 1e-6 * top
-    sd = spectral_data(a, tol=1e-4)
-    assert sd.t0 == 0
-    assert [(round(c.value.real, 4), c.index) for c in sd.components] == [
+    form = pcf_build(a, tol=1e-4)
+    assert form.t0 == 0
+    assert [(round(lam.real, 4), len(cs)) for lam, cs in form.geometric_terms] == [
         (-5e5, 1), (1, 3), (3, 2), (1e6, 1)]
 
 
@@ -821,8 +818,6 @@ def test_inaccurate_projections_are_refused_by_name():
     # projections: at tol 1e-8 the resolution misses the identity
     with pytest.raises(ProjectionsInaccurate, match=r"\|\|sum pi - I\|\| / max "
                        r"\|\|pi\|\| = .*\|\|pi\^2 - pi\|\| / \|\|pi\|\| = "):
-        spectral_data(_large_entry_matrix())
-    with pytest.raises(ProjectionsInaccurate):
         pcf_build(_large_entry_matrix())
 
 
@@ -843,14 +838,14 @@ def test_log_refuses_from_the_eigenvalues_before_any_projection():
 
 def test_conjugate_projections_of_a_real_matrix_are_exact_conjugates():
     np = pytest.importorskip("numpy")
-    sd = spectral_data(Matrix(CC, clustered_real(np.random.default_rng(2033)).tolist()))
-    by_value = {c.value: c.projection for c in sd.components}
-    pairs = [c for c in sd.components if c.value.imag > 0]
+    form = pcf_build(Matrix(CC, clustered_real(np.random.default_rng(2033)).tolist()))
+    by_value = {lam: cs[0] for lam, cs in form.geometric_terms}
+    pairs = [lam for lam in by_value if lam.imag > 0]
     assert len(pairs) == 6
-    for c in pairs:
-        partner = by_value[c.value.conjugate()]
+    for lam in pairs:
+        partner = by_value[lam.conjugate()]
         assert partner.rows == tuple(tuple(e.conjugate() for e in row)
-                                     for row in c.projection.rows)
+                                     for row in by_value[lam].rows)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 24, 32])
@@ -862,12 +857,12 @@ def test_simple_projections_match_the_eigenvector_basis(n):
         x = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
         d = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         xi = np.linalg.inv(x)
-        sd = spectral_data(Matrix(CC, (x * d @ xi).tolist()))
-        assert sd.t0 == 0 and len(sd.components) == n
-        for c in sd.components:
-            i = abs(d - c.value).argmin()
+        form = pcf_build(Matrix(CC, (x * d @ xi).tolist()))
+        assert form.t0 == 0 and len(form.geometric_terms) == n
+        for lam, cs in form.geometric_terms:
+            i = abs(d - lam).argmin()
             want = np.outer(x[:, i], xi[i])
-            err = np.linalg.norm(np.array(c.projection.rows) - want)
+            err = np.linalg.norm(np.array(cs[0].rows) - want)
             assert err <= 1e-10 * np.linalg.norm(want)
 
 
@@ -876,16 +871,16 @@ def test_simple_projections_match_a_40_digit_reference(seed):
     np = pytest.importorskip("numpy")
     mpmath = pytest.importorskip("mpmath")
     g = clustered_real(np.random.default_rng(seed))
-    sd = spectral_data(Matrix(CC, g.tolist()))
+    form = pcf_build(Matrix(CC, g.tolist()))
     with mpmath.workdps(40):
         e, el, er = mpmath.eig(mpmath.matrix(g.tolist()), left=True, right=True)
         ref = [(complex(e[i]), np.array(
             (er[:, i] * el[i, :] / (el[i, :] * er[:, i])[0]).tolist(), dtype=complex))
             for i in range(len(g))]
-    assert len(sd.components) == len(g)
-    for c in sd.components:
-        _, want = min(ref, key=lambda r: abs(r[0] - c.value))
-        err = np.linalg.norm(np.array(c.projection.rows) - want)
+    assert len(form.geometric_terms) == len(g)
+    for lam, cs in form.geometric_terms:
+        _, want = min(ref, key=lambda r: abs(r[0] - lam))
+        err = np.linalg.norm(np.array(cs[0].rows) - want)
         assert err <= 1e-9 * np.linalg.norm(want)
 
 
@@ -903,16 +898,16 @@ def test_triangular_input_resolves_like_the_exact_route():
     t = np.triu(np.random.default_rng(3).integers(-4, 5, (6, 6))).astype(float)
     np.fill_diagonal(t, [3, -1, 2, 0.5, 5, -2])
     assert sorted(np.linalg.eigvals(t).real) == sorted(np.diag(t))
-    sd = spectral_data(Matrix(CC, t.tolist()))
-    exact = spectral_data(Matrix(QQ, [[Fraction(e) for e in row] for row in t.tolist()]))
-    assert [c.value for c in sd.components] == [complex(e.value)
-                                                for e in exact.components]
-    for c, e in zip(sd.components, exact.components):
-        want = np.array([[float(v) for v in row] for row in e.projection.rows])
-        assert abs(np.array(c.projection.rows) - want).max() <= 1e-12
+    form = pcf_build(Matrix(CC, t.tolist()))
+    exact = pcf_build(Matrix(QQ, [[Fraction(e) for e in row] for row in t.tolist()]))
+    assert [lam for lam, _ in form.geometric_terms] == [complex(mu) for mu, _
+                                                        in exact.geometric_terms]
+    for (_, cs), (_, ce) in zip(form.geometric_terms, exact.geometric_terms):
+        want = np.array([[float(v) for v in row] for row in ce[0].rows])
+        assert abs(np.array(cs[0].rows) - want).max() <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: eigenvalues are linked "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: eigenvalues are linked "
                    "relative to the largest entry, so distinct ones beside a huge "
                    "entry merge, and the merged projections pass their check")
 def test_distinct_eigenvalues_beside_a_huge_entry_stay_apart():

@@ -17,6 +17,7 @@ from helpers import (
     conjugated_jordan,
     expm_series,
     max_diff,
+    projections,
     rational_spectrum_matrix,
     real_with_spectrum,
 )
@@ -29,7 +30,7 @@ from pcanon.errors import (
     SingularMatrix,
     ZeroLogClash,
 )
-from pcanon.linalg import Matrix, spectral_data
+from pcanon.linalg import Matrix
 from pcanon.matfun import (
     closedform_eval,
     expm_closed,
@@ -76,13 +77,13 @@ def test_constant_coefficients_are_the_projections():
     dense = Matrix(CC, [[complex(gen.gauss(0, 1), gen.gauss(0, 1)) for _ in range(6)]
                         for _ in range(6)])
     for a in defective + [dense]:
-        form, sd = expm_closed(a), spectral_data(a.to_field(CC))
+        form, built = expm_closed(a), pcf_build(a.to_field(CC))
         assert [lam for lam, _ in form.exponential_terms] == [
-            c.value for c in sd.components]
-        for (_, coeffs), c in zip(form.exponential_terms, sd.components):
-            assert coeffs[0] == (0, c.projection)
-        if sd.t0:
-            assert form.polynomial_part[0] == (0, sd.zero_projection)
+            lam for lam, _ in built.geometric_terms]
+        for (_, coeffs), (_, cs) in zip(form.exponential_terms, built.geometric_terms):
+            assert coeffs[0] == (0, cs[0])
+        if built.t0:
+            assert form.polynomial_part[0] == built.nilpotent_terms[0]
         assert max_diff(closedform_eval(form, 0), Matrix.identity(CC, a.n)) < 1e-12
 
 
@@ -217,8 +218,8 @@ def test_forms_reweight_the_reference_chains():
         return max_diff(got, want) <= 1e-13 * max(1.0, want.maxnorm())
 
     for a in _reference_inputs():
-        nil, chains = chains_by_products(a, spectral_data(a))
         form, e = pcf_build(a), expm_closed(a)
+        nil, chains = chains_by_products(a, projections(form))
         assert [v for _, v in form.nilpotent_terms] == nil
         for (i, m), v in zip(e.polynomial_part, nil, strict=True):
             assert close(m, v * (1 / math.factorial(i)))
