@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import EmptyInput, MixedFields, NonSplitField, OrderTooLarge, PcanonError
-from .linalg import (Matrix, _eigendata, _kron_rows, _minpoly_exact, companion,
+from .linalg import (Matrix, _eigendata, _ints, _kron_rows, _minpoly_exact, companion,
                      kron, minpoly)
-from .scalar import (CLUSTER_TOL, Field, Poly, _check_char_poly, _lift, _linked,
-                     _times_powers, poly_factor)
+from .scalar import (CLUSTER_TOL, Field, Poly, _check_char_poly, _linked, _times_powers,
+                     poly_factor)
 from .wedge import WedgeContext, wedge
 
 #: Kronecker orders past this are rejected rather than ground through
@@ -166,7 +166,7 @@ def kron_minpoly_direct(mats) -> Poly:
     f = mats[0].field
     if not f.exact or any(m.field != f for m in mats):
         return minpoly(reduce(kron, mats))  # kron refuses mixed fields
-    rows, dens = zip(*(_lift(f, m.rows) for m in mats))
+    rows, dens = zip(*(_ints(m) for m in mats))
     return _minpoly_exact(f, reduce(_kron_rows, rows), math.prod(dens))
 
 

@@ -25,14 +25,16 @@ Every matrix product goes through one kernel, `_product`, but the chain
 products over C, which `_complex_chains` takes in numpy. Both run one
 numpy complex matmul, in BLAS, through `_matmul`, which refuses a result
 with an entry that is not finite with AnswerTooLarge; complex sums and
-scalar multiples are refused alike (`_finite`). Over Q and F_p scalar's
-`_lift` turns entries into plain integers (over one common denominator
-over Q, residues over F_p), `_drop` turns results back, and between them runs
-`_dots`, the one product loop on plain numbers, shared with the Krylov
-step and the power tables. `_combine` forms weighted sums sum_j W[r][j]
-M_j of matrices as one product of the weight rows with the flattened
-matrices; every closed-form evaluation in pcf and matfun is one call of
-it.
+scalar multiples are refused alike (`_finite`). Over Q and F_p a matrix
+keeps its lift `_ints`, scalar's `_lift` (integers over one common
+denominator over Q, residues over F_p), taken on first use unless
+`_of_ints` built the matrix from the integers of a product, an inverse or
+a chain, reduced, converting each entry once (scalar's `_drop` over Q).
+Products run `_dots`, the one product loop on plain numbers, shared with
+the Krylov step and the power tables. `_combine` forms weighted sums
+sum_j W[r][j] M_j as one product of the weight rows, each M_j's
+denominator folded in, with the flattened `_ints` of the M_j; every
+closed-form evaluation in pcf and matfun is one call of it.
 
 The projections and the chains A^i pi_0, lambda^(-i) (A - lambda I)^i pi
 of pcf and matfun have one entry, `_chains`, with one return shape for
@@ -69,6 +71,7 @@ from .errors import (
 from .scalar import (
     CC,
     Field,
+    FpElement,
     Poly,
     _check_char_poly,
     _convolve,
@@ -90,7 +93,7 @@ from .scalar import (
 class Matrix:
     """Immutable square matrix over one Field; rows is a tuple of tuples."""
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "rows", "_lifted")
 
     def __init__(self, field: Field, rows):
         rs = tuple(tuple(field.coerce(e) for e in row) for row in rows)
@@ -102,13 +105,14 @@ class Matrix:
         self.field = field
         self.n = n
         self.rows = rs
+        self._lifted = None  # `_ints` of an exact matrix
 
     @classmethod
     def _of(cls, field: Field, rows) -> "Matrix":
         """Matrix of rows of field elements the library computed itself:
         no coercion, no shape check."""
         m = cls.__new__(cls)
-        m.field, m.n, m.rows = field, len(rows), tuple(map(tuple, rows))
+        m.field, m.n, m.rows, m._lifted = field, len(rows), tuple(map(tuple, rows)), None
         return m
 
     # -- constructors -------------------------------------------------
@@ -182,8 +186,9 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            return Matrix._of(self.field,
-                              _product(self.field, self.rows, other.rows))
+            if self.field.exact:
+                return _of_ints(self.field, *_product(self.field, _ints(self), _ints(other)))
+            return Matrix._of(self.field, _product(self.field, self.rows, other.rows))
         c = self.field.coerce(other)
         return Matrix._of(self.field,
                           _finite(self.field, [[c * e for e in row] for row in self.rows]))
@@ -211,14 +216,14 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """A^-1, or SingularMatrix. Over Q and F_p the rows of [S | den I],
-        S = den A from `_lift` (residues, den 1, over F_p), pass `_eliminate`
+        S = den A from `_ints` (residues, den 1, over F_p), pass `_eliminate`
         forward, then back against later pivots: the row of pivot c ends as
-        a e_c | B, and B / a is row c of A^-1. Over C, `_complex_inverse`."""
+        a e_c | B, B / a is row c of A^-1. Over C, `_complex_inverse`."""
         f, n = self.field, self.n
         if not f.exact:  # coerced: an entry past a double is refused
             return Matrix(f, _complex_inverse(self.rows))
         mod = f.char or None
-        rows, den = _lift(f, self.rows)
+        rows, den = _ints(self)
         echelon: list[tuple[int, list[int]]] = []
         for i, row in enumerate(rows):
             vec = row + [den if j == i else 0 for j in range(n)]
@@ -229,7 +234,9 @@ class Matrix:
             insort(echelon, (piv, vec))
         for c in range(n - 2, -1, -1):  # back substitution, last pivot first
             _eliminate(echelon[c][1], echelon[c + 1:], mod)
-        return Matrix._of(f, [_drop(f, [vec[n:]], vec[c])[0] for c, vec in echelon])
+        common = math.lcm(*(vec[c] for c, vec in echelon))
+        return _of_ints(f, [[x * (common // vec[c]) for x in vec[n:]]
+                            for c, vec in echelon], common)
 
     # -- display ------------------------------------------------------
     def format(self) -> str:
@@ -267,9 +274,35 @@ def _finite(field: Field, rows):
     return rows
 
 
+def _ints(m: Matrix):
+    """`_lift`'s (plain rows, den) of an exact matrix, kept on it; read-only."""
+    if m._lifted is None:
+        m._lifted = _lift(m.field, m.rows)
+    return m._lifted
+
+
+def _of_ints(field: Field, rows, den: int) -> Matrix:
+    """Exact matrix of plain rows over den (residues over F_p) keeping its
+    `_ints`: reduced by the gcd of den and the entries, den > 0 (1 over F_p)."""
+    p = field.char
+    if not p:
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        g = g if den > 0 else -g
+        if g != 1:
+            rows, den = [[x // g for x in row] for row in rows], den // g
+        m = Matrix._of(field, _drop(field, rows, den))
+    else:
+        if den != 1:
+            inv = pow(den, -1, p)
+            rows, den = [[x * inv % p for x in row] for row in rows], 1
+        m = Matrix._of(field, [list(map(FpElement, row, itertools.repeat(p))) for row in rows])
+    m._lifted = rows, den
+    return m
+
+
 def _product(field: Field, xs, ys):
-    """Product of two rectangular blocks of field rows: over C one
-    `_matmul`; over Q and F_p on lifted integer rows."""
+    """Product of two rectangular blocks: of field rows over C, one `_matmul`;
+    over Q and F_p of (plain rows, den) pairs, giving the product's pair."""
     if not field.exact:
         import numpy as np
 
@@ -277,9 +310,8 @@ def _product(field: Field, xs, ys):
         return _matmul(np.array(xs, dtype=complex).reshape(len(xs), k),
                        np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0)
                        ).tolist()
-    xs, dx = _lift(field, xs)
-    ys, dy = _lift(field, ys)
-    return _drop(field, _dots(xs, list(zip(*ys))), dx * dy)
+    (xs, dx), (ys, dy) = xs, ys
+    return _dots(xs, list(zip(*ys)), field.char or None), dx * dy
 
 
 def _matmul(x, y):
@@ -303,12 +335,21 @@ def _dots(xs, cols, mod: int | None = None):
 
 def _combine(field: Field, n: int, weight_rows, mats) -> list[Matrix]:
     """sum_j W[r][j] M_j for every row r of the field weights W, as one
-    product of W with the flattened n x n matrices M_j."""
+    product of W with the flattened n x n matrices M_j; over Q and F_p on
+    the `_ints` S_j / den_j of each M_j, with den_j folded into its weights."""
     if not (weight_rows and mats):
         return [Matrix.zeros(field, n) for _ in weight_rows]
-    table = [[e for row in m.rows for e in row] for m in mats]
-    return [Matrix._of(field, [flat[i:i + n] for i in range(0, n * n, n)])
-            for flat in _product(field, weight_rows, table)]
+    if not field.exact:
+        table = [[e for row in m.rows for e in row] for m in mats]
+        return [Matrix._of(field, [flat[i:i + n] for i in range(0, n * n, n)])
+                for flat in _product(field, weight_rows, table)]
+    lifted = [_ints(m) for m in mats]
+    ws, dw = _lift(field, weight_rows)
+    common = math.lcm(*(d for _, d in lifted))
+    ws = [[w * (common // d) for w, (_, d) in zip(row, lifted)] for row in ws]
+    table = [[*itertools.chain(*rows)] for rows, _ in lifted]
+    flats, den = _product(field, (ws, dw * common), (table, 1))
+    return [_of_ints(field, [f[i:i + n] for i in range(0, n * n, n)], den) for f in flats]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -431,7 +472,7 @@ def _int_minpoly(int_rows: list[list[int]], mod: int | None) -> list[int]:
 
 
 def _minpoly_exact(f: Field, scaled, den: int) -> Poly:
-    """Minimal polynomial over Q or F_p of `_lift`'s (scaled, den) of A."""
+    """Minimal polynomial over Q or F_p of `_ints`'s (scaled, den) of A."""
     return _rescaled(f, _int_minpoly(scaled, f.char or None), den)
 
 
@@ -450,14 +491,14 @@ def _numeric_spectrum(a: Matrix, tol: float):
 def _eigendata(a: Matrix, tol: float):
     """(t0, [(eigenvalue, index), ...], lifted) of a matrix, nonzero
     eigenvalues in the field's order. Over Q and F_p, lifted is (rows, den,
-    M): `_lift`'s (rows, den) of A and the monic integral minimal
+    M): `_ints`'s (rows, den) of A and the monic integral minimal
     polynomial M of S = den A from `_int_minpoly`, whose split by
     scalar's `_int_split` gives the eigenvalues nu / den; NonSplitField,
     naming A's own minimal polynomial, when M does not split. Over C the
     spectrum is read off scalar's `_spectrum`, lifted None."""
     f = a.field
     if f.exact:
-        rows, den = _lift(f, a.rows)
+        rows, den = _ints(a)
         big = _int_minpoly(rows, f.char or None)
         t0, nz, rest = _int_split(f, big, den)
         if len(rest) > 1:
@@ -475,7 +516,7 @@ def minpoly(a: Matrix, tol: float = 1e-8) -> Poly:
     eigenvalues and the null-space staircase of A - mu I by scalar's
     `_spectrum`."""
     if a.field.exact:
-        return _minpoly_exact(a.field, *_lift(a.field, a.rows))
+        return _minpoly_exact(a.field, *_ints(a))
     t0, nz, _ = _eigendata(a, tol)
     return _times_powers(Poly.x(CC) ** t0, nz)
 
@@ -513,17 +554,19 @@ def _chains(a: Matrix, tol: float):
         e = [-x for x in _powmod([cv - c[0], *(-x for x in c[1:])], t, big, rem)] or [0]
         e[0] += cv ** t
         for i in range(t):
-            weights.append(e)
-            dens.append((nu or den) ** i * cv ** t)
+            den_i = (nu or den) ** i * cv ** t
+            if p:  # den_i divides the weights: the products are residues over 1
+                den_i, inv = 1, pow(den_i, -1, p)
+            weights.append([x * inv % p for x in e] if p else e)
+            dens.append(den_i)
             e = rem(_convolve(e, [-nu, 1]), big)
     cols, d = list(zip(*rows)), len(big) - 1
     table = [[[int(i == j) for j in range(n)] for i in range(n)], rows][:d]
     while len(table) < d:
         table.append(_dots(table[-1], cols, p))
     flat = list(zip(*([x for row in m for x in row] for m in table)))
-    mats = iter(Matrix._of(f, [r[i:i + n] for i in range(0, n * n, n)])
-                for row, den_i in zip(_dots(weights, flat, p), dens)
-                for r in _drop(f, [row], den_i))
+    mats = iter(_of_ints(f, [row[i:i + n] for i in range(0, n * n, n)], den_i)
+                for row, den_i in zip(_dots(weights, flat, p), dens))
     chains = [[next(mats) for _ in range(t)] for _, t in pairs]
     return t0, nz, chains.pop(0) if t0 else [], chains
 

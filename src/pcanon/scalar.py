@@ -7,8 +7,8 @@ instance; arithmetic between mismatched fields raises MixedFields rather
 than coercing. Plain Python ints are accepted everywhere (the canonical
 image of an integer exists in any field).
 
-Exact products, and division of polynomials, run on plain integers converted
-once per operation by `_lift` and `_drop`. A monic polynomial is lifted to
+Exact products and divisions run on plain integers from `_lift`, and back by
+`_drop`; linalg keeps a matrix's lift. A monic polynomial is lifted to
 plain numbers by one pair: `_monic_lift` gives the monic q(Y) = den^d
 p(Y / den), integral over Q, and `_rescaled` turns such a q and den back
 into p; poly_factor and lrs both lift through it. `_check_char_poly` is

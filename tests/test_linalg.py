@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from helpers import (
     real_with_spectrum,
     unimodular,
 )
+from pcanon import linalg
 from pcanon.errors import (
     AnswerTooLarge,
     DegreeZero,
@@ -43,6 +45,7 @@ from pcanon.linalg import (
     Matrix,
     _combine,
     _int_minpoly,
+    _ints,
     _product,
     _projectors,
     companion,
@@ -50,7 +53,7 @@ from pcanon.linalg import (
     minpoly,
 )
 from pcanon.matfun import closedform_eval, expm_closed, logm
-from pcanon.pcf import pcf_build, pcf_eval, pcf_minpoly, pcf_to_gamma
+from pcanon.pcf import pcf_build, pcf_eval, pcf_minpoly, pcf_to_gamma, pcf_to_lambda
 from pcanon.scalar import CC, GF, QQ, FpElement, Poly, _lift, poly_factor
 
 # -- strategies ---------------------------------------------------------------
@@ -318,6 +321,106 @@ def test_kron_mixed_product_identity():
         d = Matrix(QQ, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
         assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
     assert kron(a, b).n == 6
+
+
+# -- the lift an exact matrix keeps --------------------------------------------
+
+_LIFT_FIELDS = [(QQ, [0, Fraction(1, 2), Fraction(-2, 3), 3]), (GF(2), [0, 1]),
+                (GF(3), [0, 1, 2]), (GF(101), [0, 1, 5, 100])]
+
+
+def _with_denominators(rng, field, a: Matrix) -> Matrix:
+    """D A D^-1 for a diagonal D of fractions over Q, else a itself."""
+    if field.char:
+        return a
+    d = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(a.n)]
+    return Matrix(QQ, [[e * d[i] / d[j] for j, e in enumerate(row)]
+                       for i, row in enumerate(a.rows)])
+
+
+def _seeded_exact_inputs(field, values, seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        blocks = [(rng.randint(1, 3), lam) for lam in rng.sample(values, min(3, len(values)))]
+        yield _with_denominators(rng, field, conjugated_jordan(rng, field, blocks))
+
+
+def _fresh(form):
+    """form with every matrix rebuilt by the public constructor: no lift kept."""
+    f = form.field
+    return replace(form, nilpotent_terms=tuple((i, Matrix(f, v.rows))
+                                               for i, v in form.nilpotent_terms),
+                   geometric_terms=tuple((lam, tuple(Matrix(f, c.rows) for c in cs))
+                                         for lam, cs in form.geometric_terms))
+
+
+@pytest.mark.parametrize("field, values", _LIFT_FIELDS, ids=lambda x: str(x)[:12])
+def test_exact_results_keep_the_lift_of_their_entries(field, values):
+    def kept(*ms):
+        for m in ms:
+            assert _ints(m) == _lift(field, m.rows)
+
+    for a in _seeded_exact_inputs(field, values, 27):
+        a = Matrix(field, a.rows)
+        b = Matrix(field, [[(i * 7 + j * 3) % 5 - 2 for j in range(a.n)] for i in range(a.n)])
+        kept(a * b, b * a, a ** 5, kron(a, b), kron(b, a) * kron(a, b))
+        if _det(a) != 0:
+            kept(a.inverse(), a ** -2)
+        form = pcf_build(a)
+        kept(*(v for _, v in form.nilpotent_terms),
+             *(c for _, cs in form.geometric_terms for c in cs))
+        for k in (0, 1, 2, 7, 40):
+            want = a ** k
+            kept(want)
+            for got in (pcf_eval(form, k), pcf_eval(_fresh(form), k)):
+                kept(got)
+                assert got == want
+        if field.char == 0:
+            gamma = pcf_to_gamma(form)
+            back = pcf_to_lambda(gamma)
+            kept(*(c for f in (gamma, back) for _, cs in f.geometric_terms for c in cs))
+            assert back.geometric_terms == form.geometric_terms
+            assert pcf_eval(gamma, 7) == pcf_eval(_fresh(gamma), 7) == a ** 7
+
+
+def test_evaluating_a_form_lifts_only_its_weights(monkeypatch):
+    # the coefficient matrices of a built form keep the integers they were
+    # computed on, so an evaluation lifts one weight per matrix it sums
+    rng = random.Random(10)
+    blocks = [(3, 2), (2, Fraction(1, 2)), (2, 0), (1, -1), (2, 3)]
+    a = _with_denominators(rng, QQ, conjugated_jordan(rng, QQ, blocks))
+    form = pcf_build(Matrix(QQ, a.rows))
+    counts = []
+
+    def counting_lift(field, rows):
+        rows = [list(r) for r in rows]
+        counts.append(sum(map(len, rows)))
+        return _lift(field, rows)
+
+    monkeypatch.setattr(linalg, "_lift", counting_lift)
+    mats = sum(len(cs) for _, cs in form.geometric_terms)
+    for k in (1, 7, 40):
+        pcf_eval(form, k)
+        assert counts == [mats + (k < form.t0)]
+        counts.clear()
+    pcf_to_gamma(form)
+    assert sorted(counts) == sorted((len(cs) - 1) * len(cs)
+                                    for _, cs in form.geometric_terms if len(cs) > 1)
+
+
+def test_repeated_squaring_keeps_the_lift_reduced():
+    # the product of two lifts is over dx * dy; kept unreduced, the integers
+    # of an idempotent with denominators would double in size per squaring
+    half = Matrix(QQ, [[Fraction(1, 2)] * 2] * 2)
+    square = half
+    for _ in range(64):  # fails at the first bloated square, before it grows
+        square = square * square
+        assert _ints(square) == ([[1, 1], [1, 1]], 2)
+    start = time.process_time()
+    power = half ** 10 ** 18
+    assert time.process_time() - start < 1.0
+    assert power == half
+    assert _ints(power) == ([[1, 1], [1, 1]], 2)
 
 
 # -- companion matrices --------------------------------------------------------
