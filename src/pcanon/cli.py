@@ -170,22 +170,20 @@ def _field_doc(field: Field) -> dict:
     return {"field": "C"}
 
 
-def _entry_json(field: Field, x):
+def _rows_json(field: Field, rows) -> list:
+    """JSON of rows of entries of field, the encoding chosen once for all."""
     if field == QQ:
-        return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return [[x.numerator if x.denominator == 1 else str(x) for x in row] for row in rows]
     if isinstance(field, PrimeField):
-        return x.res
-    if not cmath.isfinite(x):  # JSON has no inf or nan
-        raise AnswerTooLarge(f"a complex double overflowed to {x}")
-    return {"re": x.real, "im": x.imag}
-
-
-def _rows_json(m: Matrix) -> list:
-    return [[_entry_json(m.field, e) for e in row] for row in m.rows]
+        return [[x.res for x in row] for row in rows]
+    bad = [x for row in rows for x in row if not cmath.isfinite(x)]
+    if bad:  # JSON has no inf or nan
+        raise AnswerTooLarge(f"a complex double overflowed to {bad[0]}")
+    return [[{"re": x.real, "im": x.imag} for x in row] for row in rows]
 
 
 def _indexed(pairs) -> list:
-    return [{"i": i, "matrix": _rows_json(m)} for i, m in pairs]
+    return [{"i": i, "matrix": _rows_json(m.field, m.rows)} for i, m in pairs]
 
 
 def _unindexed(field: Field, items, order: int) -> tuple:
@@ -194,12 +192,12 @@ def _unindexed(field: Field, items, order: int) -> tuple:
 
 
 def _matrix_doc(m: Matrix) -> dict:
-    return {"type": "matrix", **_field_doc(m.field), "matrix": _rows_json(m)}
+    return {"type": "matrix", **_field_doc(m.field), "matrix": _rows_json(m.field, m.rows)}
 
 
 def _poly_doc(p: Poly) -> dict:
     return {"type": "poly", **_field_doc(p.field),
-            "poly": [_entry_json(p.field, c) for c in p.coeffs]}
+            "poly": _rows_json(p.field, [p.coeffs])[0]}
 
 
 _BASIS_NAME = {Basis.LAMBDA: "lambda", Basis.GAMMA: "gamma"}
@@ -208,8 +206,8 @@ _BASIS_NAME = {Basis.LAMBDA: "lambda", Basis.GAMMA: "gamma"}
 def _pcf_doc(f: PCanonicalForm) -> dict:
     return {"type": "pcf", **_field_doc(f.field), "order": f.order,
             "basis": _BASIS_NAME[f.basis], "nilpotent": _indexed(f.nilpotent_terms),
-            "geometric": [{"value": _entry_json(f.field, lam),
-                           "coeffs": [_rows_json(c) for c in coeffs]}
+            "geometric": [{"value": _rows_json(f.field, [[lam]])[0][0],
+                           "coeffs": [_rows_json(f.field, c.rows) for c in coeffs]}
                           for lam, coeffs in f.geometric_terms]}
 
 
@@ -452,14 +450,14 @@ def _cmd_lrs_eval(args) -> str:
         _refuse_past(args.n * _term_bits(seq, args.n), f"the first {args.n} terms")
         values = lrs_prefix(seq, args.n)
         doc = {"type": "values", **_field_doc(f),
-               "values": [_entry_json(f, v) for v in values]}
+               "values": _rows_json(f, [values])[0]}
         return _emit(args, doc, "\n".join(f.format(v) for v in values))
     _refuse_past(_term_bits(seq, args.n), f"term {args.n}")
     v = lrs_eval(seq, args.n)
     if not f.exact:  # a double knows a root to eps, so its n-th power to about n eps
         _refuse_imprecise(args.n * sys.float_info.epsilon, CLUSTER_TOL, f"term {args.n}")
     return _emit(args, {"type": "value", **_field_doc(f),
-                        "value": _entry_json(f, v)}, f.format(v))
+                        "value": _rows_json(f, [[v]])[0][0]}, f.format(v))
 
 
 def _cmd_wedge(args) -> str:

@@ -21,20 +21,21 @@ scalar's `_int_split` (squarefree part, Hensel or Cantor-Zassenhaus roots
 nu, multiplicities by synthetic division), eigenvalues nu / den. Over C
 it reads `_spectrum` directly.
 
-Every matrix product goes through one kernel, `_product`, but the chain
-products over C, which `_complex_chains` takes in numpy. Both run one
-numpy complex matmul, in BLAS, through `_matmul`, which refuses a result
-with an entry that is not finite with AnswerTooLarge; complex sums and
-scalar multiples are refused alike (`_finite`). Over Q and F_p a matrix
-keeps its lift `_ints`, scalar's `_lift` (integers over one common
-denominator over Q, residues over F_p), taken on first use unless
-`_of_ints` built the matrix from the integers of a product, an inverse or
-a chain, reduced, converting each entry once (scalar's `_drop` over Q).
-Products run `_dots`, the one product loop on plain numbers, shared with
-the Krylov step and the power tables. `_combine` forms weighted sums
-sum_j W[r][j] M_j as one product of the weight rows, each M_j's
+Every matrix product goes through one kernel, `_product`, on the lifts
+`_ints` of its factors: scalar's `_lift` (integers over one common
+denominator over Q, residues over F_p, the entries over 1 over C), kept
+on the matrix, taken on first use unless `_of_ints` built it from
+the integers of a product, an inverse or a chain, reduced, converting
+each entry once (scalar's `_drop` over Q). Over Q and F_p it runs
+`_dots`, the one product loop on plain numbers, shared with the Krylov
+step and the power tables; over C one numpy complex matmul, in BLAS,
+through `_matmul`, as the chain products of `_complex_chains` do.
+`_combine` forms every weighted sum sum_j W[r][j] M_j, `+`, `-` and
+scalar `*` included, as one product of the weight rows, each M_j's
 denominator folded in, with the flattened `_ints` of the M_j; every
-closed-form evaluation in pcf and matfun is one call of it.
+closed-form evaluation in pcf and matfun is one call of it. So every
+complex product and weighted sum passes `_matmul`, the one refusal of an
+entry that is not finite, with AnswerTooLarge.
 
 The projections and the chains A^i pi_0, lambda^(-i) (A - lambda I)^i pi
 of pcf and matfun have one entry, `_chains`, with one return shape for
@@ -51,7 +52,6 @@ combination of e_j, ..., S^k e_j in a Krylov chain.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import sys
@@ -105,7 +105,7 @@ class Matrix:
         self.field = field
         self.n = n
         self.rows = rs
-        self._lifted = None  # `_ints` of an exact matrix
+        self._lifted = None  # `_ints` of the matrix
 
     @classmethod
     def _of(cls, field: Field, rows) -> "Matrix":
@@ -170,28 +170,23 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check(other)
-        return Matrix._of(self.field, _finite(self.field, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]))
+        return _combine(self.field, self.n, [[self.field.one] * 2], [self, other])[0]
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check(other)
-        return Matrix._of(self.field, _finite(self.field, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]))
+        one = self.field.one
+        return _combine(self.field, self.n, [[one, -one]], [self, other])[0]
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(self.field, [[-e for e in row] for row in self.rows])
+        return _combine(self.field, self.n, [[-self.field.one]], [self])[0]
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            if self.field.exact:
-                return _of_ints(self.field, *_product(self.field, _ints(self), _ints(other)))
-            return Matrix._of(self.field, _product(self.field, self.rows, other.rows))
-        c = self.field.coerce(other)
-        return Matrix._of(self.field,
-                          _finite(self.field, [[c * e for e in row] for row in self.rows]))
+            return _of_ints(self.field, *_product(self.field, _ints(self), _ints(other)))
+        return _combine(self.field, self.n, [[self.field.coerce(other)]], [self])[0]
 
     __rmul__ = __mul__  # a scalar on the left: fields commute
 
@@ -218,7 +213,8 @@ class Matrix:
         """A^-1, or SingularMatrix. Over Q and F_p the rows of [S | den I],
         S = den A from `_ints` (residues, den 1, over F_p), pass `_eliminate`
         forward, then back against later pivots: the row of pivot c ends as
-        a e_c | B, B / a is row c of A^-1. Over C, `_complex_inverse`."""
+        a e_c | B, B / a is row c of A^-1; over F_p each row is scaled to a = 1
+        on its way into the echelon. Over C, `_complex_inverse`."""
         f, n = self.field, self.n
         if not f.exact:  # coerced: an entry past a double is refused
             return Matrix(f, _complex_inverse(self.rows))
@@ -231,6 +227,9 @@ class Matrix:
             piv = _first_nonzero(vec[:n])
             if piv is None:
                 raise SingularMatrix("matrix is not invertible")
+            if mod:
+                inv = pow(vec[piv], -1, mod)
+                vec = [x * inv % mod for x in vec]
             insort(echelon, (piv, vec))
         for c in range(n - 2, -1, -1):  # back substitution, last pivot first
             _eliminate(echelon[c][1], echelon[c + 1:], mod)
@@ -265,25 +264,19 @@ def _complex_inverse(rows):
         return ((vh.conj().T / sigma) @ u.conj().T).tolist()
 
 
-def _finite(field: Field, rows):
-    """rows of an entrywise sum or multiple, refused with AnswerTooLarge over
-    C when an entry overflowed a double."""
-    entries = itertools.chain.from_iterable(rows)
-    if not field.exact and not all(map(cmath.isfinite, entries)):
-        raise AnswerTooLarge("a complex sum or multiple overflows a double")
-    return rows
-
-
 def _ints(m: Matrix):
-    """`_lift`'s (plain rows, den) of an exact matrix, kept on it; read-only."""
+    """`_lift`'s (plain rows, den) of a matrix, kept on it; read-only."""
     if m._lifted is None:
         m._lifted = _lift(m.field, m.rows)
     return m._lifted
 
 
 def _of_ints(field: Field, rows, den: int) -> Matrix:
-    """Exact matrix of plain rows over den (residues over F_p) keeping its
-    `_ints`: reduced by the gcd of den and the entries, den > 0 (1 over F_p)."""
+    """Matrix of `_lift`'s plain rows over den, keeping them as its `_ints`:
+    over Q reduced by the gcd of den and the entries, den > 0; residues over
+    1 over F_p; over C the entries over 1, not kept."""
+    if not field.exact:
+        return Matrix._of(field, rows)
     p = field.char
     if not p:
         g = math.gcd(den, *itertools.chain.from_iterable(rows))
@@ -292,37 +285,34 @@ def _of_ints(field: Field, rows, den: int) -> Matrix:
             rows, den = [[x // g for x in row] for row in rows], den // g
         m = Matrix._of(field, _drop(field, rows, den))
     else:
-        if den != 1:
-            inv = pow(den, -1, p)
-            rows, den = [[x * inv % p for x in row] for row in rows], 1
         m = Matrix._of(field, [list(map(FpElement, row, itertools.repeat(p))) for row in rows])
     m._lifted = rows, den
     return m
 
 
 def _product(field: Field, xs, ys):
-    """Product of two rectangular blocks: of field rows over C, one `_matmul`;
-    over Q and F_p of (plain rows, den) pairs, giving the product's pair."""
-    if not field.exact:
-        import numpy as np
-
-        k = len(ys)
-        return _matmul(np.array(xs, dtype=complex).reshape(len(xs), k),
-                       np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0)
-                       ).tolist()
+    """Product of two rectangular blocks as `_lift`'s (plain rows, den) pairs,
+    giving the product's pair: `_dots` over Q and F_p, one `_matmul` over C."""
     (xs, dx), (ys, dy) = xs, ys
-    return _dots(xs, list(zip(*ys)), field.char or None), dx * dy
+    if field.exact:
+        return _dots(xs, list(zip(*ys)), field.char or None), dx * dy
+    import numpy as np
+
+    k = len(ys)
+    return _matmul(np.array(xs, dtype=complex).reshape(len(xs), k),
+                   np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0)
+                   ).tolist(), 1
 
 
 def _matmul(x, y):
     """The numpy product x @ y, refused with AnswerTooLarge when an entry is
-    not finite: the one overflow check of complex products."""
+    not finite: the one overflow check of complex products and weighted sums."""
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
         out = x @ y
     if not np.isfinite(out).all():
-        raise AnswerTooLarge("a complex product overflows a double")
+        raise AnswerTooLarge("a complex result overflows a double")
     return out
 
 
@@ -335,14 +325,11 @@ def _dots(xs, cols, mod: int | None = None):
 
 def _combine(field: Field, n: int, weight_rows, mats) -> list[Matrix]:
     """sum_j W[r][j] M_j for every row r of the field weights W, as one
-    product of W with the flattened n x n matrices M_j; over Q and F_p on
-    the `_ints` S_j / den_j of each M_j, with den_j folded into its weights."""
+    `_product` of W with the flattened n x n matrices M_j, on the `_ints`
+    S_j / den_j of each M_j, with den_j folded into its weights: the one
+    kernel of every weighted sum, `+`, `-` and scalar `*` included."""
     if not (weight_rows and mats):
         return [Matrix.zeros(field, n) for _ in weight_rows]
-    if not field.exact:
-        table = [[e for row in m.rows for e in row] for m in mats]
-        return [Matrix._of(field, [flat[i:i + n] for i in range(0, n * n, n)])
-                for flat in _product(field, weight_rows, table)]
     lifted = [_ints(m) for m in mats]
     ws, dw = _lift(field, weight_rows)
     common = math.lcm(*(d for _, d in lifted))

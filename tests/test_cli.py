@@ -243,6 +243,19 @@ def test_closed_form_without_order_is_a_parse_error():
             _parse_doc({k: v for k, v in doc.items() if k != "order"})
 
 
+@pytest.mark.parametrize("doc, match", [
+    ([PCF_DOC], "must be an object"),
+    ({**PCF_DOC, "order": 0}, "order"),
+    ({**PCF_DOC, "order": True}, "order"),
+    ({**EXP_DOC, "order": "2"}, "order"),
+    ({**PCF_DOC, "basis": "beta"}, "unknown basis"),
+    ({**PCF_DOC, "type": "matrix"}, "unknown closed-form type"),
+], ids=["array", "order-0", "order-true", "order-string", "basis", "type"])
+def test_malformed_closed_form_header_is_a_parse_error(doc, match):
+    with pytest.raises(cli.ParseError, match=match):
+        _parse_doc(doc)
+
+
 def test_closed_form_term_without_matrix_is_a_parse_error():
     with pytest.raises(cli.ParseError, match="matrix"):
         _parse_doc({**PCF_DOC, "nilpotent": [{"i": 0}]})

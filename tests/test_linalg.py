@@ -207,9 +207,17 @@ def test_complex_sums_and_multiples_refuse_overflow():
         big + big
     with pytest.raises(AnswerTooLarge):
         big - (-big)
+    with pytest.raises(AnswerTooLarge):
+        -big * 1e10
     half = big * 0.5
     assert half + half == big and big - half == half
     assert (Matrix(QQ, [[10 ** 400]]) * 10 ** 400).rows == ((10 ** 800,),)
+
+
+def test_complex_entries_from_fractions_are_rounded_or_refused():
+    assert Matrix(CC, [[Fraction(1, 3)]]).rows == ((1 / 3 + 0j,),)
+    with pytest.raises(AnswerTooLarge):
+        Matrix(CC, [[Fraction(10 ** 400, 3)]])
 
 
 def test_complex_chain_products_refuse_overflow():
@@ -263,7 +271,7 @@ def test_complex_product_matches_triple_loop_on_every_shape():
               (0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]
     for m, k, c in shapes:
         xs, ys = block(m, k), block(k, c)
-        got = _product(CC, xs, ys)
+        got = _product(CC, (xs, 1), (ys, 1))[0]
         want = naive_matmul(xs, ys)
         assert [len(row) for row in got] == [0 if k == 0 else c] * m
         scale = max((abs(e) for row in want for e in row), default=1.0)
@@ -364,6 +372,7 @@ def test_exact_results_keep_the_lift_of_their_entries(field, values):
         a = Matrix(field, a.rows)
         b = Matrix(field, [[(i * 7 + j * 3) % 5 - 2 for j in range(a.n)] for i in range(a.n)])
         kept(a * b, b * a, a ** 5, kron(a, b), kron(b, a) * kron(a, b))
+        kept(a + b, a - b, -a, a * field.coerce(3), a * a.rows[0][0])
         if _det(a) != 0:
             kept(a.inverse(), a ** -2)
         form = pcf_build(a)
