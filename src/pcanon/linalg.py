@@ -23,19 +23,21 @@ it reads `_spectrum` directly.
 
 Every matrix product goes through one kernel, `_product`, on the lifts
 `_ints` of its factors: scalar's `_lift` (integers over one common
-denominator over Q, residues over F_p, the entries over 1 over C), kept
-on the matrix, taken on first use unless `_of_ints` built it from
-the integers of a product, an inverse or a chain, reduced, converting
-each entry once (scalar's `_drop` over Q). Over Q and F_p it runs
-`_dots`, the one product loop on plain numbers, shared with the Krylov
-step and the power tables; over C one numpy complex matmul, in BLAS,
-through `_matmul`, as the chain products of `_complex_chains` do.
-`_combine` forms every weighted sum sum_j W[r][j] M_j, `+`, `-` and
-scalar `*` included, as one product of the weight rows, each M_j's
-denominator folded in, with the flattened `_ints` of the M_j; every
-closed-form evaluation in pcf and matfun is one call of it. So every
-complex product and weighted sum passes `_matmul`, the one refusal of an
-entry that is not finite, with AnswerTooLarge.
+denominator over Q, residues over F_p), and over C the read-only complex
+numpy array of the entries over 1. A matrix keeps its lift, taken on
+first use unless `_of_ints` built the matrix from the lift of a product,
+a weighted sum, an inverse or a chain, reduced, converting each entry
+once (scalar's `_drop` over Q, one `tolist` over C). Over Q and F_p it
+runs `_dots`, the one product loop on plain numbers, shared with the
+Krylov step and the power tables; over C one numpy complex matmul of the
+kept arrays, in BLAS, through `_matmul`, as the chain products of
+`_complex_chains` do. `_combine` forms every weighted sum sum_j W[r][j]
+M_j, `+`, `-` and scalar `*` included, as one product of the weight
+rows, each M_j's denominator folded in, with the flattened `_ints` of
+the M_j (over C the stacked arrays); every closed-form evaluation in pcf
+and matfun is one call of it. So every complex product, inverse and
+weighted sum passes `_matmul`, the one refusal of an entry that is not
+finite, with AnswerTooLarge.
 
 The projections and the chains A^i pi_0, lambda^(-i) (A - lambda I)^i pi
 of pcf and matfun have one entry, `_chains`, with one return shape for
@@ -216,8 +218,8 @@ class Matrix:
         a e_c | B, B / a is row c of A^-1; over F_p each row is scaled to a = 1
         on its way into the echelon. Over C, `_complex_inverse`."""
         f, n = self.field, self.n
-        if not f.exact:  # coerced: an entry past a double is refused
-            return Matrix(f, _complex_inverse(self.rows))
+        if not f.exact:
+            return _of_ints(f, _complex_inverse(_ints(self)[0]), 1)
         mod = f.char or None
         rows, den = _ints(self)
         echelon: list[tuple[int, list[int]]] = []
@@ -251,32 +253,44 @@ class Matrix:
 
 
 @_numpy_refusal
-def _complex_inverse(rows):
-    """Rows of the inverse of a complex matrix from one SVD; SingularMatrix
-    when sigma_min <= n eps sigma_max, the rank tolerance of numpy's
-    matrix_rank."""
+def _complex_inverse(arr):
+    """Complex array of the inverse of the complex array arr from one SVD;
+    SingularMatrix when sigma_min <= n eps sigma_max, the rank tolerance of
+    numpy's matrix_rank."""
     import numpy as np
 
-    u, sigma, vh = np.linalg.svd(np.array(rows, dtype=complex))
-    if sigma[-1] <= len(rows) * sys.float_info.epsilon * sigma[0]:
+    u, sigma, vh = np.linalg.svd(arr)
+    if sigma[-1] <= len(arr) * sys.float_info.epsilon * sigma[0]:
         raise SingularMatrix("matrix is numerically singular")
     with np.errstate(all="ignore"):
-        return ((vh.conj().T / sigma) @ u.conj().T).tolist()
+        scaled = vh.conj().T / sigma
+    return _matmul(scaled, u.conj().T)
 
 
 def _ints(m: Matrix):
-    """`_lift`'s (plain rows, den) of a matrix, kept on it; read-only."""
+    """(plain rows, den) of a matrix, kept on it; read-only: `_lift`'s over
+    Q and F_p, over C the read-only complex array of the entries over 1."""
     if m._lifted is None:
-        m._lifted = _lift(m.field, m.rows)
+        if m.field.exact:
+            m._lifted = _lift(m.field, m.rows)
+        else:
+            import numpy as np
+
+            arr = np.array(m.rows, dtype=complex)
+            arr.flags.writeable = False
+            m._lifted = arr, 1
     return m._lifted
 
 
 def _of_ints(field: Field, rows, den: int) -> Matrix:
-    """Matrix of `_lift`'s plain rows over den, keeping them as its `_ints`:
-    over Q reduced by the gcd of den and the entries, den > 0; residues over
-    1 over F_p; over C the entries over 1, not kept."""
+    """Matrix of plain rows over den, keeping them as its `_ints`: over Q
+    reduced by the gcd of den and the entries, den > 0; residues over 1 over
+    F_p; over C an n x n complex array over 1, made read-only."""
     if not field.exact:
-        return Matrix._of(field, rows)
+        rows.flags.writeable = False
+        m = Matrix._of(field, rows.tolist())
+        m._lifted = rows, den
+        return m
     p = field.char
     if not p:
         g = math.gcd(den, *itertools.chain.from_iterable(rows))
@@ -291,17 +305,13 @@ def _of_ints(field: Field, rows, den: int) -> Matrix:
 
 
 def _product(field: Field, xs, ys):
-    """Product of two rectangular blocks as `_lift`'s (plain rows, den) pairs,
-    giving the product's pair: `_dots` over Q and F_p, one `_matmul` over C."""
+    """Product of two rectangular blocks as `_ints`'s (plain rows, den) pairs,
+    giving the product's pair: `_dots` over Q and F_p, one `_matmul` of the
+    complex arrays over C."""
     (xs, dx), (ys, dy) = xs, ys
     if field.exact:
         return _dots(xs, list(zip(*ys)), field.char or None), dx * dy
-    import numpy as np
-
-    k = len(ys)
-    return _matmul(np.array(xs, dtype=complex).reshape(len(xs), k),
-                   np.array(ys, dtype=complex).reshape(k, len(ys[0]) if k else 0)
-                   ).tolist(), 1
+    return _matmul(xs, ys), dx * dy
 
 
 def _matmul(x, y):
@@ -327,23 +337,31 @@ def _combine(field: Field, n: int, weight_rows, mats) -> list[Matrix]:
     """sum_j W[r][j] M_j for every row r of the field weights W, as one
     `_product` of W with the flattened n x n matrices M_j, on the `_ints`
     S_j / den_j of each M_j, with den_j folded into its weights: the one
-    kernel of every weighted sum, `+`, `-` and scalar `*` included."""
+    kernel of every weighted sum, `+`, `-` and scalar `*` included. Over C
+    the kept arrays are stacked, and each sum keeps its row of the product."""
     if not (weight_rows and mats):
         return [Matrix.zeros(field, n) for _ in weight_rows]
     lifted = [_ints(m) for m in mats]
     ws, dw = _lift(field, weight_rows)
     common = math.lcm(*(d for _, d in lifted))
     ws = [[w * (common // d) for w, (_, d) in zip(row, lifted)] for row in ws]
+    if not field.exact:
+        import numpy as np
+
+        table = np.array([rows for rows, _ in lifted]).reshape(len(mats), n * n)
+        flats, den = _product(field, (np.array(ws, dtype=complex), dw), (table, 1))
+        return [_of_ints(field, f, den) for f in flats.reshape(-1, n, n)]
     table = [[*itertools.chain(*rows)] for rows, _ in lifted]
     flats, den = _product(field, (ws, dw * common), (table, 1))
     return [_of_ints(field, [f[i:i + n] for i in range(0, n * n, n)], den) for f in flats]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, row-major block layout."""
+    """Kronecker product, row-major block layout; coerced, so that a complex
+    entry that overflows is refused with AnswerTooLarge."""
     if a.field != b.field:
         raise MixedFields(f"Kronecker factors over {a.field} and {b.field}")
-    return Matrix._of(a.field, _kron_rows(a.rows, b.rows))
+    return Matrix(a.field, _kron_rows(a.rows, b.rows))
 
 
 def _kron_rows(xs, ys):
@@ -468,10 +486,8 @@ def _minpoly_exact(f: Field, scaled, den: int) -> Poly:
 # ---------------------------------------------------------------------
 
 def _numeric_spectrum(a: Matrix, tol: float):
-    """(complex numpy array of A, scalar's `_spectrum` of it)."""
-    import numpy as np
-
-    arr = np.array(a.rows, dtype=complex)
+    """(A's kept complex array from `_ints`, scalar's `_spectrum` of it)."""
+    arr = _ints(a)[0]
     return arr, _spectrum(arr, tol)
 
 
@@ -624,26 +640,26 @@ def _projectors(a, groups, tol: float):
 def _complex_chains(arr, spectrum, tol: float):
     """`_chains` over C from A's complex array and its `_spectrum`, with pi
     from `_projectors` and the products (A - lambda I)^i pi taken by
-    `_matmul`, as `_product`'s are. A nonzero lambda's products are scaled
-    after they are taken: folding 1/lambda into the step rounds its
-    entries, which the cancellation in (A - lambda I)^i amplifies; the
-    chain of lambda = 0 is not scaled.
+    `_matmul`, as `_product`'s are, each array kept by `_of_ints`. A
+    nonzero lambda's products are scaled after they are taken, by one
+    `_combine` with the diagonal weight block of the lambda^(-i): folding
+    1/lambda into the step rounds its entries, which the cancellation in
+    (A - lambda I)^i amplifies; the chain of lambda = 0 is not scaled.
     Each chain holds as many matrices as its group's staircase has steps,
     its index, even when a scaled matrix underflows to zero."""
     t0, nz, nil, chains = 0, [], [], []
     for (mu, _, t, _), pi in zip(spectrum, _projectors(arr, spectrum, tol)):
-        coeffs = [Matrix._of(CC, pi.tolist())]
+        coeffs = [_of_ints(CC, pi, 1)]
         if t > 1:
             step, chain = arr.copy(), pi
             step.flat[::len(arr) + 1] -= mu
             for _ in range(1, t):
                 chain = _matmul(step, chain)
-                coeffs.append(Matrix._of(CC, chain.tolist()))
+                coeffs.append(_of_ints(CC, chain, 1))
             if mu:
-                inv, factor = 1 / mu, 1
-                for i in range(1, t):
-                    factor *= inv
-                    coeffs[i] *= factor
+                scales = list(itertools.accumulate([1 / mu] * (t - 1), mul, initial=1))[1:]
+                coeffs[1:] = _combine(CC, len(arr), [[s if i == j else 0 for j in range(t - 1)]
+                                                     for i, s in enumerate(scales)], coeffs[1:])
         if mu:
             nz.append((mu, t))
             chains.append(coeffs)

@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrix,
     ZeroLogClash,
 )
-from .linalg import Matrix, _combine, _complex_chains, _numeric_spectrum
+from .linalg import Matrix, _combine, _complex_chains, _ints, _numeric_spectrum
 from .pcf import (
     Basis,
     PCanonicalForm,
@@ -124,10 +124,7 @@ def closedform_eval(form: ClosedFormExp, t) -> Matrix:
 def expm_real(a: Matrix, tol: float = 1e-8) -> RealClosedForm:
     """Real-arithmetic closed form of e^(tA) for a real matrix: conjugate
     exponential terms merge into growth/oscillation spirals."""
-    import numpy as np
-
-    a = _to_cc(a)
-    src = np.array(a.rows, dtype=complex)
+    src = _ints(_to_cc(a))[0]
     scale = max(1.0, float(abs(src).max()))
     form = expm_closed(_real_matrix(src, 1e-12, scale, NotReal, "source matrix"), tol)
     poly_part, reals, pairs = _merge_conjugates(

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import AnswerTooLarge, CharPositive, NotConjugateSymmetric, PcanonError
-from .linalg import Matrix, _chains, _combine
+from .linalg import Matrix, _chains, _combine, _ints, _of_ints
 from .scalar import CC, Field, Poly, _times_powers, stirling_first, stirling_second
 
 
@@ -185,7 +185,7 @@ def pcf_minpoly(form: PCanonicalForm) -> Poly:
 
 
 def _real_of(x) -> Matrix:
-    return Matrix._of(CC, x.astype(complex).tolist())
+    return _of_ints(CC, x.astype(complex), 1)
 
 
 def _real_matrix(m, tol: float, scale: float, error: type,
@@ -211,8 +211,8 @@ def _merge_conjugates(singles, terms, tol: float, scale: float | None, error: ty
     """
     import numpy as np
 
-    stack = np.array([m.rows for _, m in singles]
-                     + [c.rows for _, cs in terms for c in cs], dtype=complex)
+    stack = np.array([_ints(m)[0] for _, m in singles]
+                     + [_ints(c)[0] for _, cs in terms for c in cs], dtype=complex)
     if scale is None:
         scale = max(1.0, float(abs(stack).max(initial=0.0)))
     arrs = iter(stack)

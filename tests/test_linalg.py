@@ -40,7 +40,7 @@ from pcanon.errors import (
     ProjectionsInaccurate,
     SingularMatrix,
 )
-from pcanon.kronmin import eig_spec_of_matrix, eig_spec_of_poly
+from pcanon.kronmin import eig_spec_of_matrix, eig_spec_of_poly, kron_minpoly_direct
 from pcanon.linalg import (
     Matrix,
     _combine,
@@ -52,8 +52,16 @@ from pcanon.linalg import (
     kron,
     minpoly,
 )
-from pcanon.matfun import closedform_eval, expm_closed, logm
-from pcanon.pcf import pcf_build, pcf_eval, pcf_minpoly, pcf_to_gamma, pcf_to_lambda
+from pcanon.matfun import closedform_eval, expm_closed, expm_real, logm, realclosedform_eval
+from pcanon.pcf import (
+    pcf_build,
+    pcf_eval,
+    pcf_minpoly,
+    pcf_realify,
+    pcf_to_gamma,
+    pcf_to_lambda,
+    realpcf_eval,
+)
 from pcanon.scalar import CC, GF, QQ, FpElement, Poly, _lift, poly_factor
 
 # -- strategies ---------------------------------------------------------------
@@ -230,6 +238,15 @@ def test_complex_chain_products_refuse_overflow():
             expm_closed(a)
 
 
+def test_complex_kronecker_products_refuse_overflow():
+    # kron returned an inf entry, and the direct route failed inside numpy
+    with pytest.raises(AnswerTooLarge):
+        kron(Matrix(CC, [[1e200]]), Matrix(CC, [[1e200]]))
+    a = Matrix(CC, [[1e200, 1], [0, 1]])
+    with pytest.raises(AnswerTooLarge):
+        kron_minpoly_direct([a, a])
+
+
 def test_product_matches_schoolbook_over_q():
     rng = random.Random(41)
     big = 10 ** 30
@@ -261,6 +278,7 @@ def test_product_matches_integer_matmul_mod_p(p):
 
 
 def test_complex_product_matches_triple_loop_on_every_shape():
+    np = pytest.importorskip("numpy")
     rng = random.Random(17)
 
     def block(r, c):
@@ -271,7 +289,9 @@ def test_complex_product_matches_triple_loop_on_every_shape():
               (0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]
     for m, k, c in shapes:
         xs, ys = block(m, k), block(k, c)
-        got = _product(CC, (xs, 1), (ys, 1))[0]
+        # as naive_matmul reads blocks of rows, an empty ys has no columns
+        got = _product(CC, (np.array(xs, dtype=complex).reshape(m, k), 1),
+                       (np.array(ys, dtype=complex).reshape(k, c if k else 0), 1))[0].tolist()
         want = naive_matmul(xs, ys)
         assert [len(row) for row in got] == [0 if k == 0 else c] * m
         scale = max((abs(e) for row in want for e in row), default=1.0)
@@ -415,6 +435,69 @@ def test_evaluating_a_form_lifts_only_its_weights(monkeypatch):
     pcf_to_gamma(form)
     assert sorted(counts) == sorted((len(cs) - 1) * len(cs)
                                     for _, cs in form.geometric_terms if len(cs) > 1)
+
+
+def _complex_inputs():
+    """A complex Gaussian, a defective matrix and a real one with a conjugate pair."""
+    np = pytest.importorskip("numpy")
+    gen = np.random.default_rng(31)
+    z = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
+    yield Matrix(CC, (z / abs(np.linalg.eigvals(z)).max()).tolist())
+    rng = random.Random(31)
+    yield conjugated_jordan(rng, QQ, [(3, 2), (2, 3), (1, Fraction(1, 2))]).to_field(CC)
+    yield Matrix(CC, real_with_spectrum(gen, [0.5, 1.2], [(1.1, 0.7)]).tolist())
+
+
+def test_complex_results_keep_the_array_of_their_entries():
+    np = pytest.importorskip("numpy")
+
+    def kept(*ms):
+        for m in ms:
+            arr, den = _ints(m)
+            want = np.array(m.rows, dtype=complex)
+            assert den == 1 and arr.dtype == complex and arr.shape == (m.n, m.n)
+            assert not arr.flags.writeable and arr.tobytes() == want.tobytes()
+
+    for a in _complex_inputs():
+        b = Matrix(CC, [[complex((i * 7 + j * 3) % 5 - 2, j - i) for j in range(a.n)]
+                        for i in range(a.n)])
+        kept(a * b, a ** 5, a.inverse(), a ** -2, a + b, a - b, -a, a * (0.5 - 2j), kron(a, b))
+        form = pcf_build(a)
+        kept(*(v for _, v in form.nilpotent_terms),
+             *(c for _, cs in form.geometric_terms for c in cs))
+        kept(*(pcf_eval(form, k) for k in (0, 1, 7, 100)))
+        exp = expm_closed(a)
+        kept(*(closedform_eval(exp, t) for t in (0, 0.5, 1 + 2j)), logm(a))
+        if not any(e.imag for row in a.rows for e in row):
+            real = pcf_realify(form)
+            kept(*(c for term in real.terms for cs in vars(term).values()
+                   if isinstance(cs, tuple) for c in cs))
+            kept(*(realpcf_eval(real, k) for k in (0, 1, 7)))
+            rexp = expm_real(a)
+            kept(*(m for _, m in rexp.polynomial_part),
+                 *(m for term in rexp.terms for cs in vars(term).values()
+                   if isinstance(cs, tuple) for _, m in cs))
+            kept(*(realclosedform_eval(rexp, t) for t in (0, 0.5, -1.5)))
+        with pytest.raises(ValueError):  # the immutable matrix stays so
+            _ints(a)[0][0, 0] = 1
+
+
+def test_evaluating_a_complex_form_reads_no_rows(monkeypatch):
+    # the coefficient matrices of a built form keep the arrays they were
+    # computed as, so an evaluation builds no array from Python rows
+    np = pytest.importorskip("numpy")
+    gen = np.random.default_rng(12)
+    z = gen.standard_normal((12, 12)) + 1j * gen.standard_normal((12, 12))
+    a = Matrix(CC, (z / abs(np.linalg.eigvals(z)).max()).tolist())
+    form, exp = pcf_build(a), expm_closed(a)
+    slot, reads = Matrix.rows, []
+    monkeypatch.setattr(Matrix, "rows", property(
+        lambda m: reads.append(m) or slot.__get__(m), slot.__set__))
+    for k in (0, 1, 7, 1000):
+        pcf_eval(form, k)
+    for t in (0, 0.5, 1 + 2j):
+        closedform_eval(exp, t)
+    assert reads == []
 
 
 def test_repeated_squaring_keeps_the_lift_reduced():
