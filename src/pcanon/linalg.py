@@ -27,7 +27,8 @@ denominator over Q, residues over F_p), and over C the read-only complex
 numpy array of the entries over 1. A matrix keeps its lift, taken on
 first use unless `_of_ints` built the matrix from the lift of a product,
 a weighted sum, an inverse or a chain, reduced, converting each entry
-once (scalar's `_drop` over Q, one `tolist` over C). Over Q and F_p it
+once (scalar's `_drop` over Q; over C one `tolist`, on the first read of
+`.rows`, which no product, sum or evaluation makes). Over Q and F_p it
 runs `_dots`, the one product loop on plain numbers, shared with the
 Krylov step and the power tables; over C one numpy complex matmul of the
 kept arrays, in BLAS, through `_matmul`, as the chain products of
@@ -95,7 +96,7 @@ from .scalar import (
 class Matrix:
     """Immutable square matrix over one Field; rows is a tuple of tuples."""
 
-    __slots__ = ("field", "n", "rows", "_lifted")
+    __slots__ = ("field", "n", "_rows", "_lifted")
 
     def __init__(self, field: Field, rows):
         rs = tuple(tuple(field.coerce(e) for e in row) for row in rows)
@@ -106,7 +107,7 @@ class Matrix:
             raise ValueError("matrix must be square")
         self.field = field
         self.n = n
-        self.rows = rs
+        self._rows = rs
         self._lifted = None  # `_ints` of the matrix
 
     @classmethod
@@ -114,8 +115,14 @@ class Matrix:
         """Matrix of rows of field elements the library computed itself:
         no coercion, no shape check."""
         m = cls.__new__(cls)
-        m.field, m.n, m.rows, m._lifted = field, len(rows), tuple(map(tuple, rows)), None
+        m.field, m.n, m._rows, m._lifted = field, len(rows), tuple(map(tuple, rows)), None
         return m
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:  # made by `_of_ints` over C: one tolist of its array
+            self._rows = tuple(map(tuple, self._lifted[0].tolist()))
+        return self._rows
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -158,7 +165,12 @@ class Matrix:
 
     def maxnorm(self):
         """Largest absolute value of an entry (characteristic-zero fields)."""
-        return max(abs(e) for row in self.rows for e in row)
+        if self.field.exact:
+            return max(abs(e) for row in self.rows for e in row)
+        import numpy as np  # on the kept array; hypot is Python's complex abs
+
+        arr = _ints(self)[0]
+        return float(np.hypot(arr.real, arr.imag).max())
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.rows)))
@@ -285,11 +297,12 @@ def _ints(m: Matrix):
 def _of_ints(field: Field, rows, den: int) -> Matrix:
     """Matrix of plain rows over den, keeping them as its `_ints`: over Q
     reduced by the gcd of den and the entries, den > 0; residues over 1 over
-    F_p; over C an n x n complex array over 1, made read-only."""
+    F_p; over C an n x n complex array over 1, made read-only, whose `.rows`
+    are built on first read."""
     if not field.exact:
         rows.flags.writeable = False
-        m = Matrix._of(field, rows.tolist())
-        m._lifted = rows, den
+        m = Matrix.__new__(Matrix)
+        m.field, m.n, m._rows, m._lifted = field, len(rows), None, (rows, den)
         return m
     p = field.char
     if not p:

@@ -41,7 +41,7 @@ from .pcf import (
     pcf_build,
     pcf_to_gamma,
 )
-from .scalar import CC
+from .scalar import CC, _linked
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def log_pcf(form: PCanonicalForm, branch=None, tol: float = 1e-8) -> PCanonicalF
     times a binomial-basis coefficient at eigenvalue z_j, except that a
     z_j = 0 (eigenvalue exactly 1, principal branch) routes to the
     finitely supported slots with the same i! weight. Raises ZeroLogClash
-    when the branch maps two eigenvalues to one logarithm.
+    when two of the z lie within tol max(1, |z_i|, |z_j|) of each other.
     """
     if form.field != CC:
         raise PcanonError("logarithm closed forms work on complex-double forms")
@@ -228,10 +228,10 @@ def log_pcf(form: PCanonicalForm, branch=None, tol: float = 1e-8) -> PCanonicalF
     if form.basis is Basis.LAMBDA:
         form = pcf_to_gamma(form)
     zs = _branch_logs([lam for lam, _ in form.geometric_terms], branch, tol)
-    for zi, zj in itertools.combinations(zs, 2):
-        if abs(zi - zj) <= tol * max(1.0, abs(zi), abs(zj)):
-            raise ZeroLogClash(
-                f"branch maps two eigenvalues to the same logarithm {zi!r}")
+    clash = next((g for g in _linked(zs, tol) if len(g) > 1), None)
+    if clash:
+        raise ZeroLogClash(
+            f"branch maps two eigenvalues to the same logarithm {clash[0]!r}")
     nil, geo = (), []
     for z, (_, coeffs) in zip(zs, form.geometric_terms):
         zinv = 1.0 / z if z else 1.0   # z = 0 keeps the bare i! weight

@@ -46,6 +46,7 @@ from pcanon.linalg import (
     _combine,
     _int_minpoly,
     _ints,
+    _of_ints,
     _product,
     _projectors,
     companion,
@@ -491,13 +492,87 @@ def test_evaluating_a_complex_form_reads_no_rows(monkeypatch):
     a = Matrix(CC, (z / abs(np.linalg.eigvals(z)).max()).tolist())
     form, exp = pcf_build(a), expm_closed(a)
     slot, reads = Matrix.rows, []
-    monkeypatch.setattr(Matrix, "rows", property(
-        lambda m: reads.append(m) or slot.__get__(m), slot.__set__))
+    monkeypatch.setattr(Matrix, "rows", property(lambda m: reads.append(m) or slot.fget(m)))
     for k in (0, 1, 7, 1000):
         pcf_eval(form, k)
     for t in (0, 0.5, 1 + 2j):
         closedform_eval(exp, t)
     assert reads == []
+
+
+def _count_row_builds(monkeypatch) -> list:
+    """The list that every later read of a Matrix's `.rows`, and every
+    matrix made from Python rows by `Matrix._of`, appends to."""
+    rows, of, seen = Matrix.rows, Matrix._of.__func__, []
+    monkeypatch.setattr(Matrix, "rows", property(lambda m: seen.append(m) or rows.fget(m)))
+    monkeypatch.setattr(Matrix, "_of", classmethod(
+        lambda cls, field, rs: seen.append(rs) or of(cls, field, rs)))
+    return seen
+
+
+def test_complex_builds_read_no_rows_of_what_they_compute(monkeypatch):
+    # a complex result is its kept array: forms, exponentials and logarithms
+    # convert none of the matrices they compute, returned or thrown away
+    inputs = [(a, not any(e.imag for row in a.rows for e in row)) for a in _complex_inputs()]
+    for a, _ in inputs:
+        _ints(a)  # the input's own array, taken from its rows
+    seen = _count_row_builds(monkeypatch)
+    for a, real in inputs:
+        form = pcf_build(a)
+        expm_closed(a)
+        logm(a)
+        if real:
+            expm_real(a)
+            pcf_realify(form)
+    assert seen == []
+
+
+def test_defective_complex_chains_read_no_rows(monkeypatch):
+    # the unscaled (A - lambda I)^i pi of a nonzero eigenvalue of index 3
+    # are replaced by their scaled sums without being converted
+    a = conjugated_jordan(random.Random(5), QQ, [(3, 2), (2, -1), (1, 0)]).to_field(CC)
+    _ints(a)
+    seen = _count_row_builds(monkeypatch)
+    form = pcf_build(a)
+    assert seen == []
+    assert [len(cs) for _, cs in form.geometric_terms] == [2, 3]
+
+
+def test_complex_rows_are_built_once_from_the_kept_array():
+    np = pytest.importorskip("numpy")
+    for a in _complex_inputs():
+        for m in (a * a, a.inverse(), pcf_build(a).geometric_terms[0][1][0]):
+            assert m._rows is None
+            arr = _ints(m)[0]
+            rows = m.rows
+            want = tuple(map(tuple, arr.tolist()))
+            assert rows == want and m.rows is rows
+            assert all(np.array(x).tobytes() == np.array(y).tobytes()
+                       for r, w in zip(rows, want) for x, y in zip(r, w))
+            eager = Matrix(CC, want)
+            lazy = _of_ints(CC, arr.copy(), 1)
+            assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+            assert repr(lazy) == repr(eager) and lazy.format() == eager.format()
+        with pytest.raises(AttributeError):
+            a.rows = ()
+
+
+def test_complex_maxnorm_reads_the_kept_array(monkeypatch):
+    np = pytest.importorskip("numpy")
+    gen = np.random.default_rng(8)
+    ms = [m for a in _complex_inputs() for m in (a, a ** 3, a.inverse(), -a)]
+    ms += [Matrix(CC, (gen.standard_normal((n, n)) * 10.0 ** gen.integers(-300, 300, (n, n))
+                       + 1j * gen.standard_normal((n, n))).tolist()) for n in (1, 5)]
+    ms += [Matrix(CC, (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))).tolist())
+           for n in range(1, 31)]
+    ms.append(Matrix(CC, [[-0.0, complex(-0.0, -0.0)], [0, 0]]))
+    want = [max(abs(e) for row in m.rows for e in row) for m in ms]
+    for m in ms:
+        _ints(m)
+    seen = _count_row_builds(monkeypatch)
+    got = [m.maxnorm() for m in ms]
+    assert seen == [] and all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_repeated_squaring_keeps_the_lift_reduced():

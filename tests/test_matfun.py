@@ -6,6 +6,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -440,6 +441,27 @@ def test_log_pcf_decides_clashes_at_its_tol():
     with pytest.raises(ZeroLogClash):
         log_pcf(form, tol=1e-6)
     assert len(log_pcf(form).geometric_terms) == 2
+
+
+@pytest.mark.parametrize("factor, clashes", [(1 + 1e-9, True), (1 - 1e-9, False)],
+                         ids=["just-inside", "just-outside"])
+def test_log_pcf_clash_rule_at_the_edge(factor, clashes):
+    # tol sits just above or below |z_i - z_j| / max(1, |z_i|, |z_j|) for
+    # z = ln 3, ln 5, the closest pair by that measure; ln 2, ln 3 sit further
+    lams = [2, 3, 5]
+    form = PCanonicalForm(CC, 3, Basis.LAMBDA, (), tuple(
+        (complex(lam), (Matrix.diagonal(CC, [int(i == j) for j in range(3)]),))
+        for i, lam in enumerate(lams)))
+    zs = [complex(math.log(lam)) for lam in lams]
+    tol = abs(zs[1] - zs[2]) / abs(zs[2]) * factor
+    pairs = [(zi, zj) for zi, zj in itertools.combinations(zs, 2)
+             if abs(zi - zj) <= tol * max(1.0, abs(zi), abs(zj))]
+    assert [zi for zi, _ in pairs] == ([zs[1]] if clashes else [])
+    if clashes:
+        with pytest.raises(ZeroLogClash, match=re.escape(repr(zs[1]))):
+            log_pcf(form, tol=tol)
+    else:
+        assert [z for z, _ in log_pcf(form, tol=tol).geometric_terms] == zs
 
 
 def test_log_pcf_rejects_singular_source(spiral_3x3):
