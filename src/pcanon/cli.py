@@ -330,9 +330,12 @@ def _power_error(form: PCanonicalForm, k: int, power: Matrix) -> float:
     A double knows an eigenvalue lambda to eps, so lambda^k to about k eps,
     and its term sum_i lambda^k binom(k, i) C_i to about k eps |lambda|^k
     sum_i binom(k, i) ||C_i||. The nilpotent terms hold no power of one."""
-    err = k * sys.float_info.epsilon * sum(
-        abs(lam) ** k * sum(math.comb(k, i) * c.maxnorm() for i, c in enumerate(cs))
-        for lam, cs in form.geometric_terms)
+    try:
+        err = k * sys.float_info.epsilon * sum(
+            abs(lam) ** k * sum(math.comb(k, i) * c.maxnorm() for i, c in enumerate(cs))
+            for lam, cs in form.geometric_terms)
+    except OverflowError:  # |lambda|^k past the double range
+        raise AnswerTooLarge(f"|lambda|^{k} is past the double range") from None
     size = power.maxnorm()
     return err / size if size else (math.inf if err else 0.0)
 
@@ -571,6 +574,8 @@ def run(argv=None) -> int:
     # answers within ANSWER_BITS print whole, past the default 4300 digits
     sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), ANSWER_BITS // 3))
     try:
+        if not 0 <= getattr(args, "tol", 0) < math.inf:
+            raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
         out = args.handler(args)
     except ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)

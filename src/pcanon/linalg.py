@@ -26,24 +26,24 @@ Every matrix product goes through one kernel, `_product`, on the lifts
 denominator over Q, residues over F_p), and over C the read-only complex
 numpy array of the entries over 1. A matrix keeps its lift, taken on
 first use unless `_of_ints` built the matrix from the lift of a product,
-a weighted sum, an inverse or a chain, reduced, converting each entry
-once (scalar's `_drop` over Q; over C one `tolist`, on the first read of
-`.rows`, which no product, sum or evaluation makes). Over Q and F_p it
+a weighted sum or an inverse, reduced; such a matrix builds its `.rows`
+once, on first read, which no product, sum or evaluation makes (scalar's
+`_drop` over Q and F_p, one `tolist` over C). Over Q and F_p `_product`
 runs `_dots`, the one product loop on plain numbers, shared with the
-Krylov step and the power tables; over C one numpy complex matmul of the
-kept arrays, in BLAS, through `_matmul`, as the chain products of
-`_complex_chains` do. `_combine` forms every weighted sum sum_j W[r][j]
-M_j, `+`, `-` and scalar `*` included, as one product of the weight
-rows, each M_j's denominator folded in, with the flattened `_ints` of
-the M_j (over C the stacked arrays); every closed-form evaluation in pcf
-and matfun is one call of it. So every complex product, inverse and
-weighted sum passes `_matmul`, the one refusal of an entry that is not
-finite, with AnswerTooLarge.
+Krylov step; over C one numpy complex matmul of the kept arrays, in
+BLAS, through `_matmul`, as the chain products of `_complex_chains` do.
+`_combine` forms every weighted sum sum_j W[r][j] M_j, `+`, `-` and
+scalar `*` included, as one product of the weight rows, each M_j's
+denominator folded in, with the flattened `_ints` of the M_j (over C
+the stacked arrays); every closed-form evaluation in pcf and matfun is
+one call of it. So every complex product, inverse and weighted sum
+passes `_matmul`, the one refusal of an entry that is not finite, with
+AnswerTooLarge.
 
 The projections and the chains A^i pi_0, lambda^(-i) (A - lambda I)^i pi
 of pcf and matfun have one entry, `_chains`, with one return shape for
-every field: over Q and F_p rows of one integer product with the power
-table of S = den A, over C numpy products (`_complex_chains`).
+every field: over Q and F_p one `_combine` of A's reduced powers A^0 ...
+A^(d-1), over C numpy products (`_complex_chains`).
 
 Row reduction has one implementation, the fraction-free echelon
 `_eliminate` on plain integer rows (residues over F_p), shared by the
@@ -74,7 +74,6 @@ from .errors import (
 from .scalar import (
     CC,
     Field,
-    FpElement,
     Poly,
     _check_char_poly,
     _convolve,
@@ -120,8 +119,10 @@ class Matrix:
 
     @property
     def rows(self) -> tuple:
-        if self._rows is None:  # made by `_of_ints` over C: one tolist of its array
-            self._rows = tuple(map(tuple, self._lifted[0].tolist()))
+        if self._rows is None:  # made by `_of_ints`: built once from the kept lift
+            rows, den = self._lifted
+            self._rows = tuple(map(tuple, _drop(self.field, rows, den) if self.field.exact
+                                   else rows.tolist()))
         return self._rows
 
     # -- constructors -------------------------------------------------
@@ -295,25 +296,19 @@ def _ints(m: Matrix):
 
 
 def _of_ints(field: Field, rows, den: int) -> Matrix:
-    """Matrix of plain rows over den, keeping them as its `_ints`: over Q
-    reduced by the gcd of den and the entries, den > 0; residues over 1 over
-    F_p; over C an n x n complex array over 1, made read-only, whose `.rows`
-    are built on first read."""
+    """Matrix of plain rows over den, keeping them as its `_ints`, whose
+    `.rows` are built on first read: over Q reduced by the gcd of den and
+    the entries, den > 0; residues over 1 over F_p; over C an n x n complex
+    array over 1, made read-only."""
     if not field.exact:
         rows.flags.writeable = False
-        m = Matrix.__new__(Matrix)
-        m.field, m.n, m._rows, m._lifted = field, len(rows), None, (rows, den)
-        return m
-    p = field.char
-    if not p:
+    elif not field.char:
         g = math.gcd(den, *itertools.chain.from_iterable(rows))
         g = g if den > 0 else -g
         if g != 1:
             rows, den = [[x // g for x in row] for row in rows], den // g
-        m = Matrix._of(field, _drop(field, rows, den))
-    else:
-        m = Matrix._of(field, [list(map(FpElement, row, itertools.repeat(p))) for row in rows])
-    m._lifted = rows, den
+    m = Matrix.__new__(Matrix)
+    m.field, m.n, m._rows, m._lifted = field, len(rows), None, (rows, den)
     return m
 
 
@@ -506,12 +501,13 @@ def _numeric_spectrum(a: Matrix, tol: float):
 
 def _eigendata(a: Matrix, tol: float):
     """(t0, [(eigenvalue, index), ...], lifted) of a matrix, nonzero
-    eigenvalues in the field's order. Over Q and F_p, lifted is (rows, den,
-    M): `_ints`'s (rows, den) of A and the monic integral minimal
-    polynomial M of S = den A from `_int_minpoly`, whose split by
-    scalar's `_int_split` gives the eigenvalues nu / den; NonSplitField,
-    naming A's own minimal polynomial, when M does not split. Over C the
-    spectrum is read off scalar's `_spectrum`, lifted None."""
+    eigenvalues in the field's order. Over Q and F_p, lifted is (den, M):
+    the common denominator den of A from `_ints` (1 over F_p) and the monic
+    integral minimal polynomial M of S = den A from `_int_minpoly`, whose
+    split by scalar's `_int_split` gives the eigenvalues nu / den;
+    NonSplitField, naming A's own minimal polynomial, when M does not
+    split. Over C the spectrum is read off scalar's `_spectrum`, lifted
+    None."""
     f = a.field
     if f.exact:
         rows, den = _ints(a)
@@ -520,7 +516,7 @@ def _eigendata(a: Matrix, tol: float):
         if len(rest) > 1:
             raise NonSplitField(
                 f"{_rescaled(f, big, den).format()} does not split over {f}")
-        return t0, nz, (rows, den, big)
+        return t0, nz, (den, big)
     spectrum = _numeric_spectrum(a, tol)[1]
     return (next((t for mu, _, t, _ in spectrum if not mu), 0),
             [(mu, t) for mu, _, t, _ in spectrum if mu], None)
@@ -550,18 +546,20 @@ def _chains(a: Matrix, tol: float):
     nu = den lambda is an integer and lambda^-i (A - lambda I)^i pi =
     nu^-i (S - nu I)^i pi. For c = M / (Y - nu)^t, E = c(nu)^t - (c(nu) -
     c)^t is c(nu)^t mod (Y - nu)^t and 0 mod c, so E(S) = c(nu)^t pi.
-    Matrix i, never zero as M is minimal, is (Y - nu)^i E mod M at S over
-    nu^i c(nu)^t (den^i c(0)^t0 at nu = 0): one row of one integer product
-    with S^0 ... S^(d-1).
+    Matrix i, never zero as M is minimal, is (Y - nu)^i E mod M = sum_k
+    e_k Y^k at S over nu^i c(nu)^t (den^i c(0)^t0 at nu = 0): the field
+    weights e_k den^k / (nu^i c(nu)^t) of A's reduced powers A^0 ... A^(d-1),
+    all chains one `_combine`.
     """
-    f, n, p = a.field, a.n, a.field.char
+    f, n = a.field, a.n
     if not f.exact:
         return _complex_chains(*_numeric_spectrum(a, tol), tol)
-    t0, nz, (rows, den, big) = _eigendata(a, tol)
+    t0, nz, (den, big) = _eigendata(a, tol)
+    p, d = f.char, len(big) - 1
     pairs = ([(0, t0)] if t0 else []) + [(mu.res if p else int(mu * den), t)
                                          for mu, t in nz]
     rem = partial(_residue_rem, p=p)
-    weights, dens = [], []
+    weights = []
     for nu, t in pairs:
         c = big
         for _ in range(t):  # exact over Z; over F_p rem reduces it below
@@ -570,19 +568,14 @@ def _chains(a: Matrix, tol: float):
         e = [-x for x in _powmod([cv - c[0], *(-x for x in c[1:])], t, big, rem)] or [0]
         e[0] += cv ** t
         for i in range(t):
-            den_i = (nu or den) ** i * cv ** t
-            if p:  # den_i divides the weights: the products are residues over 1
-                den_i, inv = 1, pow(den_i, -1, p)
-            weights.append([x * inv % p for x in e] if p else e)
-            dens.append(den_i)
+            below = (nu or den) ** i * cv ** t
+            weights.append([f.from_fraction(Fraction(x * den ** k, below))
+                            for k, x in enumerate(e)] + [f.zero] * (d - len(e)))
             e = rem(_convolve(e, [-nu, 1]), big)
-    cols, d = list(zip(*rows)), len(big) - 1
-    table = [[[int(i == j) for j in range(n)] for i in range(n)], rows][:d]
-    while len(table) < d:
-        table.append(_dots(table[-1], cols, p))
-    flat = list(zip(*([x for row in m for x in row] for m in table)))
-    mats = iter(_of_ints(f, [row[i:i + n] for i in range(0, n * n, n)], den_i)
-                for row, den_i in zip(_dots(weights, flat, p), dens))
+    powers = [_of_ints(f, [[int(i == j) for j in range(n)] for i in range(n)], 1), a][:d]
+    while len(powers) < d:
+        powers.append(powers[-1] * a)
+    mats = iter(_combine(f, n, weights, powers))
     chains = [[next(mats) for _ in range(t)] for _, t in pairs]
     return t0, nz, chains.pop(0) if t0 else [], chains
 

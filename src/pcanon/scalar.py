@@ -260,11 +260,10 @@ class ComplexField(Field):
 
     def coerce(self, x):
         if isinstance(x, (int, float, complex)):
-            try:
-                finite = cmath.isfinite(x)
+            try:  # a huge integer, or finite parts whose modulus overflows abs()
+                finite = cmath.isfinite(x) and abs(x) < math.inf
             except OverflowError:
-                raise AnswerTooLarge(f"an integer of {x.bit_length()} bits "
-                                     "is past the double range") from None
+                raise AnswerTooLarge("an entry's modulus is past the double range") from None
             if not finite:
                 raise AnswerTooLarge(f"{x} is not a finite complex double")
             return x if isinstance(x, complex) else complex(x)

@@ -28,7 +28,9 @@ confirms and counts roots by Poly division
 (`factor_by_poly_division`), `reassemble` multiplies a factorisation
 back out as Poly products,
 and the random matrices are Jordan assemblies conjugated by unimodular
-integer matrices so every expected invariant is known by construction.
+integer matrices, or by dense integer ones for large denominators
+(`dense_conjugated_jordan`), so every expected invariant is known by
+construction.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from bisect import insort
 from fractions import Fraction
 from operator import mul
 
-from pcanon.errors import MixedFields, PcanonError
+from pcanon.errors import MixedFields, PcanonError, SingularMatrix
 from pcanon.kronmin import ProductClassTable, eig_spec_of_poly
 from pcanon.linalg import (
     Matrix,
@@ -563,6 +565,24 @@ def conjugated_jordan(rng, field, blocks) -> Matrix:
     s = unimodular(rng, sum(size for size, _ in blocks))
     return (s.to_field(field) * jordan_assembly(field, blocks)
             * s.inverse().to_field(field))
+
+
+def dense_conjugated_jordan(rng, n: int, bound: int) -> Matrix:
+    """P J P^-1 over Q of order n: J has Jordan blocks of size at most 4
+    with eigenvalues in {0, +-1, +-2, 3}, P is a dense integer matrix with
+    entries in [-bound, bound], drawn again until it is invertible, so the
+    entries of the result carry a large common denominator."""
+    blocks, order = [], 0
+    while order < n:
+        size = rng.randint(1, min(4, n - order))
+        blocks.append((size, rng.choice([0, 1, -1, 2, -2, 3])))
+        order += size
+    while True:
+        p = Matrix(QQ, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+        try:
+            return p * jordan_assembly(QQ, blocks) * p.inverse()
+        except SingularMatrix:
+            continue
 
 
 def rational_spectrum_matrix(rng, values, max_block: int = 3,

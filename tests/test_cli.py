@@ -183,11 +183,26 @@ def test_branch_flag_validation(capsys):
     ("pcf", "[[1]]", "--field", "Fp", "--p", "4"),
     ("pcf", "[[1]]", "--char", "4"),
     ("wedge", "3", "4", "--char", "4"),
+    ("pcf", "[[1]]", "--tol", "nan"),
+    ("power", "[[1]]", "2", "--tol", "-1"),
+    ("expm", "[[1]]", "--tol", "inf"),
 ])
 def test_malformed_input_is_one_parse_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("ParseError: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-nan", "-1", "-1e-300", "inf", "-inf"])
+def test_tol_must_be_finite_and_not_negative(capsys, tol):
+    # a NaN or negative tol once reached the library and came back as
+    # ProjectionsInaccurate, which blames the matrix
+    for argv in (("pcf", "[[1, 1], [0, 2]]"), ("kron-minpoly", "[[1]]", "[[2]]")):
+        code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError: --tol ") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "pcf", "[[1, 1], [0, 2]]", "--tol", "0")
+    assert code == 0 and out.startswith("P-canonical form")
 
 
 def test_scalar_document_is_a_parse_error(monkeypatch, capsys):
@@ -382,6 +397,7 @@ def _timed(capsys, *argv):
 
 
 BIG_ENTRY = "1" + "0" * 400
+HUGE_MODULUS = '{"re": 1.5e308, "im": 1.5e308}'
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -395,8 +411,15 @@ BIG_ENTRY = "1" + "0" * 400
     (("pcf", f'{{"field": "C", "matrix": [[{BIG_ENTRY}]]}}'), "AnswerTooLarge"),
     (("pcf", f'{{"field": "C", "matrix": [[{{"re": 1, "im": {BIG_ENTRY}}}]]}}'),
      "AnswerTooLarge"),
+    # finite parts whose modulus, or whose power's, passes the double range:
+    # these three ended in an OverflowError traceback from abs()
+    (("pcf", f'{{"field": "C", "matrix": [[{HUGE_MODULUS}]]}}'), "AnswerTooLarge"),
+    (("logm", f'{{"field": "C", "matrix": [[1, {HUGE_MODULUS}], [0, 2]]}}'), "AnswerTooLarge"),
+    (("power", '{"field": "C", "matrix": [[{"re": 1.2526926261228299e+154, '
+               '"im": 5.18882275224845e+153}]]}', "2"), "AnswerTooLarge"),
 ], ids=["nan", "infinity", "near-overflow", "expm-400-digits", "logm-400-digits",
-        "pcf-400-digits", "pcf-400-digits-im"])
+        "pcf-400-digits", "pcf-400-digits-im", "pcf-modulus-past-range",
+        "logm-modulus-past-range", "power-modulus-past-range"])
 def test_complex_inputs_numpy_cannot_take_are_refused(capsys, argv, error):
     # the first three once ended in a numpy LinAlgError traceback
     code, out, err = run_cli(capsys, *argv)

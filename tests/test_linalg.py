@@ -227,6 +227,10 @@ def test_complex_entries_from_fractions_are_rounded_or_refused():
     assert Matrix(CC, [[Fraction(1, 3)]]).rows == ((1 / 3 + 0j,),)
     with pytest.raises(AnswerTooLarge):
         Matrix(CC, [[Fraction(10 ** 400, 3)]])
+    # finite parts, but a modulus past the double range: abs() overflows
+    with pytest.raises(AnswerTooLarge, match="modulus"):
+        Matrix(CC, [[1, complex(1.5e308, 1.5e308)], [0, 2]])
+    assert CC.coerce(complex(1.2e308, 1e308)) == complex(1.2e308, 1e308)
 
 
 def test_complex_chain_products_refuse_overflow():
@@ -512,10 +516,12 @@ def _count_row_builds(monkeypatch) -> list:
 
 def test_complex_builds_read_no_rows_of_what_they_compute(monkeypatch):
     # a complex result is its kept array: forms, exponentials and logarithms
-    # convert none of the matrices they compute, returned or thrown away
+    # convert none of the matrices they compute, returned or thrown away; an
+    # exact build keeps the lifts of its power table and of its chains
     inputs = [(a, not any(e.imag for row in a.rows for e in row)) for a in _complex_inputs()]
-    for a, _ in inputs:
-        _ints(a)  # the input's own array, taken from its rows
+    exact = [a for field, values in _LIFT_FIELDS for a in _seeded_exact_inputs(field, values, 43)]
+    for a in [a for a, _ in inputs] + exact:
+        _ints(a)  # the input's own lift, taken from its rows
     seen = _count_row_builds(monkeypatch)
     for a, real in inputs:
         form = pcf_build(a)
@@ -524,6 +530,8 @@ def test_complex_builds_read_no_rows_of_what_they_compute(monkeypatch):
         if real:
             expm_real(a)
             pcf_realify(form)
+    for a in exact:
+        pcf_build(a)
     assert seen == []
 
 
@@ -539,22 +547,41 @@ def test_defective_complex_chains_read_no_rows(monkeypatch):
 
 
 def test_complex_rows_are_built_once_from_the_kept_array():
+    # every computed matrix keeps its lift and builds its rows from it on
+    # first read: one tolist over C, the entries over den over Q and F_p
     np = pytest.importorskip("numpy")
-    for a in _complex_inputs():
-        for m in (a * a, a.inverse(), pcf_build(a).geometric_terms[0][1][0]):
+    exact = [a for field, values in (_LIFT_FIELDS[0], _LIFT_FIELDS[3])
+             for a in _seeded_exact_inputs(field, values, 41)]
+    dens = []
+    for a in [*_complex_inputs(), *exact]:
+        f, form = a.field, pcf_build(a)
+        computed = [a * a, a + a, pcf_eval(form, 3),
+                    *(c for _, cs in form.geometric_terms for c in cs),
+                    *(v for _, v in form.nilpotent_terms)]
+        if _det(a) != 0:
+            computed.append(a.inverse())
+        for m in computed:
             assert m._rows is None
-            arr = _ints(m)[0]
+            lifted, den = _ints(m)
             rows = m.rows
-            want = tuple(map(tuple, arr.tolist()))
+            if f.exact:
+                want = tuple(tuple(f.from_fraction(Fraction(x, den)) for x in r) for r in lifted)
+                assert all(type(x) is type(f.one) for r in rows for x in r)
+                copy = [list(r) for r in lifted]
+            else:
+                want = tuple(map(tuple, lifted.tolist()))
+                assert all(np.array(x).tobytes() == np.array(y).tobytes()
+                           for r, w in zip(rows, want) for x, y in zip(r, w))
+                copy = lifted.copy()
             assert rows == want and m.rows is rows
-            assert all(np.array(x).tobytes() == np.array(y).tobytes()
-                       for r, w in zip(rows, want) for x, y in zip(r, w))
-            eager = Matrix(CC, want)
-            lazy = _of_ints(CC, arr.copy(), 1)
+            dens.append(den)
+            eager = Matrix(f, want)
+            lazy = _of_ints(f, copy, den)
             assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
             assert repr(lazy) == repr(eager) and lazy.format() == eager.format()
         with pytest.raises(AttributeError):
             a.rows = ()
+    assert max(dens) > 1
 
 
 def test_complex_maxnorm_reads_the_kept_array(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import spiral_3x3_powers
 from helpers import (
     clustered_real,
     conjugated_jordan,
+    dense_conjugated_jordan,
     jordan_assembly,
     max_diff,
     pcf_build_by_products,
@@ -303,6 +305,8 @@ def _exact_inputs():
     for _ in range(12):
         yield rational_spectrum_matrix(rng, (0, 1, -1, 2, Fraction(1, 2), -3),
                                        max_order=6)[0]
+    for n in (3, 5, 7):  # a dense rational conjugator with entries up to 10^6
+        yield dense_conjugated_jordan(rng, n, 10 ** 6)
     for p in (2, 3, 101):
         for _ in range(4):
             blocks = [(rng.randint(1, 3), rng.randrange(p))
@@ -341,14 +345,30 @@ def test_build_and_projections_match_the_product_route(p):
         cases += [[(2, Fraction(1, 3)), (2, 1)], [(1, Fraction(1, 3)), (3, 1), (1, 0)]]
     cases += [[(rng.randint(1, 4), rng.choice(values)) for _ in range(rng.randint(1, 4))]
               for _ in range(10)]
+    inputs = []
     for k, blocks in enumerate(cases):
         a = conjugated_jordan(rng, field, blocks)
         if not p and k % 2:
             a = a * Fraction(1, rng.choice([2, 3, 6]))
+        inputs.append((a, blocks))
+    if not p:  # a dense rational conjugator with entries up to 10^6
+        inputs += [(dense_conjugated_jordan(rng, n, 10 ** 6), n) for n in (2, 4, 6, 8)]
+    for a, label in inputs:
         want, form = pcf_build_by_products(a)
         built = pcf_build(a)
-        assert built == form, blocks
-        assert [pi for *_, pi in projections(built)] == want, blocks
+        assert built == form, label
+        assert [pi for *_, pi in projections(built)] == want, label
+
+
+def test_large_entry_rational_build_is_quick():
+    # a dense conjugator with entries up to 10^6 gives A a denominator of
+    # 300-odd bits, so the powers of S = den A would grow by that much per
+    # step (15,527 bits at S^15); the chains are sums of A's reduced powers
+    a = dense_conjugated_jordan(random.Random(16), 16, 10 ** 6)
+    start = time.process_time()
+    form = pcf_build(a)
+    assert time.process_time() - start < 1.5
+    assert pcf_eval(form, 1) == a and pcf_eval(form, 0) == Matrix.identity(QQ, 16)
 
 
 def test_negative_power_index_is_refused():
