@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Same-answers sweep over the exact callers of linalg's `_chains`.
 
-Draws seeded matrices over Q (conjugated Jordan forms under unimodular
-and under dense rational conjugators with entries up to 10^6, and random
-integer matrices, most of which do not split) and over F_2, F_3 and
-F_101, and runs on each: `pcf_build`; `pcf_eval` at every k <= t0 + 2 and
-at k = 10^6 + 1; `pcf_to_gamma`; `minpoly`; `A ** k` at every k <= t0 + 2
-and k = 40; and the CLI's `pcf` and `power` (k = t0 + 2 and 10^6 + 1), in
-text and in --json. Over Q, k = 10^6 + 1 is evaluated only when every
+Draws three seeded matrices of each class, by the generators of
+tests/helpers.py: over Q, conjugated Jordan forms under unimodular
+conjugators with a rational diagonal scaling and under dense rational
+conjugators with entries up to 10^6, and random integer matrices, most
+of which do not split; over F_2, F_3 and F_101, conjugated Jordan forms
+under dense conjugators. It runs on each: `pcf_build`; `pcf_eval` at
+every k <= t0 + 2 and at k = 10^6 + 1; `pcf_to_gamma`; `minpoly`;
+`A ** k` at every k <= t0 + 2 and k = 40; and the CLI's `pcf` and
+`power` (k = t0 + 2 and 10^6 + 1), in text and in --json. Over Q, k = 10^6 + 1 is evaluated only when every
 eigenvalue is an integer: a fractional one gives denominators of a
 million bits, whose gcd alone takes seconds.
 
@@ -31,82 +33,41 @@ import hashlib
 import io
 import json
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from pcanon import GF, QQ, Matrix, PcanonError, minpoly, pcf_build, pcf_eval, pcf_to_gamma
 from pcanon import cli
 from pcanon.linalg import _ints
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import conjugated_jordan, dense_conjugated_jordan, jordan_blocks  # noqa: E402
+
 BIG_K = 10 ** 6 + 1
+COUNT = 3  # inputs of each of the six classes
 
 
-def _jordan(field, blocks) -> Matrix:
-    n = sum(size for size, _ in blocks)
-    rows = [[0] * n for _ in range(n)]
-    at = 0
-    for size, value in blocks:
-        for i in range(at, at + size):
-            rows[i][i] = value
-            if i + 1 < at + size:
-                rows[i][i + 1] = 1
-        at += size
-    return Matrix(field, rows)
-
-
-def _blocks(rng, n: int, values) -> list:
-    blocks, order = [], 0
-    while order < n:
-        size = rng.randint(1, min(4, n - order))
-        blocks.append((size, rng.choice(values)))
-        order += size
-    return blocks
-
-
-def _invertible(rng, field, n: int, bound: int) -> tuple[Matrix, Matrix]:
-    """(P, P^-1) for a dense random P with entries in [-bound, bound],
-    drawn again until it is invertible."""
-    while True:
-        p = Matrix(field, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
-        try:
-            return p, p.inverse()
-        except PcanonError:
-            continue
-
-
-def _unimodular(rng, n: int, bound: int) -> Matrix:
-    """L U for unit triangular L and U with entries in [-bound, bound]."""
-    lo = [[rng.randint(-bound, bound) if j < i else int(i == j) for j in range(n)]
-          for i in range(n)]
-    up = [[rng.randint(-bound, bound) if j > i else int(i == j) for j in range(n)]
-          for i in range(n)]
-    return Matrix(QQ, lo) * Matrix(QQ, up)
-
-
-def inputs(rng, count: int):
-    """(id, matrix) pairs, count of each class."""
+def inputs(rng):
+    """(id, matrix) pairs, COUNT of each class."""
     q_values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)]
-    for i in range(count):
+    for i in range(COUNT):
         n = rng.randint(2, 6)
-        s = _unimodular(rng, n, rng.choice([9, 1000]))
-        a = s * _jordan(QQ, _blocks(rng, n, q_values)) * s.inverse()
+        a = conjugated_jordan(rng, QQ, jordan_blocks(rng, n, q_values))
         d = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
         yield f"q-unimodular-{i}", Matrix(QQ, [[e * d[r] / d[c] for c, e in enumerate(row)]
                                                for r, row in enumerate(a.rows)])
-    for i in range(count):
-        n = rng.randint(2, 6)
-        p, inv = _invertible(rng, QQ, n, 10 ** 6)
-        yield f"q-dense-{i}", p * _jordan(QQ, _blocks(rng, n, [0, 1, -1, 2, -2, 3])) * inv
-    for i in range(count):
+    for i in range(COUNT):
+        yield f"q-dense-{i}", dense_conjugated_jordan(rng, rng.randint(2, 6), 10 ** 6)
+    for i in range(COUNT):
         n = rng.randint(1, 4)
         yield f"q-random-{i}", Matrix(QQ, [[rng.randint(-9, 9) for _ in range(n)]
                                            for _ in range(n)])
     for p in (2, 3, 101):
-        f = GF(p)
-        for i in range(count):
-            n = rng.randint(1, 6)
-            s, inv = _invertible(rng, f, n, p)
-            yield f"f{p}-{i}", s * _jordan(f, _blocks(rng, n, list(range(p)))) * inv
+        for i in range(COUNT):
+            yield f"f{p}-{i}", dense_conjugated_jordan(rng, rng.randint(1, 6), p, GF(p),
+                                                       range(p))
 
 
 def _text(obj) -> str:
@@ -146,9 +107,9 @@ def _doc(a: Matrix) -> str:
     return json.dumps({"field": "Q", "matrix": [[str(e) for e in row] for row in a.rows]})
 
 
-def sweep(seed: int, count: int):
+def sweep(seed: int):
     """Yield the transcript lines of one seed."""
-    for name, a in inputs(random.Random(seed), count):
+    for name, a in inputs(random.Random(seed)):
         form, out, ms = _call(lambda: pcf_build(a))
         yield f"pcf_build\t{name}\t{out}\t{ms:.1f}"
         t0 = form.t0 if form else 0
@@ -176,10 +137,8 @@ def sweep(seed: int, count: int):
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--count", type=int, default=3,
-                    help="inputs of each of the six classes (default 3)")
     args = ap.parse_args()
-    for line in sweep(args.seed, args.count):
+    for line in sweep(args.seed):
         print(line, flush=True)
 
 

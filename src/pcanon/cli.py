@@ -334,8 +334,8 @@ def _power_error(form: PCanonicalForm, k: int, power: Matrix) -> float:
         err = k * sys.float_info.epsilon * sum(
             abs(lam) ** k * sum(math.comb(k, i) * c.maxnorm() for i, c in enumerate(cs))
             for lam, cs in form.geometric_terms)
-    except OverflowError:  # |lambda|^k past the double range
-        raise AnswerTooLarge(f"|lambda|^{k} is past the double range") from None
+    except OverflowError:  # |lambda|^k, or a binomial times a norm
+        raise AnswerTooLarge(f"the error bound of A^{k} is past the double range") from None
     size = power.maxnorm()
     return err / size if size else (math.inf if err else 0.0)
 

@@ -29,7 +29,7 @@ confirms and counts roots by Poly division
 back out as Poly products,
 and the random matrices are Jordan assemblies conjugated by unimodular
 integer matrices, or by dense integer ones for large denominators
-(`dense_conjugated_jordan`), so every expected invariant is known by
+(`dense_conjugated_jordan`, over F_p too), so every expected invariant is known by
 construction.
 """
 
@@ -567,20 +567,28 @@ def conjugated_jordan(rng, field, blocks) -> Matrix:
             * s.inverse().to_field(field))
 
 
-def dense_conjugated_jordan(rng, n: int, bound: int) -> Matrix:
-    """P J P^-1 over Q of order n: J has Jordan blocks of size at most 4
-    with eigenvalues in {0, +-1, +-2, 3}, P is a dense integer matrix with
-    entries in [-bound, bound], drawn again until it is invertible, so the
-    entries of the result carry a large common denominator."""
+def jordan_blocks(rng, n: int, values) -> list:
+    """(size, eigenvalue) Jordan blocks of total order n, each of size at
+    most 4 with its eigenvalue drawn from values."""
     blocks, order = [], 0
     while order < n:
         size = rng.randint(1, min(4, n - order))
-        blocks.append((size, rng.choice([0, 1, -1, 2, -2, 3])))
+        blocks.append((size, rng.choice(values)))
         order += size
+    return blocks
+
+
+def dense_conjugated_jordan(rng, n: int, bound: int, field=QQ,
+                            values=(0, 1, -1, 2, -2, 3)) -> Matrix:
+    """P J P^-1 over field of order n: J has `jordan_blocks` with
+    eigenvalues from values, P is a dense integer matrix with entries in
+    [-bound, bound], drawn again until it is invertible. Over Q the
+    entries of the result carry a large common denominator."""
+    blocks = jordan_blocks(rng, n, values)
     while True:
-        p = Matrix(QQ, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+        p = Matrix(field, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
         try:
-            return p * jordan_assembly(QQ, blocks) * p.inverse()
+            return p * jordan_assembly(field, blocks) * p.inverse()
         except SingularMatrix:
             continue
 

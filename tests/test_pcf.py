@@ -305,13 +305,13 @@ def _exact_inputs():
     for _ in range(12):
         yield rational_spectrum_matrix(rng, (0, 1, -1, 2, Fraction(1, 2), -3),
                                        max_order=6)[0]
-    for n in (3, 5, 7):  # a dense rational conjugator with entries up to 10^6
-        yield dense_conjugated_jordan(rng, n, 10 ** 6)
     for p in (2, 3, 101):
         for _ in range(4):
             blocks = [(rng.randint(1, 3), rng.randrange(p))
                       for _ in range(rng.randint(1, 3))]
             yield conjugated_jordan(rng, GF(p), blocks)
+    for n in (3, 5, 7):  # a dense rational conjugator with entries up to 10^6
+        yield dense_conjugated_jordan(rng, n, 10 ** 6)
 
 
 def test_eval_matches_repeated_products_in_both_bases():
